@@ -19,12 +19,16 @@ GeometryBlock::GeometryBlock(const graph::Graph& g,
   store_.shrink_to_fit();
 }
 
-GeometryAtlas::GeometryAtlas(AtlasOptions options)
-    : options_(options),
-      sketch_(std::size_t{1} << 14, options.sketch_sample_period) {
+namespace {
+
+/// Floor of the sketch's aging period: a near-empty cache must not halve
+/// every few lookups and forget the frequencies admission compares.
+constexpr std::uint64_t kMinAgingPeriod = 64;
+
+}  // namespace
+
+GeometryAtlas::GeometryAtlas(AtlasOptions options) : options_(options) {
   PLS_REQUIRE(options_.block_centers >= 1);
-  PLS_REQUIRE(options_.turnover_period >= 1);
-  PLS_REQUIRE(options_.sketch_sample_period >= 1);
 }
 
 std::uint64_t GeometryAtlas::key_hash(const Key& key) noexcept {
@@ -47,11 +51,10 @@ std::shared_ptr<const GeometryBlock> GeometryAtlas::block(
   const Key wanted{g.epoch(), index, t};
 
   util::MutexLock lock(mu_);
-  // TinyLFU sees every lookup, hit or miss: admission compares the
+  // The sketch sees every lookup, hit or miss: admission compares the
   // contender's access frequency against victims', and both sides earn
-  // their counts here.  (kScanResistant never reads the sketch; skipping
-  // the writes keeps that policy's lock hold time unchanged.)
-  if (options_.admission == Admission::kTinyLFU) sketch_.record(key_hash(wanted));
+  // their counts here.
+  record_locked(wanted);
   while (true) {
     // Any resident block over the same centers with radius >= t serves the
     // lookup (smaller radii are prefixes); the map order makes the smallest
@@ -82,8 +85,7 @@ std::shared_ptr<const GeometryBlock> GeometryAtlas::block(
       // A prefix-serve hit is a use of the RESIDENT block: credit its key
       // too, or a larger-radius block serving smaller-t traffic would look
       // cold to admission despite carrying all of it.
-      if (options_.admission == Admission::kTinyLFU && it->first.t != wanted.t)
-        sketch_.record(key_hash(it->first));
+      if (it->first.t != wanted.t) record_locked(it->first);
       return it->second->block;
     }
 
@@ -123,21 +125,17 @@ std::shared_ptr<const GeometryBlock> GeometryAtlas::block(
     // anything.
     slot_it->second->block = built;
     const std::size_t reclaimable = reclaimable_prefix_bytes_locked(wanted);
-    const bool admit =
-        options_.admission == Admission::kTinyLFU
-            ? admit_tinylfu_locked(wanted, built->bytes(), reclaimable)
-            : admit_locked(built->bytes(), reclaimable);
-    if (admit) {
+    if (admit_tinylfu_locked(wanted, built->bytes(), reclaimable)) {
       retire_prefixes_locked(wanted);
       evict_for_locked(built->bytes());
       lru_.push_front(wanted);
       slot_it->second->lru = lru_.begin();
       charge_locked(wanted.t, built->bytes());
     } else {
-      // Scan guard: hand the pinned block to the caller (and the waiters)
-      // without caching it, so a cyclic sweep larger than the budget keeps
-      // a stable resident subset instead of churning everything to a 0%
-      // hit rate.
+      // Rejected contender: hand the pinned block to the caller (and the
+      // waiters) without caching it, so a cyclic sweep larger than the
+      // budget keeps a stable resident subset instead of churning
+      // everything to a 0% hit rate.
       entries_.erase(slot_it);
       ++stats_.bypassed;
     }
@@ -180,16 +178,14 @@ void GeometryAtlas::retire_prefixes_locked(const Key& key) {
   }
 }
 
-bool GeometryAtlas::admit_locked(std::size_t needed,
-                                 std::size_t reclaimable) {
-  if (needed > options_.byte_budget) return false;  // can never fit
-  if (stats_.bytes_in_use - reclaimable + needed <= options_.byte_budget)
-    return true;
-  // The cache is full.  Only every turnover_period-th contender may
-  // displace residents (LRU victims) — the rest bypass the cache.
-  if (++denials_since_turnover_ < options_.turnover_period) return false;
-  denials_since_turnover_ = 0;
-  return true;
+void GeometryAtlas::record_locked(const Key& key) {
+  // W-TinyLFU's sample size: ~10x the cache capacity in entries.  A full
+  // cache's resident count IS its capacity, so the cadence tracks the
+  // budget and the block size without a knob; while the cache fills, the
+  // period grows with it, and admission never consults the sketch anyway.
+  const std::uint64_t resident = lru_.size();
+  const std::uint64_t period = std::max(kMinAgingPeriod, 10 * resident);
+  sketch_.record(key_hash(key), period);
 }
 
 bool GeometryAtlas::admit_tinylfu_locked(const Key& key, std::size_t needed,

@@ -5,7 +5,7 @@
 // pre-atlas engine rebuilt it on every run.  Exactly the workloads the
 // tradeoff experiments care about re-verify thousands of labelings against
 // ONE topology (the adversary's hill-climb, the large-t sweeps), so geometry
-// is the textbook shared artifact: build once, serve every session, thread
+// is the textbook shared artifact: build once, serve every verifier, thread
 // slot, and t value.
 //
 // GeometryAtlas is a memory-budgeted, LRU-evicting cache of GeometryStore
@@ -22,21 +22,23 @@
 //     radius-t' < t ball, and the store's layer-partitioned rows make the
 //     embedding zero-copy (ball.hpp), so a lookup at radius t is satisfied
 //     by any resident block with radius >= t over the same centers.
-//   * Budget + LRU + scan resistance.  Resident bytes never exceed the
+//   * Budget + LRU + TinyLFU admission.  Resident bytes never exceed the
 //     configured budget: a built block is admitted only if it fits (after
 //     LRU evictions are allowed), and returned blocks are shared_ptr-pinned
 //     — eviction never invalidates a block a sweep still holds, it only
 //     stops the atlas from accounting it.  Pure LRU collapses to a 0% hit
 //     rate when a cyclic sweep's working set exceeds the budget (every
-//     block is evicted moments before its next use), so admission is
-//     scan-resistant: once the cache is full, only every
-//     `turnover_period`-th non-fitting block displaces LRU victims; the
-//     rest are returned un-cached (stats.bypassed).  A cyclic scan then
-//     keeps a stable resident subset — hit rate ~ budget / working set
-//     instead of zero — while a genuine workload shift (new graph, new
-//     radius) still turns the cache over.  turnover_period = 1 is pure
-//     LRU; byte_budget = 0 is the degenerate rebuild-every-run atlas (the
-//     benchmark baseline).
+//     block is evicted moments before its next use), so once the cache is
+//     full a contender displaces LRU victims only if its frequency-sketch
+//     estimate (sketch.hpp) beats every victim's; losers are returned
+//     un-cached (stats.bypassed, stats.sketch_rejects).  A cyclic scan then
+//     keeps a stable resident subset instead of churning, and on skewed
+//     center popularity the residents converge to the hot blocks.  The
+//     sketch ages itself — every counter is halved after about ten times
+//     the resident entry count of lookups (the W-TinyLFU sample size, with
+//     a small floor) — so a genuine workload shift (new graph, new radius)
+//     still turns the cache over within one aging period.  byte_budget = 0
+//     is the degenerate rebuild-every-run atlas (the benchmark baseline).
 //   * Concurrency.  Lookups, insertions, and eviction are mutex-serialized
 //     (short critical sections); block construction runs outside the lock
 //     with in-flight dedup, so parallel sweep slots requesting the same
@@ -60,20 +62,6 @@
 
 namespace pls::radius {
 
-/// Policy for displacing residents once the cache is full.
-enum class Admission : std::uint8_t {
-  /// Every turnover_period-th contender displaces LRU victims blindly; the
-  /// rest bypass.  Keeps a stable resident subset under cyclic scans, but
-  /// which subset survives is arbitrary — popularity-blind.
-  kScanResistant,
-  /// TinyLFU: a contender displaces LRU victims only if its frequency-
-  /// sketch estimate beats each victim's.  On zipf-skewed center
-  /// popularity the resident set converges to the hot blocks; losers are
-  /// counted in AtlasStats::sketch_rejects and bypass (still pinned for
-  /// the caller).  See sketch.hpp.
-  kTinyLFU,
-};
-
 struct AtlasOptions {
   /// Resident-byte ceiling, never exceeded; 0 caches nothing (every lookup
   /// rebuilds — the benchmark's rebuild baseline).  The default holds the
@@ -81,21 +69,13 @@ struct AtlasOptions {
   std::size_t byte_budget = std::size_t{512} << 20;
   /// Centers per block: the build/eviction granule.
   std::uint32_t block_centers = 64;
-  /// Scan resistance (kScanResistant only): with the cache full, admit
-  /// (displacing LRU victims) only every k-th block that needs room;
-  /// 1 = pure LRU.
-  std::uint32_t turnover_period = 8;
-  /// Full-cache displacement policy.
-  Admission admission = Admission::kScanResistant;
-  /// kTinyLFU only: sketch records between halvings (aging cadence).
-  std::uint64_t sketch_sample_period = 8192;
 };
 
 struct AtlasStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;       ///< == blocks built
   std::uint64_t evictions = 0;
-  std::uint64_t bypassed = 0;     ///< built but not admitted (either policy)
+  std::uint64_t bypassed = 0;     ///< built but not admitted
   std::uint64_t sketch_rejects = 0;  ///< bypasses where TinyLFU said no
   std::size_t bytes_in_use = 0;
   std::size_t peak_bytes = 0;
@@ -207,15 +187,14 @@ class GeometryAtlas {
   /// Drops those prefix blocks (call only when the superseding block is
   /// being admitted — a bypassed contender must not evict anything).
   void retire_prefixes_locked(const Key& key) PLS_REQUIRES(mu_);
-  /// Admission decision: fits (counting reclaimable prefix bytes), or —
-  /// every turnover_period-th time the cache is full — displaces LRU
-  /// victims (evict_for_locked).  Decision only; no mutation of residency.
-  bool admit_locked(std::size_t needed, std::size_t reclaimable)
-      PLS_REQUIRES(mu_);
-  /// TinyLFU variant: walks would-be LRU victims back to front and admits
-  /// only if every victim needed for room has a lower sketch estimate than
-  /// the contender (otherwise ++sketch_rejects).  Decision only — the same
-  /// victims it approved are what evict_for_locked then pops.
+  /// One lookup's sketch record, aged on the derived cadence: a halving
+  /// every max(kMinAgingPeriod, 10 x resident entries) records.
+  void record_locked(const Key& key) PLS_REQUIRES(mu_);
+  /// Admission decision: admits if the block fits (counting reclaimable
+  /// prefix bytes); otherwise walks would-be LRU victims back to front and
+  /// admits only if every victim needed for room has a lower sketch
+  /// estimate than the contender (otherwise ++sketch_rejects).  Decision
+  /// only — the same victims it approved are what evict_for_locked pops.
   bool admit_tinylfu_locked(const Key& key, std::size_t needed,
                             std::size_t reclaimable) PLS_REQUIRES(mu_);
   /// Evicts LRU victims until `needed` more bytes fit under the budget.
@@ -229,8 +208,7 @@ class GeometryAtlas {
   util::CondVar built_cv_;  ///< signals: an in-flight build landed
   std::map<Key, std::shared_ptr<Slot>> entries_ PLS_GUARDED_BY(mu_);
   std::list<Key> lru_ PLS_GUARDED_BY(mu_);  ///< front = most recently used
-  std::uint32_t denials_since_turnover_ PLS_GUARDED_BY(mu_) = 0;
-  FrequencySketch sketch_ PLS_GUARDED_BY(mu_);  ///< kTinyLFU only
+  FrequencySketch sketch_ PLS_GUARDED_BY(mu_);
   AtlasStats stats_ PLS_GUARDED_BY(mu_);
 };
 

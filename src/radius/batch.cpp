@@ -15,7 +15,6 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
       t_(t),
       threads_(options.threads == 0 ? util::ThreadPool::hardware_threads()
                                     : options.threads),
-      sweep_mode_(options.sweep),
       atlas_(options.atlas != nullptr
                  ? std::move(options.atlas)
                  : std::make_shared<GeometryAtlas>()) {
@@ -43,14 +42,22 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
   }
 }
 
-void BatchVerifier::record_sweep_stats() {
-  if (sweep_mode_ != BatchOptions::SweepMode::kStealing) return;
-  if (metrics_.sweep_chunks == nullptr) return;  // no registry supplied
-  const util::RangeStats& stats = pool_->last_range_stats();
-  metrics_.sweep_chunks->add(stats.chunks);
-  metrics_.sweep_steals->add(stats.steals);
-  for (const std::uint64_t busy : stats.worker_busy_ns)
-    metrics_.worker_busy->record(busy);
+void BatchVerifier::finish_sweep() {
+  const auto record = [this] {
+    if (metrics_.sweep_chunks == nullptr) return;  // no registry supplied
+    const util::RangeStats& stats = pool_->last_range_stats();
+    metrics_.sweep_chunks->add(stats.chunks);
+    metrics_.sweep_steals->add(stats.steals);
+    for (const std::uint64_t busy : stats.worker_busy_ns)
+      metrics_.worker_busy->record(busy);
+  };
+  try {
+    pool_->finish_range();
+  } catch (...) {
+    record();  // the pool assembles RangeStats before it rethrows
+    throw;
+  }
+  record();
 }
 
 void BatchVerifier::parse_link(const core::Labeling& labeling,
@@ -60,16 +67,18 @@ void BatchVerifier::parse_link(const core::Labeling& labeling,
   out.storage.clear();
   out.storage.resize(n);
   out.view.assign(n, nullptr);
-  const auto parse_slice = [&](unsigned, std::size_t begin, std::size_t end) {
+  const auto parse_chunk = [&](unsigned, std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
       out.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
       out.view[v] = out.storage[v].get();
     }
   };
   if (parallel) {
-    pool_->for_range(n, parse_slice);
+    // A range job like the sweep's, but not a sweep: its RangeStats are
+    // overwritten by the next sweep before finish_sweep records any.
+    pool_->for_range(n, parse_chunk);
   } else {
-    parse_slice(0, 0, n);
+    parse_chunk(0, 0, n);
   }
   // Link phase: intern payloads repeated across the per-node parses into
   // small dense ids; single-threaded, the sweep workers only read the
@@ -90,7 +99,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
   // Empty `centers` = the identity map over [0, n) (the full sweep); a
   // non-empty SORTED list re-sweeps exactly those centers (the delta
   // path).  Sortedness is what keeps the block walk below incremental: a
-  // contiguous slice re-requests a block only at block boundaries.
+  // contiguous chunk re-requests a block only at block boundaries.
   const auto center_of = [centers](std::size_t i) {
     return centers.empty() ? static_cast<graph::NodeIndex>(i) : centers[i];
   };
@@ -121,7 +130,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     PLS_TRACE_SPAN("sweep.slot", worker);
     const graph::Graph& g = cfg_.graph();
     Slot& slot = slots_[worker];
-    // The shared_ptr pins the current block across the slice even if the
+    // The shared_ptr pins the current block across the chunk even if the
     // atlas evicts it meanwhile.
     std::shared_ptr<const GeometryBlock> block;
     for (std::size_t i = begin; i < end; ++i) {
@@ -138,35 +147,19 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
 
 void BatchVerifier::post_sweep(const core::Labeling& labeling,
                                const ParsedLabeling& parsed,
+                               std::span<const graph::NodeIndex> centers,
                                std::vector<std::uint8_t>& accept) {
-  const std::size_t n = cfg_.n();
-  accept.assign(n, 0);
-  if (sweep_mode_ == BatchOptions::SweepMode::kStealing) {
-    // The token rides into the claim loop: an expired request abandons its
-    // sweep at the next chunk boundary instead of finishing a labeling
-    // nobody is waiting for.  (kStatic has no claim boundaries — there the
-    // per-labeling checks in run()/run_delta() are the only ones.)
-    pool_->post_range_stealing(n, sweep_fn(labeling, parsed, {}, accept),
-                               util::RangeOptions{.cancel = cancel_});
+  if (centers.empty()) {
+    accept.assign(cfg_.n(), 0);
   } else {
-    pool_->post_range(n, sweep_fn(labeling, parsed, {}, accept));
+    PLS_ASSERT(accept.size() == cfg_.n());
   }
-}
-
-void BatchVerifier::sweep_dirty(const core::Labeling& labeling,
-                                const ParsedLabeling& parsed,
-                                std::span<const graph::NodeIndex> dirty,
-                                std::vector<std::uint8_t>& accept) {
-  PLS_ASSERT(accept.size() == cfg_.n());
-  if (dirty.empty()) return;
-  if (sweep_mode_ == BatchOptions::SweepMode::kStealing) {
-    pool_->for_range_stealing(dirty.size(),
-                              sweep_fn(labeling, parsed, dirty, accept),
-                              util::RangeOptions{.cancel = cancel_});
-    record_sweep_stats();
-  } else {
-    pool_->for_range(dirty.size(), sweep_fn(labeling, parsed, dirty, accept));
-  }
+  // The token rides into the claim loop: an expired request abandons its
+  // sweep at the next chunk boundary instead of finishing a labeling nobody
+  // is waiting for.
+  pool_->post_range(centers.empty() ? cfg_.n() : centers.size(),
+                    sweep_fn(labeling, parsed, centers, accept),
+                    util::RangeOptions{.cancel = cancel_});
 }
 
 std::vector<core::Verdict> BatchVerifier::run(
@@ -230,7 +223,7 @@ std::vector<core::Verdict> BatchVerifier::run(
       // span of labeling i+1 — the pipelining overlap made visible.
       PLS_TRACE_SPAN("sweep.window", i);
       obs::ScopedTimer sweep_timer(metrics_.sweep);
-      post_sweep(labelings[i], parsed_[i % 2], accept_[i % 2]);
+      post_sweep(labelings[i], parsed_[i % 2], {}, accept_[i % 2]);
       // Overlap window: the workers are sweeping labeling i (with threads =
       // 1 the sweep is merely deferred — strictly sequential, same
       // verdicts).  A stage-2 throw must not unwind past the posted sweep:
@@ -244,12 +237,11 @@ std::vector<core::Verdict> BatchVerifier::run(
                      /*parallel=*/false);
           install_pin(i + 1);
         } catch (...) {
-          pool_->finish_range();
+          finish_sweep();
           throw;
         }
       }
-      pool_->finish_range();
-      record_sweep_stats();
+      finish_sweep();
     }
 
     std::vector<bool> bits(n);
@@ -355,7 +347,11 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   {
     PLS_TRACE_SPAN("delta.resweep", dirty.size());
     obs::ScopedTimer sweep_timer(metrics_.delta_sweep);
-    sweep_dirty(next, parsed_[resident_], dirty, accept);
+    // Blocking (no pipelining — delta streams are adaptive).
+    if (!dirty.empty()) {
+      post_sweep(next, parsed_[resident_], dirty, accept);
+      finish_sweep();
+    }
   }
 
   resident_valid_ = true;

@@ -1,6 +1,6 @@
 #include "radius/engine_t.hpp"
 
-#include "radius/session.hpp"
+#include "radius/batch.hpp"
 #include "util/assert.hpp"
 
 namespace pls::radius {
@@ -50,17 +50,17 @@ std::vector<SchemeAttack> BallScheme::adversarial_labelings(
 core::Verdict run_verifier_t(const core::Scheme& scheme,
                              const local::Configuration& cfg,
                              const core::Labeling& labeling, unsigned t) {
-  SessionOptions options;
+  BatchOptions options;
   options.threads = 1;
   // One-shot call: a retaining atlas would materialize the whole graph's
   // geometry (hundreds of MB at large t) for a single labeling with no
   // reuse to amortize it.  A zero-budget atlas keeps the peak at one
   // block — blocks are built, swept, and dropped — with identical
-  // verdicts.  Callers verifying many labelings hold a session or a
-  // BatchVerifier (and its warm atlas) themselves.
-  options.atlas = std::make_shared<GeometryAtlas>(AtlasOptions{0, 64, 1});
-  VerificationSession session(scheme, cfg, t, options);
-  return session.run(labeling);
+  // verdicts.  Callers verifying many labelings hold a BatchVerifier (and
+  // its warm atlas) themselves.
+  options.atlas =
+      std::make_shared<GeometryAtlas>(AtlasOptions{.byte_budget = 0});
+  return BatchVerifier(scheme, cfg, t, options).run_one(labeling);
 }
 
 core::Verdict run_verifier_t_baseline(const core::Scheme& scheme,

@@ -74,7 +74,7 @@ class BallScheme : public core::Scheme {
   virtual bool verify_ball(const RadiusContext& ctx) const = 0;
 
   /// Parse-once hook.  A scheme that returns true here must override
-  /// parse_cert; VerificationSession then parses every node's certificate
+  /// parse_cert; BatchVerifier then parses every node's certificate
   /// exactly once per labeling and exposes the results to verify_ball via
   /// RadiusContext::parsed, instead of each of the O(n) overlapping balls
   /// re-parsing the same certificates.
@@ -83,11 +83,11 @@ class BallScheme : public core::Scheme {
   /// Parses one certificate into the scheme's own ParsedCert subclass;
   /// nullptr means malformed (the scheme's verify_ball decides what a
   /// malformed member implies — for every scheme so far, reject).  Must be
-  /// thread-safe: the session parses nodes in parallel.
+  /// thread-safe: the verifier parses nodes in parallel.
   virtual std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const;
 
-  /// Link phase of the parse-once pipeline.  VerificationSession calls this
+  /// Link phase of the parse-once pipeline.  BatchVerifier calls this
   /// once per labeling, after the parallel parse and before any verify_ball,
   /// with every node's parse (entries are null for malformed certificates).
   /// Schemes intern payloads repeated across nodes — the spread schemes'
@@ -139,19 +139,19 @@ class BallScheme : public core::Scheme {
 /// Runs the verifier at every node over radius-t balls.  Requires t >= 1
 /// (t = 0 is invalid input), and t >= scheme.radius() for ball schemes (the
 /// decoder is evaluated on exactly its declared radius).  This is the
-/// sequential path: it delegates to a single-threaded VerificationSession
-/// (session.hpp), so it still benefits from the parse-once cache; callers
+/// sequential path: it delegates to a single-threaded BatchVerifier::run_one
+/// (batch.hpp), so it still benefits from the parse-once cache; callers
 /// that sweep many labelings over one configuration, or want the thread
-/// pool, should hold a VerificationSession directly.
+/// pool, should hold a BatchVerifier directly.
 core::Verdict run_verifier_t(const core::Scheme& scheme,
                              const local::Configuration& cfg,
                              const core::Labeling& labeling, unsigned t);
 
-/// The pre-session reference engine: one ball at a time, no parse cache, no
+/// The pre-pipeline reference engine: one ball at a time, no parse cache, no
 /// threading — every ball certificate is re-parsed at every center.  Kept as
 /// the differential-testing oracle and the benchmark baseline
-/// (bench_verify_scale measures the session against it).  Verdicts are
-/// bit-identical to run_verifier_t and the session at every thread count.
+/// (bench_verify_scale measures BatchVerifier against it).  Verdicts are
+/// bit-identical to run_verifier_t and BatchVerifier at every thread count.
 core::Verdict run_verifier_t_baseline(const core::Scheme& scheme,
                                       const local::Configuration& cfg,
                                       const core::Labeling& labeling,

@@ -22,7 +22,7 @@ constexpr std::uint32_t kNoMember = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kUnassigned =
     std::numeric_limits<std::uint32_t>::max();
 
-/// The session's cached parse of one fragment-spread certificate.
+/// The verifier's cached parse of one fragment-spread certificate.
 struct FragmentParsed final : ParsedCert {
   static constexpr std::uint32_t kUnlinked =
       std::numeric_limits<std::uint32_t>::max();
@@ -30,7 +30,7 @@ struct FragmentParsed final : ParsedCert {
   explicit FragmentParsed(FragmentWire w) : wire(std::move(w)) {}
   FragmentWire wire;
   /// Dense chunk-payload class assigned by link_parses: equal ids iff the
-  /// chunks are bit-identical.  kUnlinked outside a session cache.
+  /// chunks are bit-identical.  kUnlinked outside a verifier's cache.
   std::uint32_t chunk_class = kUnlinked;
 };
 

@@ -75,15 +75,15 @@ class FragmentSpreadScheme final : public BallScheme {
   std::size_t proof_size_bound(std::size_t n,
                                std::size_t state_bits) const override;
 
-  /// Parse-once support (session.hpp): the cached parse carries the wire's
-  /// region id, so the session's cache is region-aware.
+  /// Parse-once support (batch.hpp): the cached parse carries the wire's
+  /// region id, so the verifier's parse cache is region-aware.
   bool has_cert_parser() const noexcept override { return true; }
   std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const override;
 
   /// Interns chunk payloads into dense class ids after the parallel parse
   /// (equal id <=> bit-identical chunk), so per-ball chunk agreement on the
-  /// session hot path compares ids, not BitStrings.
+  /// sweep hot path compares ids, not BitStrings.
   void link_parses(
       std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
 

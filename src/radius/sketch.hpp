@@ -2,17 +2,20 @@
 //
 // A 4-bit count-min sketch with periodic halving: record() bumps four
 // saturating 4-bit counters chosen by independent hashes, estimate() reads
-// their minimum, and every `sample_period` records every counter in the
-// table is halved.  The halving is what makes the estimate a *recency-
-// weighted* frequency — a block that was hot an epoch ago decays toward
-// zero instead of squatting on its peak count forever — and the 4-bit
-// saturation is what makes the whole sketch 16 counters per word: W
-// distinct keys of history cost W/2 bytes, not a hash map.
+// their minimum, and once `sample_period` records have accumulated since
+// the last halving every counter in the table is halved.  The halving is
+// what makes the estimate a *recency-weighted* frequency — a block that was
+// hot an epoch ago decays toward zero instead of squatting on its peak
+// count forever — and the 4-bit saturation is what makes the whole sketch
+// 16 counters per word: W distinct keys of history cost W/2 bytes, not a
+// hash map.
 //
-// GeometryAtlas uses it for admission (AtlasOptions::admission =
-// kTinyLFU): a freshly built block displaces LRU victims only if its
-// estimated frequency beats theirs, so a one-shot scan (every key seen
-// once) can never flush a skewed working set whose keys have counts > 1.
+// GeometryAtlas uses it for admission: a freshly built block displaces LRU
+// victims only if its estimated frequency beats theirs, so a one-shot scan
+// (every key seen once) can never flush a skewed working set whose keys
+// have counts > 1.  The atlas passes the sample period per record, derived
+// from its resident entry count (atlas.hpp), so the aging cadence follows
+// the cache's capacity instead of a tuning knob.
 //
 // Deterministic: the four hash seeds are compile-time constants, so equal
 // record sequences produce equal estimates on every run and platform.
@@ -21,27 +24,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/assert.hpp"
-
 namespace pls::radius {
 
 class FrequencySketch {
  public:
-  /// `counters` is rounded up to a power of two (>= 64).  `sample_period`
-  /// records between halvings; it trades retention (large) against
-  /// adaptivity to workload shifts (small).
-  explicit FrequencySketch(std::size_t counters = std::size_t{1} << 14,
-                           std::uint64_t sample_period = 8192)
-      : sample_period_(sample_period) {
-    PLS_REQUIRE(sample_period_ >= 1);
+  /// `counters` is rounded up to a power of two (>= 64).
+  explicit FrequencySketch(std::size_t counters = std::size_t{1} << 14) {
     std::size_t n = 64;
     while (n < counters) n <<= 1;
     table_.assign(n / 16, 0);  // 16 4-bit counters per 64-bit word
     mask_ = n - 1;
   }
 
-  /// One occurrence of `key_hash` (pre-mixed 64-bit hash of the key).
-  void record(std::uint64_t key_hash) {
+  /// One occurrence of `key_hash` (pre-mixed 64-bit hash of the key); halves
+  /// the table once this is the `sample_period`-th record since the last
+  /// halving.  The period trades retention (large) against adaptivity to
+  /// workload shifts (small).
+  void record(std::uint64_t key_hash, std::uint64_t sample_period) {
     const std::uint64_t h = spread(key_hash);
     for (unsigned i = 0; i < 4; ++i) {
       const std::size_t idx = index(h, i);
@@ -50,7 +49,7 @@ class FrequencySketch {
       if (((table_[word] >> slot) & 0xF) < 0xF)
         table_[word] += (std::uint64_t{1} << slot);
     }
-    if (++samples_ >= sample_period_) halve();
+    if (++samples_ >= sample_period) halve();
   }
 
   /// Recency-weighted frequency estimate: min of the four counters, in
@@ -98,7 +97,6 @@ class FrequencySketch {
   std::vector<std::uint64_t> table_;
   std::uint64_t mask_ = 0;
   std::uint64_t samples_ = 0;
-  std::uint64_t sample_period_;
   std::uint64_t halvings_ = 0;
 };
 

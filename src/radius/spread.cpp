@@ -17,7 +17,7 @@ namespace {
 using detail::kChunkCountField;
 using detail::SpreadWire;
 
-/// The session's cached parse of one spread certificate.
+/// The verifier's cached parse of one spread certificate.
 struct SpreadParsed final : ParsedCert {
   static constexpr std::uint32_t kUnlinked =
       std::numeric_limits<std::uint32_t>::max();
@@ -25,14 +25,14 @@ struct SpreadParsed final : ParsedCert {
   explicit SpreadParsed(SpreadWire w) : wire(std::move(w)) {}
   SpreadWire wire;
   /// Dense chunk-payload class assigned by link_parses: equal ids iff the
-  /// chunks are bit-identical.  kUnlinked outside a session cache.
+  /// chunks are bit-identical.  kUnlinked outside a verifier's cache.
   std::uint32_t chunk_class = kUnlinked;
 };
 
 /// Per-thread scratch for verify_ball: the engine calls it once per center,
 /// so reusing these buffers across the O(n) adjacent centers of a sweep
 /// removes every per-ball allocation from the hot path.  Thread-local keeps
-/// the parallel session race-free without sharing state between slots.
+/// the parallel sweep race-free without sharing state between slots.
 struct VerifyScratch {
   std::vector<const SpreadWire*> parsed;
   std::vector<std::uint32_t> chunk_class;  ///< per member; kUnlinked = none
@@ -162,7 +162,7 @@ bool SpreadScheme::verify_ball(const RadiusContext& ctx) const {
   static thread_local VerifyScratch scratch;
 
   // Certificates of the ball, parsed at most once per node: through the
-  // session's shared cache when present, locally otherwise.  The cache path
+  // verifier's shared cache when present, locally otherwise.  The cache path
   // also carries the interned chunk-class ids assigned by link_parses.
   std::vector<const SpreadWire*>& parsed = scratch.parsed;
   std::vector<std::uint32_t>& chunk_class = scratch.chunk_class;

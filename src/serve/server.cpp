@@ -58,7 +58,6 @@ radius::BatchVerifier& Server::verifier_for(Tenant& tenant) {
     opts.threads = options_.threads;
     opts.atlas = atlas_;
     opts.metrics = options_.metrics;
-    opts.sweep = options_.sweep;
     tenant.verifier = std::make_unique<radius::BatchVerifier>(
         *tenant.scheme, *tenant.cfg, tenant.t, std::move(opts));
   }

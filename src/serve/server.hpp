@@ -125,9 +125,6 @@ struct ServerOptions {
   /// Must be >= 1 (constructor-enforced): every request costs at least one
   /// unit, so a zero quantum could never serve anything.
   std::uint64_t quantum = 256;
-  /// Stage-3 scheduler for every tenant verifier.
-  radius::BatchOptions::SweepMode sweep =
-      radius::BatchOptions::SweepMode::kStealing;
   /// Admission bound on each tenant's queued cost (sum of per-request costs,
   /// cost = max(1, payload_count)).  A submit that would push the tenant
   /// past the bound is shed with RejectKind::kOverloaded and a retry-after

@@ -2,31 +2,22 @@
 //
 // The radius-t engine evaluates one independent verdict per node, so the only
 // parallel primitive the codebase needs is a blocking parallel-for over a
-// dense index range.  ThreadPool provides exactly that in two flavors:
-//
-//   * for_range/post_range — the STATIC split: [0, n) cut into
-//     `thread_count()` contiguous slices (the same partition every call, so
-//     work assignment — and therefore any per-worker scratch reuse — is
-//     deterministic), one slice per worker.  Slice 0 always runs on the
-//     calling thread; a 1-thread pool therefore spawns no threads at all and
-//     is the sequential fallback path, byte-for-byte the same traversal
-//     order as a plain loop.  Right when per-index work is uniform; on
-//     skewed instances whole cores idle behind the one fat slice.
-//   * for_range_stealing/post_range_stealing — the WORK-STEALING split:
-//     [0, n) cut into fixed-size chunks claimed from a shared atomic cursor
-//     (chunked claiming — the degenerate all-stealing deque).  Assignment is
-//     first-come, so a worker that drew light chunks immediately takes load
-//     off a straggler; per-worker scratch stays valid because `worker` still
-//     names the executing slot, and callers whose writes are per-index
-//     disjoint (the sweep) get bit-identical results at every thread count
-//     even though the assignment is no longer deterministic.  Per-job
-//     steal/chunk counts and per-worker busy time come back through
-//     last_range_stats().
+// dense index range.  ThreadPool provides exactly that: [0, n) is cut into
+// fixed-size chunks claimed from a shared atomic cursor (chunked claiming —
+// the degenerate all-stealing deque).  Assignment is first-come, so a worker
+// that drew light chunks immediately takes load off a straggler; per-worker
+// scratch stays valid because `worker` names the executing slot, and callers
+// whose writes are per-index disjoint (the sweep) get bit-identical results
+// at every thread count even though the assignment is nondeterministic.  The
+// calling thread is claimant 0, so a 1-thread pool spawns no threads at all
+// and drains the chunks in index order — the same traversal as a plain loop.
+// Per-job steal/chunk counts and per-worker busy time come back through
+// last_range_stats().
 //
 // Exceptions thrown by `fn` are captured (first one wins) and rethrown on
-// the calling thread after every slice has finished, so the pool is never
-// left with a wedged worker.  A stealing worker stops claiming after its
-// first exception; the remaining chunks drain to its peers.
+// the calling thread after every claimant has stopped, so the pool is never
+// left with a wedged worker.  A worker stops claiming after its first
+// exception; the remaining chunks drain to its peers.
 // Locking discipline is compiler-checked: every cross-thread member is
 // GUARDED_BY(mu_) and Clang's thread-safety analysis (util/thread_annotations
 // .hpp, the CI `analysis` job) rejects unlocked access paths; the one
@@ -49,7 +40,7 @@
 
 namespace pls::util {
 
-/// Tuning knobs of a work-stealing range job.
+/// Tuning knobs of a range job.
 struct RangeOptions {
   /// Indices per claimed chunk; 0 picks a heuristic (about 16 chunks per
   /// execution slot, clamped to >= 1) — small enough to rebalance a skewed
@@ -65,13 +56,14 @@ struct RangeOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// What the most recent stealing job actually did, aggregated at
-/// finish_range: the observability feed for the sweep scheduler.
+/// What the most recent job actually did, aggregated when it completes —
+/// also when it throws: the observability feed for the sweep scheduler.
 struct RangeStats {
   std::uint64_t chunks = 0;  ///< chunks executed across all workers
-  std::uint64_t steals = 0;  ///< chunks run by a slot other than the static
-                             ///< owner of that chunk index — the load the
-                             ///< static split would have misplaced
+  std::uint64_t steals = 0;  ///< chunks run by a slot other than the chunk's
+                             ///< home (its contiguous share of the chunk
+                             ///< indices) — load a fixed split would have
+                             ///< left on a straggler
   bool cancelled = false;    ///< range abandoned with chunks unexecuted
                              ///< (RangeOptions::cancel observed in time)
   std::vector<std::uint64_t> worker_busy_ns;  ///< per-slot claim-loop wall
@@ -90,141 +82,110 @@ class ThreadPool {
 
   unsigned thread_count() const noexcept { return threads_; }
 
-  /// fn(worker, begin, end): worker in [0, thread_count()) identifies the
-  /// execution slot (stable across calls — index per-worker scratch with it),
-  /// [begin, end) the contiguous slice of [0, n) it owns.  Empty slices are
-  /// not invoked.  Blocks until the whole range is covered.
+  /// fn(worker, begin, end): runs once per claimed chunk, with worker in
+  /// [0, thread_count()) the executing slot (stable across calls — index
+  /// per-worker scratch with it) and [begin, end) that chunk of [0, n).
+  /// Empty ranges invoke nothing.  Blocks until the whole range is covered
+  /// (or abandoned, see RangeOptions::cancel).
   using RangeFn = std::function<void(unsigned worker, std::size_t begin,
                                      std::size_t end)>;
-  void for_range(std::size_t n, const RangeFn& fn);
+  void for_range(std::size_t n, const RangeFn& fn, RangeOptions options = {});
 
   /// Asynchronous variant for software pipelining: posts the job and returns
-  /// immediately — worker threads start slices 1..thread_count()-1 right
-  /// away, while slice 0 is deferred until finish_range(), where it runs on
-  /// the calling thread.  Between the two calls the caller may do unrelated
-  /// work (the batch verifier parses labeling i+1 there while the workers
-  /// sweep labeling i).  The static partition, and therefore any per-worker
-  /// scratch reuse, is identical to for_range's; a 1-thread pool simply runs
-  /// the whole range inside finish_range(), so the sequential path still
-  /// spawns nothing.  At most one posted range may be outstanding;
-  /// for_range(n, fn) == post_range(n, fn) + finish_range().
-  void post_range(std::size_t n, RangeFn fn);
+  /// immediately — the workers start claiming right away, while the calling
+  /// thread joins the claim loop only inside finish_range().  Between the
+  /// two calls the caller may do unrelated work (the batch verifier parses
+  /// labeling i+1 there while the workers sweep labeling i).  A 1-thread
+  /// pool runs the whole range inside finish_range(), so nothing runs before
+  /// it and the sequential path still spawns nothing.  At most one posted
+  /// range may be outstanding; for_range(n, fn, o) ==
+  /// post_range(n, fn, o) + finish_range().
+  void post_range(std::size_t n, RangeFn fn, RangeOptions options = {});
 
-  /// Completes the posted range: runs slice 0 here, blocks until every
-  /// worker slice has finished, and rethrows the first captured exception.
+  /// Completes the posted range: claims chunks here, blocks until every
+  /// worker has stopped, and rethrows the first captured exception.
   void finish_range();
 
-  /// Work-stealing parallel-for: fn runs once per claimed chunk, with
-  /// `worker` the executing slot and [begin, end) that chunk.  Same blocking
-  /// contract as for_range; assignment is nondeterministic, so callers must
-  /// write disjoint per-index outputs (the sweep does) for reproducible
-  /// results.  A 1-thread pool claims the chunks in index order — the same
-  /// traversal as a plain loop, no threads spawned.
-  void for_range_stealing(std::size_t n, const RangeFn& fn,
-                          RangeOptions options = {});
-
-  /// Asynchronous stealing variant, post_range's pipelining contract: the
-  /// workers start claiming immediately, the calling thread joins the claim
-  /// loop inside finish_range().  At most one posted range (of either
-  /// flavor) may be outstanding.
-  void post_range_stealing(std::size_t n, RangeFn fn, RangeOptions options = {});
-
-  /// Stats of the most recent *stealing* job completed by this pool
-  /// (for_range_stealing or post_range_stealing + finish_range); valid until
-  /// the next stealing job starts.  Calling-thread-only, like the pool's
-  /// other bookkeeping between post and finish.
+  /// Stats of the most recent job completed by this pool (for_range, or
+  /// post_range + finish_range), assembled before any rethrow; valid until
+  /// the next job starts.  Calling-thread-only, like the pool's other
+  /// bookkeeping between post and finish.
   const RangeStats& last_range_stats() const noexcept { return last_stats_; }
-
-  /// Static owner of chunk `c` when `chunks` chunk indices are contiguously
-  /// split over `threads` slots — the baseline a "steal" is counted against.
-  static unsigned chunk_home(std::size_t c, std::size_t chunks,
-                             unsigned threads) noexcept {
-    return static_cast<unsigned>(((c + 1) * threads - 1) / chunks);
-  }
-
-  /// Slice `worker` of the static partition of [0, n) into `threads` parts.
-  static std::pair<std::size_t, std::size_t> slice(std::size_t n,
-                                                   unsigned threads,
-                                                   unsigned worker) noexcept {
-    return {n * worker / threads, n * (worker + 1) / threads};
-  }
 
   /// std::thread::hardware_concurrency, clamped to >= 1.
   static unsigned hardware_threads() noexcept;
 
  private:
-  /// One slot's contribution to a stealing job, accumulated in locals during
-  /// the claim loop and committed to worker_stats_ under mu_ at job end.
+  /// One range job as the claimants see it.
+  struct Job {
+    const RangeFn* fn = nullptr;
+    std::size_t n = 0;
+    std::size_t chunk = 1;
+    std::size_t chunk_count = 0;
+    const CancelToken* cancel = nullptr;
+  };
+
+  /// One slot's contribution to a job, accumulated in locals during the
+  /// claim loop and committed to worker_stats_ under mu_ at job end.
   struct WorkerTotals {
     std::uint64_t chunks = 0;
     std::uint64_t steals = 0;
     std::uint64_t busy_ns = 0;
   };
 
-  /// Shared cancellation outcome is derived at join time, not carried per
-  /// worker: the range was cancelled iff fewer chunks executed than exist
-  /// and no chunk threw — see join_workers_stealing.
+  /// Home slot of chunk `c` when `chunks` chunk indices are contiguously
+  /// split over `threads` slots — the baseline a "steal" is counted against.
+  static unsigned chunk_home(std::size_t c, std::size_t chunks,
+                             unsigned threads) noexcept {
+    return static_cast<unsigned>(((c + 1) * threads - 1) / chunks);
+  }
 
+  Job make_job(const RangeFn* fn, std::size_t n,
+               RangeOptions options) const noexcept;
   void worker_loop(unsigned worker);
-  void start_workers(const RangeFn* fn, std::size_t n, bool stealing,
-                     std::size_t chunk, std::size_t chunk_count,
-                     const CancelToken* cancel) PLS_EXCLUDES(mu_);
-  void join_workers(const RangeFn& fn, std::size_t n) PLS_EXCLUDES(mu_);
-  void join_workers_stealing(const RangeFn& fn, std::size_t n,
-                             std::size_t chunk, std::size_t chunk_count,
-                             const CancelToken* cancel) PLS_EXCLUDES(mu_);
-  /// The claim loop: grabs chunks off steal_next_ until the range is
-  /// exhausted, `cancel` reads cancelled, or fn throws (the returned error
-  /// stops this slot's claiming but not its peers').  Fills `totals`; never
-  /// throws itself.
-  std::exception_ptr run_stealing(unsigned worker, const RangeFn& fn,
-                                  std::size_t n, std::size_t chunk,
-                                  std::size_t chunk_count,
-                                  const CancelToken* cancel,
-                                  WorkerTotals& totals) noexcept;
-  std::size_t default_chunk(std::size_t n) const noexcept;
+  /// Resets the cursor and hands `job` to the worker threads (no-op for an
+  /// empty range or a 1-thread pool).
+  void start(const Job& job) PLS_EXCLUDES(mu_);
+  /// Joins the claim loop as slot 0, waits for the workers, assembles
+  /// last_stats_, and rethrows the job's error or CancelledError.
+  void join(const Job& job) PLS_EXCLUDES(mu_);
+  /// The claim loop: grabs chunks off next_chunk_ until the range is
+  /// exhausted, the job's token reads cancelled, or fn throws (the returned
+  /// error stops this slot's claiming but not its peers').  Fills `totals`;
+  /// never throws itself.
+  std::exception_ptr run_chunks(unsigned worker, const Job& job,
+                                WorkerTotals& totals) noexcept;
 
   const unsigned threads_;
   std::vector<std::thread> workers_;
 
   Mutex mu_;
   CondVar start_cv_;  // signals workers: a new job is posted
-  CondVar done_cv_;   // signals caller: all slices finished
-  // Handed from the caller to the workers and back under mu_.
-  const RangeFn* job_ PLS_GUARDED_BY(mu_) = nullptr;  // valid while job runs
-  std::size_t job_n_ PLS_GUARDED_BY(mu_) = 0;
+  CondVar done_cv_;   // signals caller: all workers finished
+  // Handed from the caller to the workers and back under mu_; per-slot
+  // totals are committed back under the same lock the job-end remaining_
+  // decrement already takes.
+  Job job_ PLS_GUARDED_BY(mu_);
   std::uint64_t generation_ PLS_GUARDED_BY(mu_) = 0;  // bumped per job
-  unsigned remaining_ PLS_GUARDED_BY(mu_) = 0;  // worker slices outstanding
+  unsigned remaining_ PLS_GUARDED_BY(mu_) = 0;  // worker threads outstanding
   std::exception_ptr first_error_ PLS_GUARDED_BY(mu_);
   bool stopping_ PLS_GUARDED_BY(mu_) = false;
-  // Stealing-job parameters, published to the workers with the job under
-  // mu_; per-slot totals are committed back under the same lock the job-end
-  // remaining_ decrement already takes, so the stealing path adds no lock
-  // acquisitions beyond the static path's.
-  bool job_stealing_ PLS_GUARDED_BY(mu_) = false;
-  std::size_t job_chunk_ PLS_GUARDED_BY(mu_) = 1;
-  std::size_t job_chunk_count_ PLS_GUARDED_BY(mu_) = 0;
-  const CancelToken* job_cancel_ PLS_GUARDED_BY(mu_) = nullptr;
   std::vector<WorkerTotals> worker_stats_ PLS_GUARDED_BY(mu_);
   // The chunk claim cursor.  Deliberately NOT guarded: fetch_add(relaxed)
   // only has to hand every claimant a unique index — all data the chunks
-  // read or write is ordered by the job hand-off mutex (publish at
-  // start_workers, collect at the remaining_ == 0 wait), never by this
-  // cursor.  Reset (relaxed) before each stealing job's publication; quiesced
-  // workers cannot observe the reset early because they re-read the job only
-  // after the generation_ bump behind the same mutex.
-  std::atomic<std::size_t> steal_next_{0};
+  // read or write is ordered by the job hand-off mutex (publish at start,
+  // collect at the remaining_ == 0 wait), never by this cursor.  Reset
+  // (relaxed) before each job's publication; quiesced workers cannot observe
+  // the reset early because they re-read the job only after the
+  // generation_ bump behind the same mutex.
+  std::atomic<std::size_t> next_chunk_{0};
   // post_range bookkeeping: touched only by the calling thread between
   // post_range and finish_range (the workers read the job through job_),
   // so these are caller-local, not guarded.
   RangeFn posted_fn_;      // owning copy for post_range jobs
-  std::size_t posted_n_ = 0;
+  Job posted_job_;
   bool posted_ = false;    // a post_range awaits finish_range
-  bool posted_stealing_ = false;
-  std::size_t posted_chunk_ = 1;
-  std::size_t posted_chunk_count_ = 0;
-  const CancelToken* posted_cancel_ = nullptr;
-  RangeStats last_stats_;  // assembled at finish of a stealing job
+  RangeStats last_stats_;  // assembled at the end of every job
 };
 
 }  // namespace pls::util

@@ -11,7 +11,7 @@
 #include "radius/sketch.hpp"
 
 #include "graph/generators.hpp"
-#include "radius/session.hpp"
+#include "radius/batch.hpp"
 #include "radius/spread.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
@@ -178,6 +178,10 @@ TEST(GeometryAtlas, DisconnectedGraphAndPendantNodes) {
 }
 
 TEST(GeometryAtlas, RespectsByteBudgetAndEvictsLru) {
+  // A cyclic scan six blocks wide through a budget of three and a half:
+  // each block is looked up once per center, so once the sketch ages the
+  // stale residents (every 64 lookups here) the block being swept outscores
+  // them and displaces LRU victims.
   util::Rng rng(7003);
   auto g = share(graph::random_connected(96, 60, rng));
 
@@ -191,7 +195,6 @@ TEST(GeometryAtlas, RespectsByteBudgetAndEvictsLru) {
   AtlasOptions options;
   options.block_centers = 16;
   options.byte_budget = 3 * block_bytes + block_bytes / 2;
-  options.turnover_period = 1;  // pure LRU: every contender displaces
   GeometryAtlas atlas(options);
   for (int sweep = 0; sweep < 3; ++sweep) {
     for (graph::NodeIndex v = 0; v < g->n(); ++v) {
@@ -204,13 +207,13 @@ TEST(GeometryAtlas, RespectsByteBudgetAndEvictsLru) {
   const AtlasStats stats = atlas.stats();
   EXPECT_GT(stats.evictions, 0u);
   // 96 centers / 16 per block = 6 blocks a sweep, at most ~3 resident: the
-  // pure-LRU scan pattern must keep missing.
+  // scan must keep missing.
   EXPECT_GT(stats.misses, 6u);
   // Admission happens before accounting, so the budget also bounds the peak.
   EXPECT_LE(stats.peak_bytes, options.byte_budget);
 }
 
-// The default policy is scan-resistant: a cyclic sweep whose working set
+// TinyLFU admission is scan-resistant: a cyclic sweep whose working set
 // exceeds the budget keeps a stable resident subset (partial hit rate)
 // instead of LRU-churning to zero hits.
 TEST(GeometryAtlas, ScanLargerThanBudgetStillHits) {
@@ -225,7 +228,7 @@ TEST(GeometryAtlas, ScanLargerThanBudgetStillHits) {
   AtlasOptions options;
   options.block_centers = 16;
   options.byte_budget = 3 * block_bytes + block_bytes / 2;
-  GeometryAtlas atlas(options);  // default turnover_period
+  GeometryAtlas atlas(options);
   for (int sweep = 0; sweep < 4; ++sweep)
     for (graph::NodeIndex v = 0; v < g->n(); ++v) {
       atlas.block(*g, 4, v);
@@ -278,9 +281,9 @@ TEST(GeometryAtlas, KeyedByGraphEpochAcrossGraphs) {
   EXPECT_GT(atlas.stats().hits, 0u);
 }
 
-// One atlas shared by two sessions over the same configuration: the second
-// session's sweep is served entirely from cache.
-TEST(GeometryAtlas, SharedAcrossSessions) {
+// One atlas shared by two verifiers over the same configuration: the second
+// verifier's sweep is served entirely from cache.
+TEST(GeometryAtlas, SharedAcrossVerifiers) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const SpreadScheme spread(base, 4);
@@ -290,15 +293,15 @@ TEST(GeometryAtlas, SharedAcrossSessions) {
   const core::Labeling honest = spread.mark(cfg);
 
   auto atlas = std::make_shared<GeometryAtlas>();
-  SessionOptions options;
+  BatchOptions options;
   options.threads = 1;
   options.atlas = atlas;
-  VerificationSession first(spread, cfg, 4, options);
-  const core::Verdict v1 = first.run(honest);
+  BatchVerifier first(spread, cfg, 4, options);
+  const core::Verdict v1 = first.run_one(honest);
   const std::uint64_t misses_after_first = atlas->stats().misses;
 
-  VerificationSession second(spread, cfg, 4, options);
-  const core::Verdict v2 = second.run(honest);
+  BatchVerifier second(spread, cfg, 4, options);
+  const core::Verdict v2 = second.run_one(honest);
   EXPECT_EQ(atlas->stats().misses, misses_after_first);
   EXPECT_GT(atlas->stats().hits, 0u);
   EXPECT_EQ(v1.accept(), v2.accept());
@@ -369,34 +372,38 @@ TEST(GeometryAtlas, SnapshotDiffReportsOnePhaseOverAWarmAtlas) {
 }
 
 TEST(FrequencySketch, CountMinSaturatesAtFifteen) {
-  FrequencySketch sketch(64, /*sample_period=*/1u << 20);
+  FrequencySketch sketch(64);
+  constexpr std::uint64_t kNoAging = 1u << 20;
   EXPECT_EQ(sketch.estimate(42), 0u);
-  for (int i = 0; i < 7; ++i) sketch.record(42);
+  for (int i = 0; i < 7; ++i) sketch.record(42, kNoAging);
   // Count-min never under-counts (collisions can only over-count).
   EXPECT_GE(sketch.estimate(42), 7u);
-  for (int i = 0; i < 40; ++i) sketch.record(42);
+  for (int i = 0; i < 40; ++i) sketch.record(42, kNoAging);
   EXPECT_EQ(sketch.estimate(42), 15u);  // saturated, no wrap past 0xF
   EXPECT_EQ(sketch.halvings(), 0u);
 }
 
 TEST(FrequencySketch, PeriodicHalvingDecaysEveryCounter) {
-  FrequencySketch sketch(1u << 10, /*sample_period=*/64);
-  for (int i = 0; i < 12; ++i) sketch.record(7);
+  FrequencySketch sketch(1u << 10);
+  constexpr std::uint64_t kPeriod = 64;
+  for (int i = 0; i < 12; ++i) sketch.record(7, kPeriod);
   EXPECT_GE(sketch.estimate(7), 12u);
   // Unrelated traffic trips the sample period; the halving caps every
   // counter in the table at 15/2 = 7, so the hot key decays too.
   std::uint64_t key = 1000;
-  while (sketch.halvings() == 0) sketch.record(key++);
+  while (sketch.halvings() == 0) sketch.record(key++, kPeriod);
+  EXPECT_EQ(key, 1000u + kPeriod - 12);  // exactly one period of records
   EXPECT_LE(sketch.estimate(7), 7u);
 }
 
 // TinyLFU admission: in the LRU-churn scenario — a budget holding exactly
-// one block, hot lookups interleaved with a cold rotation — pure LRU
-// evicts the hot block moments before every reuse (zero hits), while the
-// frequency sketch vetoes each cold contender (estimate ~1) against the
-// hot resident and keeps hitting.  The zipf-stream A/B against the default
-// scan-resistant policy is the bench's job; this pins the admission
-// mechanism itself, deterministically.
+// one block, hot lookups interleaved with a cold rotation — pure LRU would
+// evict the hot block moments before every reuse (3 hits: the 2 warmup
+// revisits and round 0's hot lookup, before the first cold arrival starts
+// the churn), while the frequency sketch vetoes each cold contender
+// (estimate ~1) against the hot resident and keeps hitting.  The zipf-stream
+// hit rate is the bench's job; this pins the admission mechanism itself,
+// deterministically.
 TEST(GeometryAtlas, TinyLfuKeepsTheHotBlockWhereLruChurns) {
   util::Rng rng(7014);
   auto g = share(graph::random_connected(96, 60, rng));
@@ -426,26 +433,16 @@ TEST(GeometryAtlas, TinyLfuKeepsTheHotBlockWhereLruChurns) {
     }
   };
 
-  AtlasOptions tiny = base;
-  tiny.admission = Admission::kTinyLFU;
-  GeometryAtlas tiny_atlas(tiny);
+  GeometryAtlas tiny_atlas(base);
   run_stream(tiny_atlas);
   const AtlasStats tiny_stats = tiny_atlas.stats();
 
-  AtlasOptions lru = base;
-  lru.turnover_period = 1;  // kScanResistant degenerates to pure LRU
-  GeometryAtlas lru_atlas(lru);
-  run_stream(lru_atlas);
-  const AtlasStats lru_stats = lru_atlas.stats();
-
   // Every cold contender lost to the hot resident's frequency...
-  EXPECT_GT(tiny_stats.sketch_rejects, 0u);
-  // ...so the hot block hit on every revisit; LRU churned it out each time.
+  EXPECT_EQ(tiny_stats.sketch_rejects, 10u);
+  EXPECT_EQ(tiny_stats.bypassed, 10u);
+  EXPECT_EQ(tiny_stats.evictions, 0u);
+  // ...so the hot block hit on every revisit.
   EXPECT_EQ(tiny_stats.hits, 12u);  // 2 warmup revisits + 10 rounds
-  // LRU: 2 warmup revisits + round 0's hot lookup (the first cold arrival
-  // is what starts the churn), then every later hot lookup misses.
-  EXPECT_EQ(lru_stats.hits, 3u);
-  EXPECT_GT(tiny_stats.hits, lru_stats.hits);
   EXPECT_LE(tiny_stats.bytes_in_use, base.byte_budget);
   EXPECT_LE(tiny_stats.peak_bytes, base.byte_budget);
 
@@ -455,6 +452,56 @@ TEST(GeometryAtlas, TinyLfuKeepsTheHotBlockWhereLruChurns) {
   const AtlasStats final_phase = tiny_atlas.stats().since(before_final);
   EXPECT_EQ(final_phase.misses, 0u);
   EXPECT_EQ(final_phase.hits, 1u);
+}
+
+// Workload shift, the case the sketch's aging exists for: epoch A's blocks
+// fill the budget and saturate the sketch (estimate 15 each), then all
+// traffic moves to a new graph epoch B.  Without halving, no B contender
+// could ever beat a saturated resident (ties reject), so B would bypass
+// forever.  With the derived cadence — a halving every max(64, 10 x
+// resident entries) records — B's hot block must become resident within
+// one aging period of the shift.
+TEST(GeometryAtlas, TinyLfuAdmitsANewEpochWithinOneAgingPeriod) {
+  util::Rng rng(7016);
+  auto a = share(graph::random_connected(64, 40, rng));
+  auto b = share(graph::random_connected(64, 40, rng));
+
+  // Budget = exactly epoch A's four blocks: the cache is full after A, and
+  // any B block needs victims.
+  AtlasOptions options;
+  options.block_centers = 16;
+  options.byte_budget = 0;
+  {
+    GeometryAtlas probe(options);
+    for (graph::NodeIndex first = 0; first < a->n(); first += 16)
+      options.byte_budget += probe.block(*a, 2, first)->bytes();
+  }
+  GeometryAtlas atlas(options);
+  // 15 rounds over A's blocks: 60 records, under one aging period, so every
+  // resident sits at the saturated estimate when the shift lands.
+  for (int round = 0; round < 15; ++round)
+    for (graph::NodeIndex first = 0; first < a->n(); first += 16)
+      atlas.block(*a, 2, first);
+  const AtlasStats after_a = atlas.stats();
+  ASSERT_EQ(after_a.misses, 4u);
+  ASSERT_EQ(after_a.bytes_in_use, options.byte_budget);
+
+  const std::uint64_t aging_period = std::max<std::uint64_t>(64, 10 * 4);
+  std::uint64_t lookups = 0;
+  while (atlas.stats().since(after_a).hits == 0 &&
+         lookups <= 4 * aging_period) {
+    atlas.block(*b, 2, 0);
+    ++lookups;
+  }
+  const AtlasStats shift = atlas.stats().since(after_a);
+  // The saturated residents vetoed B at first...
+  EXPECT_GT(shift.sketch_rejects, 0u);
+  // ...until aging let it in: admitted by lookup `aging_period`, hit on the
+  // lookup after.
+  EXPECT_EQ(shift.hits, 1u);
+  EXPECT_LE(lookups, aging_period + 1);
+  EXPECT_GT(shift.evictions, 0u);
+  EXPECT_LE(atlas.stats().bytes_in_use, options.byte_budget);
 }
 
 std::size_t by_radius_sum(const AtlasStats& stats) {

@@ -1,10 +1,10 @@
 // BatchVerifier: the pipelined batch front end must be bit-identical to
-// per-labeling sessions and to the naive reference engine at every thread
-// count — including the stage-2 hazard the pipeline introduces: the parse
-// cache of labeling i+1 is filled WHILE the sweep of labeling i runs, so a
-// stale or crossed parse would be an ordering bug, not a logic bug.  These
-// tests pin both down, plus the satellite regression: a parse cached for one
-// labeling must be unreachable from any other labeling's sweep, by
+// per-labeling run_one calls and to the naive reference engine at every
+// thread count — including the stage-2 hazard the pipeline introduces: the
+// parse cache of labeling i+1 is filled WHILE the sweep of labeling i runs,
+// so a stale or crossed parse would be an ordering bug, not a logic bug.
+// These tests pin both down, plus the satellite regression: a parse cached
+// for one labeling must be unreachable from any other labeling's sweep, by
 // construction (double-buffered ParsedLabeling, rebuilt per labeling).
 #include "radius/batch.hpp"
 
@@ -12,6 +12,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
 #include "radius/fragment_spread.hpp"
 #include "radius/spread.hpp"
 #include "schemes/registry.hpp"
@@ -192,7 +193,8 @@ TEST(BatchVerifier, WarmAtlasEqualsRebuildLoop) {
 
   BatchOptions cold_options;
   cold_options.threads = 1;
-  cold_options.atlas = std::make_shared<GeometryAtlas>(AtlasOptions{0, 16});
+  cold_options.atlas = std::make_shared<GeometryAtlas>(
+      AtlasOptions{.byte_budget = 0, .block_centers = 16});
   BatchVerifier cold(spread, cfg, 4, cold_options);
 
   const std::vector<Verdict> warm_verdicts = warm.run(labs);
@@ -205,9 +207,9 @@ TEST(BatchVerifier, WarmAtlasEqualsRebuildLoop) {
 }
 
 /// A deliberately skewed instance: a dense chorded ring on the lowest
-/// `core` indices (fat radius-t balls, all inside the static split's first
-/// slice) with `chains` sparse tails of `chain_len` nodes hanging off it
-/// (tiny balls).  The shape the work-stealing sweep exists for.
+/// `core` indices (fat radius-t balls, all in the first chunks' home slot)
+/// with `chains` sparse tails of `chain_len` nodes hanging off it (tiny
+/// balls).  The shape the work-stealing sweep exists for.
 graph::Graph skewed_core_chain_graph(std::size_t core, std::size_t chains,
                                      std::size_t chain_len) {
   graph::Graph::Builder b;
@@ -236,11 +238,11 @@ graph::Graph skewed_core_chain_graph(std::size_t core, std::size_t chains,
   return std::move(b).build();
 }
 
-// The scheduler gate: on the skewed instance, the static and work-stealing
-// sweeps must produce bit-identical verdicts at threads {1, 2, hw} — for
-// full pipelined batches and for the delta path's dirty re-sweep — even
-// though the stealing assignment is nondeterministic.
-TEST(BatchVerifier, SkewedInstanceIdenticalAcrossSchedulersAndThreads) {
+// The scheduler gate: on the skewed instance, the work-stealing sweep must
+// match the baseline engine bit for bit at threads {1, 2, hw} — for full
+// pipelined batches and for the delta path's dirty re-sweep — even though
+// the chunk assignment is nondeterministic.
+TEST(BatchVerifier, SkewedInstanceIdenticalAcrossThreads) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const SpreadScheme spread(base, 4);
@@ -270,27 +272,114 @@ TEST(BatchVerifier, SkewedInstanceIdenticalAcrossSchedulersAndThreads) {
 
   for (const unsigned threads :
        {1u, 2u, util::ThreadPool::hardware_threads()}) {
-    for (const BatchOptions::SweepMode mode :
-         {BatchOptions::SweepMode::kStatic,
-          BatchOptions::SweepMode::kStealing}) {
-      BatchOptions options;
-      options.threads = threads;
-      options.sweep = mode;
-      BatchVerifier batch(spread, cfg, 4, options);
-      const std::vector<Verdict> got = batch.run(labs);
-      ASSERT_EQ(got.size(), labs.size());
-      const bool stealing = mode == BatchOptions::SweepMode::kStealing;
-      for (std::size_t i = 0; i < labs.size(); ++i)
-        EXPECT_EQ(oracle[i].accept(), got[i].accept())
-            << "labeling " << i << " threads " << threads << " stealing "
-            << stealing;
-      LabelingDelta delta;
-      delta.touched = {10, tail};
-      EXPECT_EQ(batch.run_delta(delta_next, delta).accept(),
-                delta_oracle.accept())
-          << "delta threads " << threads << " stealing " << stealing;
-    }
+    BatchOptions options;
+    options.threads = threads;
+    BatchVerifier batch(spread, cfg, 4, options);
+    const std::vector<Verdict> got = batch.run(labs);
+    ASSERT_EQ(got.size(), labs.size());
+    for (std::size_t i = 0; i < labs.size(); ++i)
+      EXPECT_EQ(oracle[i].accept(), got[i].accept())
+          << "labeling " << i << " threads " << threads;
+    LabelingDelta delta;
+    delta.touched = {10, tail};
+    EXPECT_EQ(batch.run_delta(delta_next, delta).accept(),
+              delta_oracle.accept())
+        << "delta threads " << threads;
   }
+}
+
+/// Delegates to `inner`, tripping `token` once `trip_after` nodes have been
+/// verified: a cancellation that lands mid-sweep at a deterministic point.
+/// Single-threaded use only (the call counter is unsynchronized).
+class CancellingScheme final : public core::Scheme {
+ public:
+  CancellingScheme(const core::Scheme& inner, util::CancelToken& token,
+                   std::size_t trip_after)
+      : inner_(inner), token_(token), trip_after_(trip_after) {}
+
+  std::string_view name() const noexcept override { return inner_.name(); }
+  const core::Language& language() const noexcept override {
+    return inner_.language();
+  }
+  local::Visibility visibility() const noexcept override {
+    return inner_.visibility();
+  }
+  Labeling mark(const local::Configuration& cfg) const override {
+    return inner_.mark(cfg);
+  }
+  bool verify(const local::VerifierContext& ctx) const override {
+    if (++calls_ == trip_after_) token_.cancel();
+    return inner_.verify(ctx);
+  }
+  std::size_t proof_size_bound(std::size_t n,
+                               std::size_t state_bits) const override {
+    return inner_.proof_size_bound(n, state_bits);
+  }
+
+ private:
+  const core::Scheme& inner_;
+  util::CancelToken& token_;
+  std::size_t trip_after_;
+  mutable std::size_t calls_ = 0;
+};
+
+// An abandoned sweep still did work inside its sweep window: the chunks it
+// executed before the cancel and its slot's busy time must reach the
+// verify.* counters, or pool.busy_frac under-reports exactly under overload.
+TEST(BatchVerifier, CancelledSweepStillRecordsItsExecutedChunks) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  util::CancelToken token;
+  // 64 nodes at threads = 1: default chunk = 64 / 16 = 4 centers.  The
+  // token trips on the 10th verify (chunk 2); that chunk finishes, the next
+  // claim is refused — 3 chunks executed out of 16.
+  const CancellingScheme scheme(base, token, 10);
+  auto g = share(graph::path(64));
+  const local::Configuration cfg = language.make_tree(g, 0);
+  const Labeling honest = base.mark(cfg);
+
+  obs::MetricsRegistry registry;
+  BatchOptions options;
+  options.threads = 1;
+  options.metrics = &registry;
+  BatchVerifier verifier(scheme, cfg, 1, options);
+  verifier.set_cancel(&token);
+  EXPECT_THROW((void)verifier.run_one(honest), util::CancelledError);
+  EXPECT_FALSE(verifier.has_resident());
+
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("verify.sweep_chunks"), 3u);
+  EXPECT_EQ(snap.counters.at("verify.sweep_steals"), 0u);
+  EXPECT_EQ(snap.histograms.at("verify.worker_busy_ns").count, 1u);
+  EXPECT_EQ(snap.histograms.at("verify.sweep_window_ns").count, 1u);
+
+  // The retry completes and adds all 16 chunks on top.
+  token.reset();
+  EXPECT_TRUE(verifier.run_one(honest).all_accept());
+  EXPECT_EQ(registry.snapshot().counters.at("verify.sweep_chunks"), 3u + 16u);
+}
+
+// The first labeling's parallel parse runs on the same chunked pool path as
+// the sweep, but it is not a sweep: only the sweep's chunks and busy time
+// may reach the verify.sweep_* instruments.
+TEST(BatchVerifier, ParallelParseIsNotCountedAsASweep) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const SpreadScheme spread(base, 2);
+  auto g = share(graph::path(64));
+  const local::Configuration cfg = language.make_tree(g, 0);
+  ASSERT_TRUE(spread.has_cert_parser());
+
+  obs::MetricsRegistry registry;
+  BatchOptions options;
+  options.threads = 1;  // default chunk = 64 / 16 = 4: 16 chunks per job
+  options.metrics = &registry;
+  BatchVerifier verifier(spread, cfg, 2, options);
+  EXPECT_TRUE(verifier.run_one(spread.mark(cfg)).all_accept());
+
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counters.at("verify.sweep_chunks"), 16u);
+  EXPECT_EQ(snap.histograms.at("verify.worker_busy_ns").count, 1u);
 }
 
 /// An aliased twin of `src`: one contiguous byte buffer (a stand-in for a

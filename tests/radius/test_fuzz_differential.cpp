@@ -1,4 +1,4 @@
-// Differential fuzz: the production verify path (VerificationSession, with
+// Differential fuzz: the production verify path (BatchVerifier, with
 // its parse-once cache, link-phase interning, merged BFS+CSR ball reuse and
 // thread-pool fan-out) must stay *bit-identical* to the naive reference
 // engine run_verifier_t_baseline on adversarial input, not just on honest
@@ -16,7 +16,6 @@
 #include "radius/batch.hpp"
 #include "radius/delta.hpp"
 #include "radius/fragment_spread.hpp"
-#include "radius/session.hpp"
 #include "schemes/registry.hpp"
 #include "testing/helpers.hpp"
 
@@ -65,7 +64,7 @@ core::Labeling mutate(const core::Labeling& lab, util::Rng& rng,
   return out;
 }
 
-/// Asserts session(threads ∈ {1, 2, hardware}) ≡ baseline on `labeling`.
+/// Asserts run_one(threads ∈ {1, 2, hardware}) ≡ baseline on `labeling`.
 void expect_engines_agree(const core::Scheme& scheme,
                           const local::Configuration& cfg, unsigned t,
                           const core::Labeling& labeling,
@@ -73,13 +72,13 @@ void expect_engines_agree(const core::Scheme& scheme,
   const core::Verdict oracle =
       run_verifier_t_baseline(scheme, cfg, labeling, t);
   for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-    SessionOptions options;
+    BatchOptions options;
     options.threads = threads;
-    VerificationSession session(scheme, cfg, t, options);
-    const core::Verdict got = session.run(labeling);
+    BatchVerifier verifier(scheme, cfg, t, options);
+    const core::Verdict got = verifier.run_one(labeling);
     ASSERT_EQ(oracle.accept(), got.accept())
         << scheme.name() << " diverged from the baseline at threads="
-        << session.threads() << " (" << what << ") on "
+        << verifier.threads() << " (" << what << ") on "
         << cfg.graph().describe();
   }
 }

@@ -1,7 +1,8 @@
-// VerificationSession: parse-once + parallel sweeps must be bit-identical to
-// the sequential path and to the pre-session reference engine, across the
-// full scheme registry, random graphs, and thread counts 1 / 2 / hardware.
-#include "radius/session.hpp"
+// Single-labeling sessions through BatchVerifier::run_one: parse-once +
+// parallel sweeps must be bit-identical to the sequential path and to the
+// baseline reference engine, across the full scheme registry, random graphs,
+// and thread counts 1 / 2 / hardware.
+#include "radius/batch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -40,28 +41,28 @@ void expect_same_verdict(const Verdict& a, const Verdict& b,
     EXPECT_EQ(a.accept()[v], b.accept()[v]) << label << " node " << v;
 }
 
-/// The tentpole property: run_verifier_t (sequential session), the
-/// pre-session baseline, and parallel sessions at 2 and hardware threads
-/// all return bit-identical verdicts.
+/// The single-labeling property: run_verifier_t (sequential run_one), the
+/// baseline engine, and parallel run_one at 2 and hardware threads all
+/// return bit-identical verdicts.
 void expect_engines_agree(const core::Scheme& scheme,
                           const local::Configuration& cfg,
                           const Labeling& lab, unsigned t,
                           const std::string& label) {
   const Verdict reference = run_verifier_t_baseline(scheme, cfg, lab, t);
   expect_same_verdict(reference, run_verifier_t(scheme, cfg, lab, t),
-                      label + "/sequential-session");
+                      label + "/sequential");
   for (const unsigned threads :
        {2u, util::ThreadPool::hardware_threads()}) {
-    SessionOptions options;
+    BatchOptions options;
     options.threads = threads;
-    VerificationSession session(scheme, cfg, t, options);
-    expect_same_verdict(reference, session.run(lab),
+    BatchVerifier verifier(scheme, cfg, t, options);
+    expect_same_verdict(reference, verifier.run_one(lab),
                         label + "/threads=" + std::to_string(threads));
   }
 }
 
 // Property test over the whole registry: plain 1-round schemes through the
-// session, on honest, corrupted-state, and garbage labelings.
+// run_one, on honest, corrupted-state, and garbage labelings.
 TEST(Session, RegistryVerdictsMatchAcrossThreadCounts) {
   util::Rng rng(40902);
   for (const schemes::SchemeEntry& entry : schemes::standard_catalog()) {
@@ -107,7 +108,7 @@ TEST(Session, SpreadVerdictsMatchAcrossThreadCounts) {
   }
 }
 
-// One session, many labelings: the adversary's usage pattern.  The parse
+// One verifier, many labelings: the adversary's usage pattern.  The parse
 // cache is rebuilt per run; ball scratch persists.
 TEST(Session, ReuseAcrossLabelingsMatchesFreshEngines) {
   const schemes::StpLanguage language;
@@ -117,16 +118,16 @@ TEST(Session, ReuseAcrossLabelingsMatchesFreshEngines) {
   auto g = share(graph::grid(4, 5));
   const local::Configuration cfg = language.sample_legal(g, rng);
 
-  SessionOptions options;
+  BatchOptions options;
   options.threads = 2;
-  VerificationSession session(spread, cfg, 4, options);
+  BatchVerifier verifier(spread, cfg, 4, options);
   const Labeling honest = spread.mark(cfg);
   for (int round = 0; round < 5; ++round) {
     Labeling lab = honest;
     for (int k = 0; k < round; ++k)
       lab.certs[rng.below(cfg.n())] = local::random_state(rng.below(40), rng);
     expect_same_verdict(run_verifier_t_baseline(spread, cfg, lab, 4),
-                        session.run(lab), "round " + std::to_string(round));
+                        verifier.run_one(lab), "round " + std::to_string(round));
   }
 }
 
@@ -152,11 +153,11 @@ TEST(Session, PlainSchemeMatchesOneRoundEngine) {
     auto g = graph_for(entry, rng);
     const local::Configuration legal = entry.language->sample_legal(g, rng);
     const Labeling honest = entry.scheme->mark(legal);
-    SessionOptions options;
+    BatchOptions options;
     options.threads = 2;
-    VerificationSession session(*entry.scheme, legal, 1, options);
+    BatchVerifier verifier(*entry.scheme, legal, 1, options);
     expect_same_verdict(core::run_verifier(*entry.scheme, legal, honest),
-                        session.run(honest), entry.label);
+                        verifier.run_one(honest), entry.label);
   }
 }
 
@@ -167,13 +168,13 @@ TEST(Session, InputValidation) {
   auto g = share(graph::path(5));
   const auto cfg = language.make_tree(g, 0);
   // t = 0 and t below the scheme's radius are invalid input.
-  EXPECT_THROW(VerificationSession(spread, cfg, 0), std::logic_error);
-  EXPECT_THROW(VerificationSession(spread, cfg, 2), std::logic_error);
+  EXPECT_THROW(BatchVerifier(spread, cfg, 0), std::logic_error);
+  EXPECT_THROW(BatchVerifier(spread, cfg, 2), std::logic_error);
   // Labeling size mismatch is caught per run.
-  VerificationSession session(spread, cfg, 4);
+  BatchVerifier verifier(spread, cfg, 4);
   core::Labeling wrong;
   wrong.certs.assign(2, local::Certificate{});
-  EXPECT_THROW(session.run(wrong), std::logic_error);
+  EXPECT_THROW(verifier.run_one(wrong), std::logic_error);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 
 #include <set>
 
-#include "radius/session.hpp"
+#include "radius/batch.hpp"
 #include "radius/spread_wire.hpp"
 #include "schemes/common.hpp"
 #include "schemes/mst.hpp"
@@ -149,7 +149,7 @@ TEST(Splice, AdversaryIntegrationStaysSound) {
 
 /// Every fragment splice variant must leave >= 1 rejecting node on an
 /// illegal configuration, and the verdict must say so at every thread count
-/// (the parallel session is the production path the adversary drives).
+/// (the parallel verifier is the production path the adversary drives).
 void expect_fragment_splices_rejected(const FragmentSpreadScheme& spread,
                                       const local::Configuration& cfg,
                                       std::uint64_t seed) {
@@ -160,12 +160,12 @@ void expect_fragment_splices_rejected(const FragmentSpreadScheme& spread,
   ASSERT_FALSE(attacks.empty());
   for (const SpliceAttack& attack : attacks) {
     for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-      SessionOptions options;
+      BatchOptions options;
       options.threads = threads;
-      VerificationSession session(spread, cfg, spread.radius(), options);
-      EXPECT_GE(session.run(attack.labeling).rejections(), 1u)
+      BatchVerifier verifier(spread, cfg, spread.radius(), options);
+      EXPECT_GE(verifier.run_one(attack.labeling).rejections(), 1u)
           << spread.name() << " accepted fragment splice '" << attack.name
-          << "' at threads=" << session.threads() << " on "
+          << "' at threads=" << verifier.threads() << " on "
           << cfg.graph().describe();
     }
   }
@@ -252,11 +252,11 @@ TEST(Splice, FragmentRosterAndRegionRotationOnLegalMst) {
        fragment_splice_attacks(spread, cfg, rerun_rng)) {
     if (attack.name != "region-id-rotate") continue;
     for (const unsigned threads : {1u, 2u, 0u}) {
-      SessionOptions options;
+      BatchOptions options;
       options.threads = threads;
-      VerificationSession session(spread, cfg, 4, options);
-      EXPECT_GE(session.run(attack.labeling).rejections(), 1u)
-          << "threads=" << session.threads();
+      BatchVerifier verifier(spread, cfg, 4, options);
+      EXPECT_GE(verifier.run_one(attack.labeling).rejections(), 1u)
+          << "threads=" << verifier.threads();
     }
   }
 }

@@ -349,7 +349,6 @@ TEST(Overload, CancelledRunIsVerdictExactOnRetry) {
 
   radius::BatchOptions options;
   options.threads = 1;
-  options.sweep = radius::BatchOptions::SweepMode::kStealing;
   radius::BatchVerifier verifier(fx.scheme, fx.cfg, 1, options);
   verifier.set_cancel(&token);
 

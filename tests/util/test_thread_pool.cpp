@@ -1,5 +1,6 @@
-// ThreadPool: exact range coverage, deterministic static partition,
-// sequential fallback, exception propagation, reuse across jobs.
+// ThreadPool: exact range coverage under chunked work stealing, steal
+// accounting, in-order sequential fallback, exception propagation,
+// cooperative cancellation, reuse across jobs.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -12,17 +13,25 @@
 namespace pls::util {
 namespace {
 
+// Coverage must stay exactly-once at every thread count and chunk size even
+// though assignment is first-come; the sequential fallback must remain a
+// plain in-order loop; stats must account every chunk.
 TEST(ThreadPool, CoversRangeExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.for_range(hits.size(), [&](unsigned worker, std::size_t begin,
-                                    std::size_t end) {
-      EXPECT_LT(worker, threads);
-      EXPECT_LT(begin, end);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+    for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{7}, std::size_t{5000}}) {
+      ThreadPool pool(threads);
+      std::vector<std::atomic<int>> hits(1000);
+      pool.for_range(
+          hits.size(),
+          [&](unsigned worker, std::size_t begin, std::size_t end) {
+            EXPECT_LT(worker, threads);
+            EXPECT_LT(begin, end);
+            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+          },
+          {.chunk = chunk});
+      for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+    }
   }
 }
 
@@ -35,6 +44,7 @@ TEST(ThreadPool, RangeSmallerThanThreadCount) {
                      hits[i].fetch_add(1);
                  });
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.last_range_stats().chunks, 3u);  // default chunk clamps to 1
 }
 
 TEST(ThreadPool, EmptyRangeInvokesNothing) {
@@ -42,51 +52,89 @@ TEST(ThreadPool, EmptyRangeInvokesNothing) {
   std::atomic<int> calls{0};
   pool.for_range(0, [&](unsigned, std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(pool.last_range_stats().chunks, 0u);
+  EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), 4u);
 }
 
-TEST(ThreadPool, SequentialFallbackRunsInline) {
+TEST(ThreadPool, ChunkOptionBoundsEveryCall) {
+  ThreadPool pool(3);
+  constexpr std::size_t kChunk = 16;
+  std::atomic<int> calls{0};
+  pool.for_range(
+      100,
+      [&](unsigned, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(begin % kChunk, 0u);
+        EXPECT_LE(end - begin, kChunk);
+        ++calls;
+      },
+      {.chunk = kChunk});
+  EXPECT_EQ(calls.load(), 7);  // ceil(100 / 16)
+  EXPECT_EQ(pool.last_range_stats().chunks, 7u);
+  EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), 3u);
+}
+
+TEST(ThreadPool, SequentialFallbackRunsInlineInOrder) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
   const auto caller = std::this_thread::get_id();
-  std::size_t calls = 0;
-  pool.for_range(57, [&](unsigned worker, std::size_t begin, std::size_t end) {
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 57u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1u);
+  std::size_t expect_begin = 0;
+  pool.for_range(
+      57,
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(begin, expect_begin);  // chunks drain in index order
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        expect_begin = end;
+      },
+      {.chunk = 10});
+  EXPECT_EQ(expect_begin, 57u);
+  EXPECT_EQ(pool.last_range_stats().chunks, 6u);
+  EXPECT_EQ(pool.last_range_stats().steals, 0u);  // one claimant never steals
 }
 
-TEST(ThreadPool, StaticPartitionIsDeterministic) {
-  // slice() tiles [0, n) in order, and repeated jobs see the same partition.
-  for (const unsigned threads : {1u, 2u, 5u}) {
-    std::size_t expect_begin = 0;
-    for (unsigned w = 0; w < threads; ++w) {
-      const auto [begin, end] = ThreadPool::slice(103, threads, w);
-      EXPECT_EQ(begin, expect_begin);
-      EXPECT_LE(begin, end);
-      expect_begin = end;
-    }
-    EXPECT_EQ(expect_begin, 103u);
-  }
+TEST(ThreadPool, StealingRebalancesAroundAStraggler) {
+  // Chunk 0 refuses to finish until every other chunk has run, so whichever
+  // claimant drew it is pinned and its peer must drain the rest — at least
+  // three of those chunks belong to the pinned slot's home share, so the
+  // steal counter must see them.
+  ThreadPool pool(2);
+  std::atomic<int> others_done{0};
+  std::vector<std::atomic<int>> hits(8);
+  pool.for_range(
+      hits.size(),
+      [&](unsigned, std::size_t begin, std::size_t) {
+        if (begin == 0) {
+          while (others_done.load() < 7) std::this_thread::yield();
+        } else {
+          others_done.fetch_add(1);
+        }
+        hits[begin].fetch_add(1);
+      },
+      {.chunk = 1});
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.last_range_stats().chunks, 8u);
+  EXPECT_GE(pool.last_range_stats().steals, 3u);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
-  ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.for_range(100,
+  // The throwing chunk is a stolen one (not index 0) or the first one; the
+  // thrower stops claiming, the range still drains, and the pool stays
+  // reusable afterwards.
+  for (const std::size_t bad : {std::size_t{0}, std::size_t{35}}) {
+    ThreadPool pool(3);
+    EXPECT_THROW(pool.for_range(
+                     100,
                      [&](unsigned, std::size_t begin, std::size_t) {
-                       if (begin == 0) throw std::runtime_error("slice 0");
-                     }),
-      std::runtime_error);
-  // The pool must be reusable after a failed job.
-  std::atomic<int> total{0};
-  pool.for_range(100, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 100);
+                       if (begin == bad) throw std::runtime_error("chunk");
+                     },
+                     {.chunk = 5}),
+                 std::runtime_error);
+    std::atomic<int> total{0};
+    pool.for_range(100, [&](unsigned, std::size_t begin, std::size_t end) {
+      total.fetch_add(static_cast<int>(end - begin));
+    });
+    EXPECT_EQ(total.load(), 100);
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossManyJobs) {
@@ -101,10 +149,9 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   EXPECT_EQ(sum.load(), 200L * (63 * 64 / 2));
 }
 
-// post_range/finish_range: the pipelining split of for_range.  Worker
-// slices may run during the overlap window; slice 0 runs inside
-// finish_range on the calling thread; coverage and partition are identical
-// to for_range's.
+// post_range/finish_range: the pipelining split of for_range.  Workers may
+// claim chunks during the overlap window; the calling thread joins the claim
+// loop inside finish_range; coverage is identical to for_range's.
 TEST(ThreadPool, PostFinishCoversRangeExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 4u}) {
     ThreadPool pool(threads);
@@ -120,27 +167,31 @@ TEST(ThreadPool, PostFinishCoversRangeExactlyOnce) {
     pool.finish_range();
     EXPECT_EQ(overlap_work.load(), 42);
     for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_GE(pool.last_range_stats().chunks, 1u);
+    EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), threads);
   }
 }
 
 TEST(ThreadPool, PostFinishSequentialDefersWholeRangeToFinish) {
   ThreadPool pool(1);
   const auto caller = std::this_thread::get_id();
-  std::size_t calls = 0;
+  std::size_t expect_begin = 0;
   bool before_finish = true;
-  pool.post_range(31, [&](unsigned worker, std::size_t begin,
-                          std::size_t end) {
-    EXPECT_FALSE(before_finish);  // nothing may run before finish_range
-    EXPECT_EQ(worker, 0u);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 31u);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 0u);
+  pool.post_range(
+      31,
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        EXPECT_FALSE(before_finish);  // nothing may run before finish_range
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(begin, expect_begin);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        expect_begin = end;
+      },
+      {.chunk = 8});
+  EXPECT_EQ(expect_begin, 0u);
   before_finish = false;
   pool.finish_range();
-  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(expect_begin, 31u);
+  EXPECT_EQ(pool.last_range_stats().chunks, 4u);
 }
 
 TEST(ThreadPool, PostFinishEmptyRangeAndReuse) {
@@ -149,6 +200,7 @@ TEST(ThreadPool, PostFinishEmptyRangeAndReuse) {
   pool.post_range(0, [&](unsigned, std::size_t, std::size_t) { ++calls; });
   pool.finish_range();
   EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(pool.last_range_stats().chunks, 0u);
   // Alternate post/finish with plain for_range on the same pool.
   std::atomic<int> total{0};
   pool.post_range(64, [&](unsigned, std::size_t begin, std::size_t end) {
@@ -164,7 +216,7 @@ TEST(ThreadPool, PostFinishEmptyRangeAndReuse) {
 TEST(ThreadPool, PostFinishExceptionPropagatesAtFinish) {
   ThreadPool pool(2);
   pool.post_range(10, [&](unsigned, std::size_t begin, std::size_t) {
-    if (begin == 0) throw std::runtime_error("slice 0");
+    if (begin == 0) throw std::runtime_error("chunk 0");
   });
   EXPECT_THROW(pool.finish_range(), std::runtime_error);
   std::atomic<int> total{0};
@@ -186,180 +238,30 @@ TEST(ThreadPool, DoublePostOrUnpairedUseIsInvalid) {
   EXPECT_THROW(pool.finish_range(), std::logic_error);
 }
 
-// for_range_stealing/post_range_stealing: the chunked work-stealing split.
-// Coverage must stay exactly-once at every thread count and chunk size even
-// though assignment is first-come; the sequential fallback must remain a
-// plain in-order loop; stats must account every chunk.
-TEST(ThreadPool, StealingCoversRangeExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{7}, std::size_t{5000}}) {
-      ThreadPool pool(threads);
-      std::vector<std::atomic<int>> hits(1000);
-      pool.for_range_stealing(
-          hits.size(),
-          [&](unsigned worker, std::size_t begin, std::size_t end) {
-            EXPECT_LT(worker, threads);
-            EXPECT_LT(begin, end);
-            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-          },
-          {.chunk = chunk});
-      for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-    }
-  }
-}
-
-TEST(ThreadPool, StealingChunkOptionBoundsEveryCall) {
-  ThreadPool pool(3);
-  constexpr std::size_t kChunk = 16;
-  std::atomic<int> calls{0};
-  pool.for_range_stealing(
-      100,
-      [&](unsigned, std::size_t begin, std::size_t end) {
-        EXPECT_EQ(begin % kChunk, 0u);
-        EXPECT_LE(end - begin, kChunk);
-        ++calls;
-      },
-      {.chunk = kChunk});
-  EXPECT_EQ(calls.load(), 7);  // ceil(100 / 16)
-  EXPECT_EQ(pool.last_range_stats().chunks, 7u);
-  EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), 3u);
-}
-
-TEST(ThreadPool, StealingSequentialFallbackRunsInlineInOrder) {
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::size_t expect_begin = 0;
-  pool.for_range_stealing(
-      57,
-      [&](unsigned worker, std::size_t begin, std::size_t end) {
-        EXPECT_EQ(worker, 0u);
-        EXPECT_EQ(begin, expect_begin);  // chunks drain in index order
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        expect_begin = end;
-      },
-      {.chunk = 10});
-  EXPECT_EQ(expect_begin, 57u);
-  EXPECT_EQ(pool.last_range_stats().chunks, 6u);
-  EXPECT_EQ(pool.last_range_stats().steals, 0u);  // one claimant never steals
-}
-
-TEST(ThreadPool, StealingRebalancesAroundAStraggler) {
-  // Chunk 0 refuses to finish until every other chunk has run, so whichever
-  // claimant drew it is pinned and its peer must drain the rest — at least
-  // three of those chunks belong to the pinned slot's static share, so the
-  // steal counter must see them.
-  ThreadPool pool(2);
-  std::atomic<int> others_done{0};
-  std::vector<std::atomic<int>> hits(8);
-  pool.for_range_stealing(
-      hits.size(),
-      [&](unsigned, std::size_t begin, std::size_t) {
-        if (begin == 0) {
-          while (others_done.load() < 7) std::this_thread::yield();
-        } else {
-          others_done.fetch_add(1);
-        }
-        hits[begin].fetch_add(1);
-      },
-      {.chunk = 1});
-  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(pool.last_range_stats().chunks, 8u);
-  EXPECT_GE(pool.last_range_stats().steals, 3u);
-}
-
-TEST(ThreadPool, StealingEmptyRangeInvokesNothing) {
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  pool.for_range_stealing(0,
-                          [&](unsigned, std::size_t, std::size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-  EXPECT_EQ(pool.last_range_stats().chunks, 0u);
-  EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), 4u);
-}
-
-TEST(ThreadPool, StealingExceptionPropagatesAndPoolSurvives) {
-  // The throwing chunk is a *stolen* one (not index 0), the thrower stops
-  // claiming, the range still drains, and the pool stays reusable for both
-  // flavors afterwards.
-  ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.for_range_stealing(
-          100,
-          [&](unsigned, std::size_t begin, std::size_t) {
-            if (begin == 35) throw std::runtime_error("chunk");
-          },
-          {.chunk = 5}),
-      std::runtime_error);
-  std::atomic<int> total{0};
-  pool.for_range_stealing(100,
-                          [&](unsigned, std::size_t begin, std::size_t end) {
-                            total.fetch_add(static_cast<int>(end - begin));
-                          });
-  pool.for_range(100, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 200);
-}
-
-TEST(ThreadPool, PostFinishStealingCoversRangeExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(500);
-    pool.post_range_stealing(hits.size(), [&](unsigned worker,
-                                              std::size_t begin,
-                                              std::size_t end) {
-      EXPECT_LT(worker, threads);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    pool.finish_range();
-    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-    EXPECT_GE(pool.last_range_stats().chunks, 1u);
-    EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), threads);
-  }
-}
-
-TEST(ThreadPool, PostFinishStealingExceptionPropagatesAtFinish) {
-  ThreadPool pool(2);
-  pool.post_range_stealing(10, [&](unsigned, std::size_t begin, std::size_t) {
-    if (begin == 0) throw std::runtime_error("chunk 0");
-  });
-  EXPECT_THROW(pool.finish_range(), std::runtime_error);
-  std::atomic<int> total{0};
-  pool.for_range(10, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 10);
-}
-
-TEST(ThreadPool, StealingDoublePostIsInvalidAcrossFlavors) {
-  ThreadPool pool(2);
-  pool.post_range_stealing(4, [](unsigned, std::size_t, std::size_t) {});
-  EXPECT_THROW(
-      pool.post_range_stealing(4, [](unsigned, std::size_t, std::size_t) {}),
-      std::logic_error);
-  EXPECT_THROW(pool.post_range(4, [](unsigned, std::size_t, std::size_t) {}),
-               std::logic_error);
-  EXPECT_THROW(
-      pool.for_range_stealing(4, [](unsigned, std::size_t, std::size_t) {}),
-      std::logic_error);
-  pool.finish_range();
-  EXPECT_THROW(pool.finish_range(), std::logic_error);
-}
-
-TEST(ThreadPool, ChunkHomeMatchesStaticSlice) {
-  // chunk_home(c, chunks, threads) must name exactly the slot whose static
-  // slice of [0, chunks) contains c — it is the baseline steals are counted
-  // against.
+TEST(ThreadPool, StealsAreCountedAgainstContiguousHomeShares) {
+  // A chunk's home is the slot whose contiguous share of the chunk indices
+  // [chunks * w / threads, chunks * (w + 1) / threads) contains it; every
+  // chunk executed elsewhere is exactly one steal, whatever the (racy)
+  // assignment turned out to be.
   for (const unsigned threads : {1u, 2u, 3u, 5u, 8u}) {
+    ThreadPool pool(threads);
     for (std::size_t chunks = 1; chunks <= 40; ++chunks) {
+      std::vector<unsigned> ran_on(chunks);
+      pool.for_range(
+          chunks,
+          [&](unsigned worker, std::size_t begin, std::size_t) {
+            ran_on[begin] = worker;
+          },
+          {.chunk = 1});
+      std::uint64_t expected_steals = 0;
       for (std::size_t c = 0; c < chunks; ++c) {
-        const unsigned home = ThreadPool::chunk_home(c, chunks, threads);
+        unsigned home = 0;
+        while (c >= chunks * (home + 1) / threads) ++home;
         ASSERT_LT(home, threads);
-        const auto [begin, end] = ThreadPool::slice(chunks, threads, home);
-        EXPECT_GE(c, begin);
-        EXPECT_LT(c, end);
+        if (ran_on[c] != home) ++expected_steals;
       }
+      EXPECT_EQ(pool.last_range_stats().steals, expected_steals)
+          << "threads " << threads << " chunks " << chunks;
     }
   }
 }
@@ -368,12 +270,12 @@ TEST(ThreadPool, ChunkHomeMatchesStaticSlice) {
 // before every chunk claim; a claimed chunk always runs to completion.  The
 // job throws CancelledError iff the range was left uncovered and no chunk
 // threw a real exception — a real error always wins over a racing cancel.
-TEST(ThreadPool, StealingCancelStopsAtTheNextChunkBoundary) {
+TEST(ThreadPool, CancelStopsAtTheNextChunkBoundary) {
   ThreadPool pool(1);  // deterministic: chunks drain in index order
   CancelToken token;
   std::size_t calls = 0;
   EXPECT_THROW(
-      pool.for_range_stealing(
+      pool.for_range(
           100,
           [&](unsigned, std::size_t, std::size_t) {
             if (++calls == 3) token.cancel();
@@ -386,7 +288,7 @@ TEST(ThreadPool, StealingCancelStopsAtTheNextChunkBoundary) {
   EXPECT_EQ(pool.last_range_stats().chunks, 3u);
   // A cancelled pool is fully reusable.
   std::atomic<int> total{0};
-  pool.for_range_stealing(100,
+  pool.for_range(100,
                           [&](unsigned, std::size_t begin, std::size_t end) {
                             total.fetch_add(static_cast<int>(end - begin));
                           });
@@ -399,7 +301,7 @@ TEST(ThreadPool, CancelAfterTheLastChunkIsANoOp) {
   ThreadPool pool(1);
   CancelToken token;
   std::size_t calls = 0;
-  pool.for_range_stealing(
+  pool.for_range(
       30,
       [&](unsigned, std::size_t, std::size_t) {
         if (++calls == 3) token.cancel();
@@ -417,7 +319,7 @@ TEST(ThreadPool, RealExceptionWinsOverRacingCancellation) {
     CancelToken token;
     std::size_t calls = 0;
     try {
-      pool.for_range_stealing(
+      pool.for_range(
           50,
           [&](unsigned, std::size_t, std::size_t) {
             if (++calls == k + 1) {
@@ -437,7 +339,7 @@ TEST(ThreadPool, RealExceptionWinsOverRacingCancellation) {
   }
 }
 
-TEST(ThreadPool, StealingCancelMultiThreadedIsConsistent) {
+TEST(ThreadPool, CancelMultiThreadedIsConsistent) {
   // With workers racing the cancel, either outcome is legal — the range
   // drained before the token was seen, or it was abandoned — but the stats,
   // the exception, and the executed count must agree.
@@ -446,7 +348,7 @@ TEST(ThreadPool, StealingCancelMultiThreadedIsConsistent) {
   std::atomic<int> calls{0};
   bool cancelled_seen = false;
   try {
-    pool.for_range_stealing(
+    pool.for_range(
         1000,
         [&](unsigned, std::size_t, std::size_t) {
           if (calls.fetch_add(1) == 0) token.cancel();
@@ -462,19 +364,19 @@ TEST(ThreadPool, StealingCancelMultiThreadedIsConsistent) {
   EXPECT_EQ(pool.last_range_stats().chunks,
             static_cast<std::uint64_t>(calls.load()));
   std::atomic<int> total{0};
-  pool.for_range_stealing(64,
+  pool.for_range(64,
                           [&](unsigned, std::size_t begin, std::size_t end) {
                             total.fetch_add(static_cast<int>(end - begin));
                           });
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ThreadPool, PostFinishStealingCancelSurfacesAtFinish) {
+TEST(ThreadPool, PostFinishCancelSurfacesAtFinish) {
   ThreadPool pool(1);
   CancelToken token;
   token.cancel();  // pre-cancelled: no chunk may run at all
   std::size_t calls = 0;
-  pool.post_range_stealing(
+  pool.post_range(
       50, [&](unsigned, std::size_t, std::size_t) { ++calls; },
       {.chunk = 10, .cancel = &token});
   EXPECT_THROW(pool.finish_range(), CancelledError);
@@ -496,7 +398,7 @@ TEST(ThreadPool, DeadlineTokenCancelsThroughThePool) {
   token.reset(1);  // long past
   std::size_t calls = 0;
   EXPECT_THROW(
-      pool.for_range_stealing(
+      pool.for_range(
           40, [&](unsigned, std::size_t, std::size_t) { ++calls; },
           {.chunk = 10, .cancel = &token}),
       CancelledError);
