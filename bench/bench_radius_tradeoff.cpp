@@ -4,13 +4,15 @@
 // {2^8 .. 2^14} for the spanning-tree scheme, and in {2^8, 2^10, 2^12} for
 // MST, certifying over graphs with a large id space (ids up to 2^56, so the
 // shared id content dominates the certificate).  t = 1 is the plain 1-round
-// scheme; t > 1 is the global spread transform for the spanning tree and the
-// *fragment* spread for MST — Borůvka certificates share content per
-// fragment, not globally, so MST only joins the tradeoff curve through the
-// region decomposition (it used to be this bench's honest negative).  Rows
-// report max/avg certificate bits, verifier wall-time, and t-round message
-// volume as JSON; the MST curve at n = 4096 is asserted strictly decreasing
-// in t.
+// scheme; t > 1 is the spread transform (FragmentSpreadScheme) for both:
+// the spanning tree's shared content is global, so its marking keeps one
+// unnamed region per component, while Borůvka certificates share content per
+// fragment, so MST joins the tradeoff curve through the region
+// decomposition.  Rows report max/avg certificate bits, verifier wall-time,
+// and t-round message volume as JSON.  Two gates run on every curve: the
+// max certificate strictly decreases in t at the gate size (n = 4096; the
+// smoke run gates n = 1024 for stp up to t = 4 and n = 256 for MST up to
+// t = 2), and no spread row exceeds its size's t = 1 base row.
 //
 // Usage: bench_radius_tradeoff [--smoke] [--out FILE] [--scheme S]
 //                              [--seed S] [--threads T] [--t T]
@@ -23,8 +25,8 @@
 //                 into the JSON; default reproduces the published curves)
 //   --threads T   verifier thread count (default 1: the deterministic
 //                 sequential path the published curves use)
-//   --t T         restrict the radius sweep to that single t (skips the
-//                 MST strict-decrease gate, which needs the whole curve)
+//   --t T         restrict the radius sweep to that single t (skips both
+//                 gates, which need the whole curve)
 //   --labelings L verify each row's marking L times through one
 //                 BatchVerifier (shared geometry atlas; verify_ms is the
 //                 per-labeling average — the many-labelings regime)
@@ -39,7 +41,6 @@
 #include "graph/generators.hpp"
 #include "radius/batch.hpp"
 #include "radius/fragment_spread.hpp"
-#include "radius/spread.hpp"
 #include "schemes/mst.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "util/assert.hpp"
@@ -137,16 +138,14 @@ void emit(std::ostream& out, const std::vector<Row>& rows,
   PLS_ASSERT(json.finished());
 }
 
-/// Sweeps one (language, base) curve.  `make_spread` builds the radius-t
-/// transform under test for t > 1: the global SpreadScheme for globally
-/// redundant certificates, FragmentSpreadScheme for regionally redundant
-/// ones (MST).
-template <typename BaseScheme, typename Language, typename MakeSpread>
-void sweep(std::vector<Row>& rows, const Language& language,
-           const BaseScheme& base, bool weighted,
-           const std::vector<std::size_t>& sizes,
-           const std::vector<unsigned>& radii, const MeasureOptions& mopts,
-           MakeSpread make_spread) {
+/// Sweeps one (language, base) curve: the base scheme at t = 1, the spread
+/// transform for t > 1.
+template <typename BaseScheme, typename Language>
+std::vector<Row> sweep(const Language& language, const BaseScheme& base,
+                       bool weighted, const std::vector<std::size_t>& sizes,
+                       const std::vector<unsigned>& radii,
+                       const MeasureOptions& mopts) {
+  std::vector<Row> rows;
   for (const std::size_t n : sizes) {
     auto g = instance(n, weighted, mopts.seed ^ n);
     util::Rng rng((mopts.seed ^ kCfgSalt) ^ n);
@@ -155,8 +154,8 @@ void sweep(std::vector<Row>& rows, const Language& language,
       if (t == 1) {
         rows.push_back(measure(base, cfg, 1, mopts));
       } else {
-        const auto spread = make_spread(base, t);
-        rows.push_back(measure(*spread, cfg, t, mopts));
+        const radius::FragmentSpreadScheme spread(base, t);
+        rows.push_back(measure(spread, cfg, t, mopts));
       }
       const Row& r = rows.back();
       std::cerr << r.scheme << " n=" << r.n << " t=" << r.t
@@ -165,25 +164,24 @@ void sweep(std::vector<Row>& rows, const Language& language,
       PLS_ASSERT(r.all_accept);
     }
   }
+  return rows;
 }
 
-/// The acceptance gate the fragment spread exists for: the MST maximum
+/// The acceptance gate the spread transform exists for: a curve's maximum
 /// certificate strictly decreases across the radius sweep at `gate_n`, for
-/// radii up to `max_t`.  The full run gates the whole curve at n = 4096;
-/// the CI smoke run gates t = 1 -> 2 at n = 256 (beyond t = 2 the small
-/// instance's maximum is pinned by per-node tree fields and only required
-/// to be monotone, which measure() has already asserted accepts-wise).
-void assert_mst_strictly_decreasing(const std::vector<Row>& rows,
-                                    std::size_t gate_n, unsigned max_t) {
+/// radii up to `max_t`.  Beyond the gated radii a small instance's maximum
+/// may be pinned by per-node fields (MST's tree fields at n = 256) and is
+/// only held by the base-row gate below.
+void assert_strictly_decreasing(const std::vector<Row>& curve,
+                                std::size_t gate_n, unsigned max_t) {
   std::size_t prev = 0;
   bool first = true;
-  for (const Row& r : rows) {
-    if (r.n != gate_n || r.t > max_t ||
-        r.scheme.find("mstl") == std::string::npos)
-      continue;
+  for (const Row& r : curve) {
+    if (r.n != gate_n || r.t > max_t) continue;
     if (!first && r.max_cert_bits >= prev) {
-      std::cerr << "FAIL: mst max_cert_bits not strictly decreasing at n="
-                << gate_n << " (t=" << r.t << ": " << r.max_cert_bits
+      std::cerr << "FAIL: " << r.scheme
+                << " max_cert_bits not strictly decreasing at n=" << gate_n
+                << " (t=" << r.t << ": " << r.max_cert_bits
                 << " >= " << prev << ")\n";
       std::abort();
     }
@@ -191,6 +189,34 @@ void assert_mst_strictly_decreasing(const std::vector<Row>& rows,
     first = false;
   }
   PLS_ASSERT(!first);  // the gate rows must exist
+}
+
+/// Spreading never costs bits: every spread row's maximum certificate is at
+/// most the t = 1 base row's at the same n.
+void assert_spread_within_base(const std::vector<Row>& curve) {
+  for (const Row& base : curve) {
+    if (base.t != 1) continue;
+    for (const Row& r : curve) {
+      if (r.n != base.n || r.t == 1 || r.max_cert_bits <= base.max_cert_bits)
+        continue;
+      std::cerr << "FAIL: " << r.scheme << " at n=" << r.n
+                << " max_cert_bits " << r.max_cert_bits
+                << " above the t=1 base row's " << base.max_cert_bits
+                << "\n";
+      std::abort();
+    }
+  }
+}
+
+/// Appends one curve to `rows` after gating it (both gates need the whole
+/// radius sweep, so a --t filter skips them).
+void gate_and_append(std::vector<Row>& rows, std::vector<Row> curve,
+                     bool gated, std::size_t gate_n, unsigned max_t) {
+  if (gated) {
+    assert_strictly_decreasing(curve, gate_n, max_t);
+    assert_spread_within_base(curve);
+  }
+  rows.insert(rows.end(), curve.begin(), curve.end());
 }
 
 }  // namespace
@@ -231,32 +257,24 @@ int main(int argc, char** argv) {
   }
   if (t_filter != 0) radii = {t_filter};
 
+  const bool gated = t_filter == 0;
   std::vector<Row> rows;
   if (scheme_filter.empty() || scheme_filter == "stp") {
     const schemes::StpLanguage stp_language;
     const schemes::StpScheme stp(stp_language);
-    sweep(rows, stp_language, stp, /*weighted=*/false, sizes, radii, mopts,
-          [](const core::Scheme& base, unsigned t) {
-            return std::make_unique<radius::SpreadScheme>(base, t);
-          });
+    gate_and_append(rows,
+                    sweep(stp_language, stp, /*weighted=*/false, sizes, radii,
+                          mopts),
+                    gated, smoke ? 1024 : 4096, smoke ? 4 : 8);
   }
 
   if (scheme_filter.empty() || scheme_filter == "mst") {
     const schemes::MstLanguage mst_language;
     const schemes::MstScheme mst(mst_language);
-    sweep(rows, mst_language, mst, /*weighted=*/true, mst_sizes, radii, mopts,
-          [](const core::Scheme& base, unsigned t) {
-            return std::make_unique<radius::FragmentSpreadScheme>(base, t);
-          });
-    // The strict-decrease gate needs the whole curve; a --t filter keeps
-    // only one point of it.
-    if (t_filter == 0) {
-      if (smoke) {
-        assert_mst_strictly_decreasing(rows, 256, 2);
-      } else {
-        assert_mst_strictly_decreasing(rows, 4096, 8);
-      }
-    }
+    gate_and_append(rows,
+                    sweep(mst_language, mst, /*weighted=*/true, mst_sizes,
+                          radii, mopts),
+                    gated, smoke ? 256 : 4096, smoke ? 2 : 8);
   }
 
   if (out_path.empty()) {

@@ -113,7 +113,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "radius/batch.hpp"
-#include "radius/spread.hpp"
+#include "radius/fragment_spread.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
@@ -930,7 +930,7 @@ int main(int argc, char** argv) {
     if (t == 1) {
       rows.push_back(measure(stp, cfg, 1, threads));
     } else {
-      const radius::SpreadScheme spread(stp, t);
+      const radius::FragmentSpreadScheme spread(stp, t);
       rows.push_back(measure(spread, cfg, t, threads));
     }
     const Row& r = rows.back();
@@ -945,7 +945,7 @@ int main(int argc, char** argv) {
   // the naive engine under --smoke; at full size the naive engine takes
   // ~10 s per labeling, so oracle only the first two (the batch/rebuild/
   // thread-count cross-checks still cover all of them).
-  const radius::SpreadScheme batch_spread(stp, batch_t);
+  const radius::FragmentSpreadScheme batch_spread(stp, batch_t);
   const core::Scheme& batch_scheme =
       batch_t == 1 ? static_cast<const core::Scheme&>(stp)
                    : static_cast<const core::Scheme&>(batch_spread);
@@ -1007,7 +1007,7 @@ int main(int argc, char** argv) {
         graph::relabel_random(incr_base, incr_rng, kIdSpace));
     const local::Configuration incr_cfg =
         language.sample_legal(incr_g, incr_rng);
-    const radius::SpreadScheme incr_spread(stp, batch_t);
+    const radius::FragmentSpreadScheme incr_spread(stp, batch_t);
     const core::Scheme& incr_scheme =
         batch_t == 1 ? static_cast<const core::Scheme&>(stp)
                      : static_cast<const core::Scheme&>(incr_spread);
@@ -1086,7 +1086,7 @@ int main(int argc, char** argv) {
     // nearly uniform.  A t = 2 ball stays within a couple of blocks, so the
     // zipf skew lands on block keys undiluted.
     const unsigned adm_t = 2;
-    const radius::SpreadScheme adm_scheme(stp, adm_t);
+    const radius::FragmentSpreadScheme adm_scheme(stp, adm_t);
     const MutationStream adm_stream = zipf_mutation_stream(
         adm_scheme, adm_cfg, smoke ? 48 : 160, zipf_s, adm_rng);
     admission = measure_admission(adm_scheme, adm_cfg, adm_t, threads,

@@ -39,7 +39,7 @@ struct SchemeAttack {
 
 /// Opaque per-verifier state of the incremental link path: whatever a scheme
 /// must remember across a delta stream so relink_parses can hand out
-/// *stable* ids — for the spread schemes, the append-only payload -> class
+/// *stable* ids — for the spread scheme, the append-only payload -> class
 /// interning table (parse_link.hpp).  Owned by the BatchVerifier, created by
 /// BallScheme::make_link_state, never shared between verifiers (link state
 /// is mutated single-threaded in stage 2).
@@ -55,7 +55,7 @@ class LinkState {
   virtual ~LinkState() = default;
 
   /// Times the scheme rebuilt this state from scratch mid-stream to bound
-  /// its memory (the spread schemes re-seed their append-only intern table
+  /// its memory (the spread scheme re-seeds its append-only intern table
   /// once dead ids outnumber live ones, parse_link.hpp).  Cumulative over
   /// the state's lifetime; surfaced as DeltaStats::link_reseeds.
   std::uint64_t reseeds = 0;
@@ -90,7 +90,7 @@ class BallScheme : public core::Scheme {
   /// Link phase of the parse-once pipeline.  BatchVerifier calls this
   /// once per labeling, after the parallel parse and before any verify_ball,
   /// with every node's parse (entries are null for malformed certificates).
-  /// Schemes intern payloads repeated across nodes — the spread schemes'
+  /// Schemes intern payloads repeated across nodes — the spread scheme's
   /// chunk bit strings — into small dense ids here, so the per-ball equality
   /// checks on the hot path compare ids instead of BitStrings.  Runs on one
   /// thread; the linked parses are read-shared by all workers afterwards.

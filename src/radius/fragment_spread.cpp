@@ -16,7 +16,7 @@ namespace {
 
 using detail::chunk_size;
 using detail::FragmentWire;
-using detail::kChunkCountField;
+using detail::kHeaderBits;
 
 constexpr std::uint32_t kNoMember = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kUnassigned =
@@ -36,14 +36,18 @@ struct FragmentParsed final : ParsedCert {
 
 /// One region decomposition, fully resolved: dense region index per node,
 /// landmark / in-region BFS distance / landmark eccentricity / certificate
-/// LCP per region.  Built from a candidate label assignment by refining it
-/// into connected components, so regions are connected by construction.
+/// LCP / boundary flag per region.  Built from a candidate label assignment
+/// by refining it into connected components, so regions are connected by
+/// construction.
 struct RegionStructure {
   std::vector<std::uint32_t> region_of;   ///< dense region index per node
   std::vector<std::uint32_t> dist;        ///< in-region BFS dist from landmark
   std::vector<graph::NodeIndex> landmark; ///< per region: min-id node
   std::vector<std::uint32_t> ecc;         ///< per region: landmark ecc
   std::vector<std::size_t> prefix_len;    ///< per region: LCP of member certs
+  /// per region: has a boundary edge, so its certificates spell the region
+  /// id; a region without one is a whole connected component
+  std::vector<std::uint8_t> named;
   std::size_t count = 0;
 };
 
@@ -74,6 +78,15 @@ RegionStructure build_structure(const graph::Graph& g,
         queue.push_back(a.to);
       }
     }
+  }
+
+  // A region is named iff an edge leaves it.
+  s.named.assign(s.count, 0);
+  for (graph::EdgeIndex e = 0; e < g.m(); ++e) {
+    const graph::Edge& ed = g.edge(e);
+    if (s.region_of[ed.u] == s.region_of[ed.v]) continue;
+    s.named[s.region_of[ed.u]] = 1;
+    s.named[s.region_of[ed.v]] = 1;
   }
 
   // Landmark (minimum raw id) per region.
@@ -132,8 +145,9 @@ std::size_t node_bits(const graph::Graph& g, const core::Labeling& base_lab,
   const std::uint32_t r = s.region_of[v];
   const std::size_t k = factor_for(t, s.ecc[r]);
   const std::size_t suffix = base_lab.certs[v].bit_size() - s.prefix_len[r];
-  return kChunkCountField + util::bit_width_for(k - 1) +
-         detail::varint_bits(g.id(s.landmark[r])) +
+  const std::size_t name =
+      s.named[r] ? detail::varint_bits(g.id(s.landmark[r])) : 0;
+  return kHeaderBits + util::bit_width_for(k - 1) + name +
          detail::varint_bits(suffix) + suffix +
          chunk_size(s.prefix_len[r], k, s.dist[v] % k);
 }
@@ -193,7 +207,10 @@ std::vector<core::RegionAssignment> mechanical_candidates(
   return out;
 }
 
-/// Per-thread scratch for verify_ball (see spread.cpp for the rationale).
+/// Per-thread scratch for verify_ball: the engine calls it once per center,
+/// so reusing these buffers across the O(n) adjacent centers of a sweep
+/// removes every per-ball allocation from the hot path.  Thread-local keeps
+/// the parallel sweep race-free without sharing state between slots.
 struct VerifyScratch {
   std::vector<const FragmentWire*> parsed;
   std::vector<std::uint32_t> chunk_class;
@@ -269,8 +286,9 @@ core::Labeling FragmentSpreadScheme::mark(
   // structure when it exposes one (MST: Borůvka phases, singletons first),
   // else the mechanical equal-prefix components at descending LCP
   // thresholds; the trivial decomposition (one region per connected
-  // component — exactly the global spread) closes the list, so the fragment
-  // spread never does worse than the global one.
+  // component, whose unnamed certificates spell no region id) closes the
+  // list, so the mark is never larger than sharding one prefix per
+  // component.
   std::vector<core::RegionAssignment> candidates;
   if (const auto* provider = dynamic_cast<const core::RegionProvider*>(&base_)) {
     for (core::RegionAssignment& cand : provider->region_candidates(cfg))
@@ -359,7 +377,8 @@ core::Labeling FragmentSpreadScheme::mark(
     FragmentWire wire;
     wire.k = k;
     wire.residue = j;
-    wire.region = g.id(best.landmark[r]);
+    wire.named = best.named[r] != 0;
+    if (wire.named) wire.region = g.id(best.landmark[r]);
     wire.suffix = detail::slice_bits(
         base_lab.certs[v], best.prefix_len[r],
         base_lab.certs[v].bit_size() - best.prefix_len[r]);
@@ -402,8 +421,10 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       parsed[i] = &local_parses[i];
   }
 
-  // Group the ball by region id; every member of a region group must agree
-  // on the chunk count.
+  // Group the ball by region id — every unnamed member into one group of
+  // its own, without a hash lookup; every member of a group must agree on
+  // the chunk count.  An unnamed group acts exactly like a region named by
+  // an id below every member id.
   std::unordered_map<std::uint64_t, std::uint32_t>& group_index =
       scratch.group_index;
   group_index.clear();
@@ -411,13 +432,20 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
   std::vector<std::uint64_t>& group_k = scratch.group_k;
   group_of.assign(members.size(), 0);
   group_k.clear();
+  std::uint32_t unnamed_group = kUnassigned;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    const auto [it, inserted] = group_index.try_emplace(
-        parsed[i]->region, static_cast<std::uint32_t>(group_k.size()));
-    group_of[i] = it->second;
-    if (inserted) {
+    const auto next = static_cast<std::uint32_t>(group_k.size());
+    std::uint32_t group;
+    if (parsed[i]->named) {
+      group = group_index.try_emplace(parsed[i]->region, next).first->second;
+    } else {
+      if (unnamed_group == kUnassigned) unnamed_group = next;
+      group = unnamed_group;
+    }
+    group_of[i] = group;
+    if (group == next) {
       group_k.push_back(parsed[i]->k);
-    } else if (group_k[it->second] != parsed[i]->k) {
+    } else if (group_k[group] != parsed[i]->k) {
       return false;
     }
   }
@@ -426,17 +454,16 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
   // node may claim a region id above its own id, and the landmark itself —
   // the one node whose id equals the region id — must sit at residue 0.
   // The center always knows its own id; under Extended visibility the same
-  // bound applies to every ball member.
-  const FragmentWire& own = *parsed.front();
-  if (own.region > ctx.id()) return false;
-  if (own.region == ctx.id() && own.residue != 0) return false;
+  // bound applies to every ball member.  Unnamed members carry no id to
+  // bind.
+  const auto binds = [](const FragmentWire& w, graph::RawId id) {
+    return !w.named || w.region < id || (w.region == id && w.residue == 0);
+  };
+  if (!binds(*parsed.front(), ctx.id())) return false;
   if (ctx.mode() == local::Visibility::kExtended) {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!members[i].id_visible) continue;
-      if (parsed[i]->region > members[i].id) return false;
-      if (parsed[i]->region == members[i].id && parsed[i]->residue != 0)
+    for (std::size_t i = 0; i < members.size(); ++i)
+      if (members[i].id_visible && !binds(*parsed[i], members[i].id))
         return false;
-    }
   }
 
   // Per-region chunk-class agreement: same region + same residue must carry
@@ -468,7 +495,7 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
   for (std::uint32_t i = 0; i < members.size(); ++i)
     for (const std::uint32_t nb : ball.neighbors_of(i)) {
       if (nb <= i) continue;
-      if (parsed[i]->region != parsed[nb]->region) continue;
+      if (group_of[i] != group_of[nb]) continue;
       const std::uint64_t k = parsed[i]->k;
       const std::uint64_t diff =
           (parsed[i]->residue + k - parsed[nb]->residue) % k;
@@ -544,12 +571,12 @@ std::size_t FragmentSpreadScheme::proof_size_bound(
     std::size_t n, std::size_t state_bits) const {
   // suffix + chunk never exceed a full base certificate (the chunk is at
   // most the region prefix, the suffix is the rest), so the fragment spread
-  // adds only its header: the k field, the residue (k <= t/2 + 1, so
-  // bit_width(t/2) bits), the region id — a raw node id, bounded by the
-  // standard "ids are polynomial in n" assumption (ids < 16n², as
-  // schemes::id_varint_bound) — and the suffix length.
+  // adds only its header: the k field and named tag, the residue
+  // (k <= t/2 + 1, so bit_width(t/2) bits), the region id — a raw node id,
+  // bounded by the standard "ids are polynomial in n" assumption
+  // (ids < 16n², as schemes::id_varint_bound) — and the suffix length.
   const std::size_t base = base_.proof_size_bound(n, state_bits);
-  return kChunkCountField + util::bit_width_for(t_ / 2) +
+  return kHeaderBits + util::bit_width_for(t_ / 2) +
          detail::varint_bits(16 * n * n + 1) + detail::varint_bits(base) +
          base;
 }

@@ -1,13 +1,13 @@
-// Fragment-aware certificate spreading: the region-decomposed t-PLS
-// transform.
+// Certificate spreading: the mechanical 1-round scheme -> t-PLS transform.
 //
-// SpreadScheme (spread.hpp) shards the *global* longest common prefix of the
-// base certificates, which buys nothing for languages whose certificates
-// share content regionally instead of globally — MST's Borůvka-phase
-// certificates agree on the fragment name and chosen-edge records of every
-// phase the fragment survives, but different fragments agree on different
-// bits.  FragmentSpreadScheme generalizes the transform from one prefix to a
-// region decomposition:
+// The classic 1-round schemes are redundant: large certificate fields (the
+// root id of the spanning-tree schemes, the fragment names and chosen-edge
+// records of MST's Borůvka phases) are *identical* across many nodes, yet
+// each node stores a full copy.  Spreading shards that shared content
+// across space and lets the radius-t verifier reassemble it.  Content may be
+// shared globally (the root id) or only regionally (each Borůvka fragment
+// agrees on its own records), so the transform works over a region
+// decomposition:
 //
 //   * The marker partitions the nodes into connected *regions* and factors
 //     out each region's own longest common certificate prefix X_r.  Region
@@ -16,26 +16,29 @@
 //     regions = that phase's fragments); otherwise they are computed
 //     mechanically as connected components of equal-prefix classes — per-edge
 //     certificate LCPs thresholded at sampled lengths.  The trivial
-//     decomposition (one region per connected component — the global spread)
-//     is always a candidate, and the marker keeps whichever candidate
-//     minimizes the maximum per-node certificate size, so the fragment
-//     spread never does worse than the global one.
+//     decomposition (one region per connected component) is always a
+//     candidate, and the marker keeps whichever mix of candidates minimizes
+//     the maximum per-node certificate size.
 //   * Each region shards X_r independently with its own factor
 //     k_r = min(floor(t/2)+1, ecc_r+1), where ecc_r is the eccentricity of
 //     the region's landmark (its minimum-id node) in the region-induced
-//     subgraph.  A node stores its region id (the landmark's raw id), its
-//     residue — in-region BFS distance from the landmark mod k_r — one
-//     interleaved chunk of X_r, and its residual suffix.
-//   * The verifier groups its ball by region id, checks per-region chunk
-//     count and chunk-class agreement, in-region residue adjacency, and the
-//     region-id bounds (a region is named by its minimum id, so no member
-//     may have a smaller id than its region id, and a node whose own id *is*
-//     the region id must sit at residue 0).  It then reassembles the prefix
-//     of every region that contains the center or a 1-hop neighbor — the
-//     radius-t ball provably contains all k_r chunk classes of each such
-//     region: walking from a node at in-region distance d' towards the
-//     landmark yields k_r consecutive layers when d' >= k_r-1, and otherwise
-//     the ball reaches the landmark and every layer 0..k_r-1 within
+//     subgraph.  A node stores its residue — in-region BFS distance from the
+//     landmark mod k_r — one interleaved chunk of X_r, its residual suffix,
+//     and, when the region has a boundary edge, the region id (the
+//     landmark's raw id).  A region without one is a whole component and is
+//     left unnamed: a 1-bit tag says so and no id is spelled, so the trivial
+//     decomposition costs no more than sharding one global prefix.
+//   * The verifier groups its ball by region id (all unnamed members form
+//     one group), checks per-region chunk count and chunk-class agreement,
+//     in-region residue adjacency, and the region-id bounds (a region is
+//     named by its minimum id, so no member may have a smaller id than its
+//     region id, and a node whose own id *is* the region id must sit at
+//     residue 0).  It then reassembles the prefix of every region that
+//     contains the center or a 1-hop neighbor — the radius-t ball provably
+//     contains all k_r chunk classes of each such region: walking from a
+//     node at in-region distance d' towards the landmark yields k_r
+//     consecutive layers when d' >= k_r-1, and otherwise the ball reaches
+//     the landmark and every layer 0..k_r-1 within
 //     1 + (k_r-2) + (k_r-1) <= t hops of the center — reconstructs the base
 //     certificates of the center's 1-hop neighborhood, and runs the base
 //     decoder.  Cross-region boundaries are therefore checked twice: the
@@ -44,9 +47,9 @@
 //     outgoing-edge minimality and fragment merges) on the reconstructions.
 //
 // Certificates shrink from |X_r| + |suffix| to |X_r|/k_r + |suffix| + O(1)
-// per node — the size–time tradeoff of the t-PLS literature, now realized
-// for regionally-redundant languages; bench_radius_tradeoff measures the MST
-// curve next to the spanning-tree one.
+// per node — the size–time tradeoff of the t-PLS literature;
+// bench_radius_tradeoff measures the spanning-tree and MST curves.  The wire
+// format is in spread_wire.hpp.
 #pragma once
 
 #include <string>
@@ -58,7 +61,7 @@ namespace pls::radius {
 class FragmentSpreadScheme final : public BallScheme {
  public:
   /// Wraps `base` (which must outlive this scheme) as a radius-t scheme.
-  /// Requires 1 <= t <= 63 (k must fit the 6-bit chunk-count field).
+  /// Requires 1 <= t <= 63, so k <= 32 fits the 5-bit chunk-count field.
   FragmentSpreadScheme(const core::Scheme& base, unsigned t);
 
   std::string_view name() const noexcept override { return name_; }
@@ -87,9 +90,9 @@ class FragmentSpreadScheme final : public BallScheme {
   void link_parses(
       std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
 
-  /// Incremental link (the delta path): same persistent interning table as
-  /// the global spread's — region ids live in the wire, so only the chunk
-  /// payload needs stable interning.
+  /// Incremental link (the delta path): a persistent interning table —
+  /// region ids live in the wire, so only the chunk payload needs stable
+  /// interning.
   std::unique_ptr<LinkState> make_link_state() const override;
   void link_parses_stateful(
       LinkState& state,
@@ -98,9 +101,9 @@ class FragmentSpreadScheme final : public BallScheme {
       LinkState& state, std::span<const std::unique_ptr<ParsedCert>> parsed,
       std::span<const graph::NodeIndex> touched) const override;
 
-  /// The cross-region splice suite (splice.hpp): crossed fragment chunk
-  /// payloads, rotated region ids, a neighbor region's reassembled prefix
-  /// spliced in — the failure modes specific to region decomposition.
+  /// The splice suite (splice.hpp): two instances' markings stitched
+  /// together, rotated residues and region ids, crossed chunk payloads,
+  /// flipped region tags, a neighbor region's reassembled prefix spliced in.
   std::vector<SchemeAttack> adversarial_labelings(
       const local::Configuration& cfg, util::Rng& rng) const override;
 

@@ -1,12 +1,12 @@
-// Shared link-phase helpers for the spread schemes' parse caches.
+// Link-phase helpers for the spread scheme's parse cache.
 //
-// Both SpreadScheme and FragmentSpreadScheme implement the link hooks the
-// same way: walk the verifier's per-node parse cache and intern each
-// certificate's chunk payload into a dense class id (equal id <=>
-// bit-identical chunk), so the per-ball chunk-agreement checks on the verify
-// hot path compare ids instead of BitStrings.  The helpers are templated on
-// the scheme's ParsedCert subclass, which must expose `wire.chunk` (the
-// payload) and `chunk_class` (the slot to fill).
+// FragmentSpreadScheme implements the link hooks by walking the verifier's
+// per-node parse cache and interning each certificate's chunk payload into
+// a dense class id (equal id <=> bit-identical chunk), so the per-ball
+// chunk-agreement checks on the verify hot path compare ids instead of
+// BitStrings.  The helpers are templated on the ParsedCert subclass, which
+// must expose `wire.chunk` (the payload) and `chunk_class` (the slot to
+// fill).
 //
 // Two variants serve the two pipeline entries:
 //
@@ -48,7 +48,7 @@
 
 namespace pls::radius::detail {
 
-/// The spread schemes' per-verifier link state: the chunk-payload interning
+/// The spread scheme's per-verifier link state: the chunk-payload interning
 /// table shared by both stateful helpers below.
 class ChunkInternState final : public LinkState {
  public:

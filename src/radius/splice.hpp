@@ -1,36 +1,41 @@
 // Splice attacks on certificate spreading.
 //
-// SpreadScheme's soundness story has one structurally novel obligation the
-// generic adversary strategies don't probe: the reassembled shared prefix
-// must be *consistent across overlapping balls*.  The error-sensitivity
-// literature (Feuilloley–Fraigniaud) frames exactly this failure mode:
-// adversarial certificates that are locally well-formed everywhere but
-// splice two incompatible global claims together.  This module builds such
-// labelings deliberately:
+// The spread transform's soundness story has one structurally novel
+// obligation the generic adversary strategies don't probe: every
+// reassembled prefix must be *consistent across overlapping balls*.  The
+// error-sensitivity literature (Feuilloley–Fraigniaud) frames exactly this
+// failure mode: adversarial certificates that are locally well-formed
+// everywhere but splice two incompatible global claims together.  This
+// module builds such labelings deliberately:
 //
-//   * region-prefix:     two graph regions carry the spread markings of two
-//                        different legal instances — two regions voting
-//                        different reassembled prefixes;
-//   * suffix-crossbreed: chunks/residues of one legal marking, residual
-//                        suffixes of another;
-//   * residue-rotate     (regional and global): every certificate keeps its
-//                        chunk but claims the cyclically-next residue class,
-//                        so balls reassemble a rotated — wrong — prefix
-//                        while residues still look like BFS distances;
-//   * chunk-crosswire:   the payloads of two residue classes are swapped
-//                        globally, a transposition of the prefix bits that
-//                        is internally consistent per class.
+//   * fragment-region-prefix: the near and far halves of each component
+//                        carry the markings of two different legal
+//                        instances — two halves voting different
+//                        reassembled prefixes;
+//   * fragment-suffix-crossbreed: chunks/residues of one legal marking,
+//                        residual suffixes of another;
+//   * residue-rotate-region / fragment-residue-rotate: every certificate of
+//                        the far half (or of the whole graph) keeps its
+//                        chunk but claims the cyclically-next residue
+//                        class, so balls reassemble a rotated — wrong —
+//                        prefix while residues still look like BFS
+//                        distances;
+//   * chunk-crosswire:   the payloads of residue classes 0 and 1 are swapped
+//                        in every region, a transposition of the prefix
+//                        bits that is internally consistent per class;
+//   * tag-flip:          the near half keeps one instance's wires unnamed,
+//                        the far half carries the other's under a named
+//                        region, so the halves never compare chunk classes
+//                        across the seam.
 //
-// The fragment spread (fragment_spread.hpp) adds a region decomposition, and
-// with it region-crossing failure modes of its own:
+// When the honest marking names its regions (a component split into
+// several), region-crossing attacks join the roster:
 //
-//   * fragment-region-prefix / fragment-suffix-crossbreed /
-//     fragment-residue-rotate: the global attacks re-mounted on the
-//     fragment wire;
 //   * region-id-rotate:  every region claims the next region's name — the
 //                        partition is untouched, but a region is named by
-//                        its minimum-id member, so the region holding the
-//                        globally minimal id now claims a name above it;
+//                        its minimum-id member, so the region with the
+//                        smallest name now claims a name above its
+//                        landmark's id;
 //   * fragment-chunk-crosswire: two regions swap their chunk payloads
 //                        class-by-class, each region staying internally
 //                        consistent while reassembling the other's prefix;
@@ -48,7 +53,6 @@
 #include <vector>
 
 #include "radius/fragment_spread.hpp"
-#include "radius/spread.hpp"
 #include "util/rng.hpp"
 
 namespace pls::radius {
@@ -59,15 +63,8 @@ using SpliceAttack = SchemeAttack;
 
 /// Builds the splice-attack labelings for `scheme` on cfg's graph.  Returns
 /// an empty vector when the base language is not constructible there (no
-/// legal instance to splice from).
-std::vector<SpliceAttack> splice_attacks(const SpreadScheme& scheme,
-                                         const local::Configuration& cfg,
-                                         util::Rng& rng);
-
-/// The fragment-spread suite: the global attacks on the fragment wire plus
-/// the cross-region attacks (region-id rotation, crossed fragment chunk
-/// payloads, a neighbor region's prefix spliced in).  The region-crossing
-/// variants appear whenever the honest marking has at least two regions.
+/// legal instance to splice from).  The region-crossing variants appear
+/// whenever the honest marking names at least two regions.
 std::vector<SpliceAttack> fragment_splice_attacks(
     const FragmentSpreadScheme& scheme, const local::Configuration& cfg,
     util::Rng& rng);

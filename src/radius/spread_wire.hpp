@@ -1,17 +1,17 @@
-// Wire formats of spread certificates, shared between the spread schemes
-// (the honest markers/decoders) and the splice attack suite (splice.hpp),
+// Wire format of spread certificates, shared between FragmentSpreadScheme
+// (the honest marker/decoder) and the splice attack suite (splice.hpp),
 // which must be able to parse, tamper with, and re-encode certificates
 // bit-exactly.
 //
-// Global spread (SpreadScheme) layout (parse order):
-//   [6 bits: k] [bit_width(k-1) bits: residue j] [varint: suffix bit-length]
-//   [suffix bits] [remaining bits: chunk j of X]
+// Layout (parse order):
+//   [5 bits: k_r-1] [1 bit: named] [bit_width(k_r-1) bits: residue j]
+//   [varint: region id, only when named] [varint: suffix bit-length]
+//   [suffix bits] [remaining bits: chunk j of X_r]
 //
-// Fragment spread (FragmentSpreadScheme) layout adds the region id — the raw
-// id of the region's landmark node — between the residue and the suffix
-// length, so the parse-once cache carries each node's region:
-//   [6 bits: k_r] [bit_width(k_r-1) bits: residue j] [varint: region id]
-//   [varint: suffix bit-length] [suffix bits] [remaining: chunk j of X_r]
+// The region id is the raw id of the region's landmark node.  A region with
+// no boundary edge is a whole connected component and needs no name: its
+// certificates clear the `named` bit and spell no id, so the whole-component
+// partition costs exactly the 6 header bits of a single global prefix.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +24,9 @@
 
 namespace pls::radius::detail {
 
-inline constexpr unsigned kChunkCountField = 6;  // k fits in 6 bits: [1, 63]
+inline constexpr unsigned kChunkCountField = 5;  // k-1 fits in 5 bits: [1, 32]
+/// The fixed header: the chunk-count field plus the `named` tag bit.
+inline constexpr unsigned kHeaderBits = kChunkCountField + 1;
 
 /// Bit i of a BitString (stream order: bit i lives in byte i/8, position i%8).
 inline bool bit_at(const util::BitString& s, std::size_t i) {
@@ -76,7 +78,7 @@ inline std::size_t chunk_size(std::size_t total, std::size_t k, std::size_t j) {
   return total > j ? (total - 1 - j) / k + 1 : 0;
 }
 
-/// The marker's sharding step, shared by both spread markers and the splice
+/// The marker's sharding step, shared by the spread marker and the splice
 /// suite: cuts X into k interleaved chunks, bit i of X going to chunk i%k.
 /// The exact inverse of reassemble_chunks below.
 inline std::vector<util::BitString> shard_chunks(const util::BitString& x,
@@ -91,11 +93,11 @@ inline std::vector<util::BitString> shard_chunks(const util::BitString& x,
   return chunks;
 }
 
-/// The verifier's reassembly step, shared by both spread decoders: checks
-/// that the k chunk lengths interleave to a consistent total (nullopt
-/// otherwise — a splice of chunks from prefixes of different lengths) and
-/// stitches the prefix back together, bit i of X being bit i/k of chunk
-/// i%k.
+/// The verifier's reassembly step, shared by the decoder and the splice
+/// suite: checks that the k chunk lengths interleave to a consistent total
+/// (nullopt otherwise — a splice of chunks from prefixes of different
+/// lengths) and stitches the prefix back together, bit i of X being bit i/k
+/// of chunk i%k.
 inline std::optional<util::BitString> reassemble_chunks(
     std::span<const util::BitString* const> chunks) {
   const std::size_t k = chunks.size();
@@ -110,50 +112,11 @@ inline std::optional<util::BitString> reassemble_chunks(
 }
 
 /// One parsed spread certificate.
-struct SpreadWire {
-  std::uint64_t k = 0;
-  std::uint64_t residue = 0;
-  util::BitString suffix;
-  util::BitString chunk;
-};
-
-inline std::optional<SpreadWire> parse_wire(const local::Certificate& c) {
-  util::BitReader r = c.reader();
-  SpreadWire p;
-  const auto k = r.read_uint(kChunkCountField);
-  if (!k || *k == 0) return std::nullopt;
-  p.k = *k;
-  const auto residue = r.read_uint(util::bit_width_for(p.k - 1));
-  if (!residue || *residue >= p.k) return std::nullopt;
-  p.residue = *residue;
-  const auto suffix_len = r.read_varint();
-  if (!suffix_len) return std::nullopt;
-  auto suffix = read_bits(r, *suffix_len);
-  if (!suffix) return std::nullopt;
-  p.suffix = std::move(*suffix);
-  auto chunk = read_bits(r, r.remaining());
-  PLS_ASSERT(chunk.has_value());
-  p.chunk = std::move(*chunk);
-  return p;
-}
-
-/// Re-encodes a (possibly tampered) parsed certificate in the wire format.
-inline local::Certificate encode_wire(const SpreadWire& p) {
-  util::BitWriter w;
-  w.write_uint(p.k, kChunkCountField);
-  w.write_uint(p.residue, util::bit_width_for(p.k - 1));
-  w.write_varint(p.suffix.bit_size());
-  w.write_bits(p.suffix.bytes(), p.suffix.bit_size());
-  w.write_bits(p.chunk.bytes(), p.chunk.bit_size());
-  return local::Certificate::from_writer(std::move(w));
-}
-
-/// One parsed fragment-spread certificate: the global wire plus the region
-/// id naming which region's prefix the chunk belongs to.
 struct FragmentWire {
   std::uint64_t k = 0;
   std::uint64_t residue = 0;
-  std::uint64_t region = 0;  ///< raw id of the region's landmark node
+  bool named = false;        ///< false: a whole-component region, no id
+  std::uint64_t region = 0;  ///< raw id of the region's landmark (if named)
   util::BitString suffix;
   util::BitString chunk;
 };
@@ -162,15 +125,19 @@ inline std::optional<FragmentWire> parse_fragment_wire(
     const local::Certificate& c) {
   util::BitReader r = c.reader();
   FragmentWire p;
-  const auto k = r.read_uint(kChunkCountField);
-  if (!k || *k == 0) return std::nullopt;
-  p.k = *k;
+  const auto k_minus_1 = r.read_uint(kChunkCountField);
+  const auto named = r.read_bit();
+  if (!k_minus_1 || !named) return std::nullopt;
+  p.k = *k_minus_1 + 1;
+  p.named = *named;
   const auto residue = r.read_uint(util::bit_width_for(p.k - 1));
   if (!residue || *residue >= p.k) return std::nullopt;
   p.residue = *residue;
-  const auto region = r.read_varint();
-  if (!region) return std::nullopt;
-  p.region = *region;
+  if (p.named) {
+    const auto region = r.read_varint();
+    if (!region) return std::nullopt;
+    p.region = *region;
+  }
   const auto suffix_len = r.read_varint();
   if (!suffix_len) return std::nullopt;
   auto suffix = read_bits(r, *suffix_len);
@@ -182,12 +149,15 @@ inline std::optional<FragmentWire> parse_fragment_wire(
   return p;
 }
 
-/// Re-encodes a (possibly tampered) parsed fragment certificate.
+/// Re-encodes a (possibly tampered) parsed certificate; an unnamed wire
+/// drops its region id.
 inline local::Certificate encode_fragment_wire(const FragmentWire& p) {
+  PLS_ASSERT(p.k >= 1 && p.k <= (std::uint64_t{1} << kChunkCountField));
   util::BitWriter w;
-  w.write_uint(p.k, kChunkCountField);
+  w.write_uint(p.k - 1, kChunkCountField);
+  w.write_bit(p.named);
   w.write_uint(p.residue, util::bit_width_for(p.k - 1));
-  w.write_varint(p.region);
+  if (p.named) w.write_varint(p.region);
   w.write_varint(p.suffix.bit_size());
   w.write_bits(p.suffix.bytes(), p.suffix.bit_size());
   w.write_bits(p.chunk.bytes(), p.chunk.bit_size());

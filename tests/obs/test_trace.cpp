@@ -13,7 +13,7 @@
 
 #include "graph/generators.hpp"
 #include "radius/batch.hpp"
-#include "radius/spread.hpp"
+#include "radius/fragment_spread.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
 
@@ -125,7 +125,7 @@ TEST(TraceRecorder, BatchTraceShowsParseSweepOverlapWindow) {
   // overlap structurally: parse(1) nested inside window(0), same tid.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const radius::SpreadScheme scheme(base, 2);
+  const radius::FragmentSpreadScheme scheme(base, 2);
   auto g = testing::share(graph::grid(6, 6));
   const local::Configuration cfg = language.make_tree(g, 0);
   const core::Labeling lab = scheme.mark(cfg);
@@ -166,7 +166,7 @@ TEST(TraceRecorder, StealingSweepShowsClaimedChunkSpans) {
   // timing-dependent, so the assertions count spans, not per-slot coverage.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const radius::SpreadScheme scheme(base, 2);
+  const radius::FragmentSpreadScheme scheme(base, 2);
   auto g = testing::share(graph::grid(6, 6));
   const local::Configuration cfg = language.make_tree(g, 0);
   const core::Labeling lab = scheme.mark(cfg);

@@ -12,7 +12,7 @@
 
 #include "graph/generators.hpp"
 #include "radius/batch.hpp"
-#include "radius/spread.hpp"
+#include "radius/fragment_spread.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
 
@@ -286,7 +286,7 @@ TEST(GeometryAtlas, KeyedByGraphEpochAcrossGraphs) {
 TEST(GeometryAtlas, SharedAcrossVerifiers) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(7006);
   auto g = share(graph::random_connected(26, 14, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);

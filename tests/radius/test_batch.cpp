@@ -14,7 +14,6 @@
 
 #include "obs/metrics.hpp"
 #include "radius/fragment_spread.hpp"
-#include "radius/spread.hpp"
 #include "schemes/registry.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
@@ -94,7 +93,7 @@ TEST(BatchVerifier, RegistryBatchesMatchPerLabelingBaseline) {
 TEST(BatchVerifier, SwappedCertificatesAcrossBatchNeverReuseStaleParses) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(50902);
   auto g = share(graph::random_connected(22, 14, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -127,7 +126,7 @@ TEST(BatchVerifier, SwappedCertificatesAcrossBatchNeverReuseStaleParses) {
 TEST(BatchVerifier, RunOneInterleavedWithBatches) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(50903);
   auto g = share(graph::grid(4, 5));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -154,7 +153,7 @@ TEST(BatchVerifier, RunOneInterleavedWithBatches) {
 TEST(BatchVerifier, EmptyBatchAndInputValidation) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   auto g = share(graph::path(5));
   const auto cfg = language.make_tree(g, 0);
 
@@ -174,7 +173,7 @@ TEST(BatchVerifier, EmptyBatchAndInputValidation) {
 TEST(BatchVerifier, WarmAtlasEqualsRebuildLoop) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(50904);
   auto g = share(graph::random_connected(28, 16, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -245,7 +244,7 @@ graph::Graph skewed_core_chain_graph(std::size_t core, std::size_t chains,
 TEST(BatchVerifier, SkewedInstanceIdenticalAcrossThreads) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(50905);
   auto g = share(skewed_core_chain_graph(48, 12, 24));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -365,7 +364,7 @@ TEST(BatchVerifier, CancelledSweepStillRecordsItsExecutedChunks) {
 TEST(BatchVerifier, ParallelParseIsNotCountedAsASweep) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   auto g = share(graph::path(64));
   const local::Configuration cfg = language.make_tree(g, 0);
   ASSERT_TRUE(spread.has_cert_parser());
@@ -415,7 +414,7 @@ AliasedCopy alias_of(const Labeling& src) {
 TEST(BatchVerifier, PinnedAliasedLabelingsMatchOwnedAndOutliveTheProducer) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(50906);
   auto g = share(graph::random_connected(18, 10, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -465,7 +464,7 @@ TEST(BatchVerifier, PinnedAliasedLabelingsMatchOwnedAndOutliveTheProducer) {
 TEST(BatchVerifier, BufferMutationAfterRunReturnsCannotChangeVerdicts) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(50907);
   auto g = share(graph::random_connected(18, 10, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);

@@ -17,7 +17,6 @@
 #include "radius/batch.hpp"
 #include "radius/fragment_spread.hpp"
 #include "radius/parse_link.hpp"
-#include "radius/spread.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
 
@@ -99,7 +98,7 @@ TEST(DirtyIndex, MatchesBruteForceDistance) {
 TEST(BatchVerifierDelta, RequiresAResidentRun) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(61003);
   auto g = share(graph::random_connected(14, 8, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -122,7 +121,7 @@ TEST(BatchVerifierDelta, RequiresAResidentRun) {
 TEST(BatchVerifierDelta, EmptyDeltaDoesNoWorkAndSplicesTheVerdict) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(61004);
   auto g = share(graph::random_connected(20, 12, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -183,7 +182,7 @@ TEST(BatchVerifierDelta, SingleMutationsMatchFullRunsIncludingMutateBack) {
   const local::Configuration cfg = language.sample_legal(g, rng);
 
   for (const unsigned t : {2u, 4u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     const Labeling honest = spread.mark(cfg);
 
     // Landmark of the (single) component: the minimum-id node — mutating it
@@ -225,7 +224,7 @@ TEST(BatchVerifierDelta, SingleMutationsMatchFullRunsIncludingMutateBack) {
 TEST(BatchVerifierDelta, DeltaAfterBatchBuildsOnTheLastLabeling) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(61006);
   auto g = share(graph::grid(4, 6));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -258,7 +257,7 @@ TEST(BatchVerifierDelta, DeltaAfterBatchBuildsOnTheLastLabeling) {
 TEST(BatchVerifierDelta, StatsAccountReparsesAndDirtySweeps) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(61007);
   auto g = share(graph::path(15));  // balls are small and easy to count
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -418,8 +417,8 @@ TEST(BatchVerifierDelta, FragmentSpreadDeltasMatchFullRuns) {
 // grows one entry per step forever.  These tests drive exactly that stream.
 
 /// Minimal stand-in satisfying the parse_link template contract
-/// (`wire.chunk` payload + `chunk_class` slot) — the real SpreadParsed /
-/// FragmentParsed are translation-unit-local to their schemes.
+/// (`wire.chunk` payload + `chunk_class` slot) — the real FragmentParsed is
+/// translation-unit-local to its scheme.
 struct FakeParsed final : ParsedCert {
   struct Wire {
     util::BitString chunk;
@@ -480,7 +479,7 @@ TEST(ChunkInternState, RelinkReseedsKeepTheTableBounded) {
 TEST(BatchVerifierDelta, TenThousandStepStreamStaysExactAndReseeds) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(61011);
   auto g = share(graph::random_connected(24, 14, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);

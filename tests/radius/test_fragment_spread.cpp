@@ -21,6 +21,39 @@ namespace {
 
 using pls::testing::share;
 
+std::vector<detail::FragmentWire> parse_all(const core::Labeling& lab) {
+  std::vector<detail::FragmentWire> wires;
+  for (const local::Certificate& c : lab.certs) {
+    auto wire = detail::parse_fragment_wire(c);
+    EXPECT_TRUE(wire.has_value());
+    if (wire) wires.push_back(std::move(*wire));
+  }
+  return wires;
+}
+
+/// The marker names a region iff the region has a boundary edge: an edge
+/// whose endpoints sit in different regions joins two named ones, and
+/// every named region has such an edge.
+void expect_named_iff_boundary(const graph::Graph& g,
+                               const core::Labeling& lab) {
+  const std::vector<detail::FragmentWire> wires = parse_all(lab);
+  ASSERT_EQ(wires.size(), g.n());
+  std::set<std::uint64_t> named;
+  for (const detail::FragmentWire& w : wires)
+    if (w.named) named.insert(w.region);
+  std::set<std::uint64_t> bordered;
+  for (graph::EdgeIndex e = 0; e < g.m(); ++e) {
+    const detail::FragmentWire& a = wires[g.edge(e).u];
+    const detail::FragmentWire& b = wires[g.edge(e).v];
+    if (!a.named && !b.named) continue;
+    ASSERT_TRUE(a.named && b.named) << "unnamed region has a boundary edge";
+    if (a.region == b.region) continue;
+    bordered.insert(a.region);
+    bordered.insert(b.region);
+  }
+  EXPECT_EQ(named, bordered);
+}
+
 void expect_complete_t(const FragmentSpreadScheme& scheme,
                        const local::Configuration& cfg) {
   ASSERT_TRUE(scheme.language().contains(cfg));
@@ -158,6 +191,9 @@ TEST(FragmentSpread, DisconnectedAgreeComponents) {
   ASSERT_TRUE(language.contains(cfg));
   const core::Labeling lab = spread.mark(cfg);
   EXPECT_TRUE(run_verifier_t(spread, cfg, lab, 4).all_accept());
+  // Each component is one whole region, so no certificate spells an id.
+  expect_named_iff_boundary(*g, lab);
+  for (const detail::FragmentWire& w : parse_all(lab)) EXPECT_FALSE(w.named);
 }
 
 TEST(FragmentSpread, InvalidRadiiRejected) {
@@ -225,6 +261,75 @@ TEST(FragmentSpread, MstDecompositionIsNontrivial) {
     regions.insert(wire->region);
   }
   EXPECT_GT(regions.size(), 1u);
+  // Every region of a multi-region marking borders another, so all are
+  // named.
+  expect_named_iff_boundary(*g, lab);
+  for (const detail::FragmentWire& w : parse_all(lab)) EXPECT_TRUE(w.named);
+}
+
+// The spanning tree's shared content (the root id) is global, so on a
+// connected graph the marker keeps the whole graph as one unnamed region:
+// the header spells no region id and the curve matches one global prefix.
+TEST(FragmentSpread, StpOnConnectedGraphIsUnnamed) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  util::Rng rng(389);
+  auto g = share(graph::relabel_random(graph::random_connected(256, 128, rng),
+                                       rng, graph::RawId{1} << 56));
+  const auto cfg = language.sample_legal(g, rng);
+  for (const unsigned t : {2u, 4u, 8u}) {
+    const FragmentSpreadScheme spread(base, t);
+    const core::Labeling lab = spread.mark(cfg);
+    expect_named_iff_boundary(*g, lab);
+    for (const detail::FragmentWire& w : parse_all(lab))
+      EXPECT_FALSE(w.named) << spread.name();
+  }
+}
+
+// t = 63 is the largest radius: k = min(t/2 + 1, ecc + 1) = 32 on a path
+// long enough, the most the 5-bit chunk-count field holds.
+TEST(FragmentSpread, ChunkCountBoundaryAtMaxRadius) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 63);
+  auto g = share(graph::path(70));
+  const auto cfg = language.make_tree(g, 5);
+  const core::Labeling lab = spread.mark(cfg);
+  for (const detail::FragmentWire& w : parse_all(lab)) EXPECT_EQ(w.k, 32u);
+  expect_complete_t(spread, cfg);
+}
+
+// A node whose tag is flipped leaves its region's group in every ball:
+// alone in its new group it cannot cover the k >= 2 chunk classes, so the
+// flip is rejected, at every thread count.
+TEST(FragmentSpread, FlippedTagInMstMarkingRejected) {
+  const schemes::MstLanguage language;
+  const schemes::MstScheme base(language);
+  const FragmentSpreadScheme spread(base, 4);
+  util::Rng rng(397);
+  auto g = share(graph::relabel_random(
+      graph::reweight_random(graph::random_connected(48, 24, rng), rng), rng,
+      graph::RawId{1} << 40));
+  const auto cfg = language.sample_legal(g, rng);
+  const core::Labeling honest = spread.mark(cfg);
+  const std::vector<detail::FragmentWire> wires = parse_all(honest);
+  std::size_t flipped = 0;
+  for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
+    if (wires[v].k < 2) continue;
+    ++flipped;
+    detail::FragmentWire wire = wires[v];
+    wire.named = !wire.named;
+    core::Labeling lab = honest;
+    lab.certs[v] = detail::encode_fragment_wire(wire);
+    for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
+      BatchOptions options;
+      options.threads = threads;
+      BatchVerifier verifier(spread, cfg, 4, options);
+      EXPECT_GE(verifier.run_one(lab).rejections(), 1u)
+          << "node " << v << " threads=" << verifier.threads();
+    }
+  }
+  EXPECT_GT(flipped, 0u);
 }
 
 // Registry-wide proof-size bound property: every marked fragment-spread

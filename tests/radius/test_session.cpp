@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "radius/spread.hpp"
+#include "radius/fragment_spread.hpp"
 #include "schemes/registry.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
@@ -90,7 +90,7 @@ TEST(Session, SpreadVerdictsMatchAcrossThreadCounts) {
   const schemes::StpScheme base(language);
   util::Rng rng(40903);
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     for (int instance = 0; instance < 3; ++instance) {
       auto g = share(graph::random_connected(20 + 5 * instance, 12, rng));
       const local::Configuration cfg = language.sample_legal(g, rng);
@@ -113,7 +113,7 @@ TEST(Session, SpreadVerdictsMatchAcrossThreadCounts) {
 TEST(Session, ReuseAcrossLabelingsMatchesFreshEngines) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(40904);
   auto g = share(graph::grid(4, 5));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -136,7 +136,7 @@ TEST(Session, ReuseAcrossLabelingsMatchesFreshEngines) {
 TEST(Session, MalformedCertificatesRejectThroughCache) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   util::Rng rng(40905);
   auto g = share(graph::path(7));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -164,7 +164,7 @@ TEST(Session, PlainSchemeMatchesOneRoundEngine) {
 TEST(Session, InputValidation) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   auto g = share(graph::path(5));
   const auto cfg = language.make_tree(g, 0);
   // t = 0 and t below the scheme's radius are invalid input.

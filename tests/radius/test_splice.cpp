@@ -1,10 +1,11 @@
-// Splice attacks on the spread schemes: adversarial certificates that are
+// Splice attacks on the spread transform: adversarial certificates that are
 // locally well-formed but stitch together incompatible global claims (two
-// regions voting different reassembled prefixes, rotated residue
-// assignments, crossed chunk payloads — and for the fragment spread, rotated
-// region names, fragment payloads swapped between regions, and a neighbor
-// region's reassembled prefix spliced in) must be rejected somewhere by the
-// t-round engine, at every thread count, on every illegal configuration.
+// halves voting different reassembled prefixes, rotated residue
+// assignments, crossed chunk payloads, flipped region tags — and when the
+// marking names its regions, rotated region names, payloads swapped between
+// regions, and a neighbor region's reassembled prefix spliced in) must be
+// rejected somewhere by the t-round engine, at every thread count, on every
+// illegal configuration.
 #include "radius/splice.hpp"
 
 #include <gtest/gtest.h>
@@ -23,21 +24,27 @@ namespace {
 
 using pls::testing::share;
 
-/// Every splice variant must leave at least one rejecting node on an
-/// illegal configuration.
-void expect_splices_rejected(const SpreadScheme& spread,
+/// Every splice variant must leave >= 1 rejecting node on an illegal
+/// configuration, and the verdict must say so at every thread count (the
+/// parallel verifier is the production path the adversary drives).
+void expect_splices_rejected(const FragmentSpreadScheme& spread,
                              const local::Configuration& cfg,
                              std::uint64_t seed) {
   ASSERT_FALSE(spread.language().contains(cfg));
   util::Rng rng(seed);
-  const std::vector<SpliceAttack> attacks = splice_attacks(spread, cfg, rng);
+  const std::vector<SpliceAttack> attacks =
+      fragment_splice_attacks(spread, cfg, rng);
   ASSERT_FALSE(attacks.empty());
   for (const SpliceAttack& attack : attacks) {
-    const core::Verdict verdict =
-        run_verifier_t(spread, cfg, attack.labeling, spread.radius());
-    EXPECT_GE(verdict.rejections(), 1u)
-        << spread.name() << " accepted splice '" << attack.name << "' on "
-        << cfg.graph().describe();
+    for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
+      BatchOptions options;
+      options.threads = threads;
+      BatchVerifier verifier(spread, cfg, spread.radius(), options);
+      EXPECT_GE(verifier.run_one(attack.labeling).rejections(), 1u)
+          << spread.name() << " accepted splice '" << attack.name
+          << "' at threads=" << verifier.threads() << " on "
+          << cfg.graph().describe();
+    }
   }
 }
 
@@ -62,7 +69,7 @@ TEST(Splice, AllVariantsRejectedOnMeetInTheMiddle) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     expect_splices_rejected(spread, meet_in_the_middle(12), 211 + t);
   }
 }
@@ -77,7 +84,7 @@ TEST(Splice, AllVariantsRejectedOnPointerCycle) {
         g->id(static_cast<graph::NodeIndex>((v + 1) % 9))));
   const local::Configuration cfg(g, states);
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     expect_splices_rejected(spread, cfg, 223 + t);
   }
 }
@@ -86,7 +93,7 @@ TEST(Splice, AllVariantsRejectedOnTwoRoots) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     auto g = share(graph::grid(3, 4));
     auto cfg = language.make_tree(g, 0).with_state(
         11, schemes::encode_pointer(std::nullopt));
@@ -100,76 +107,57 @@ TEST(Splice, AllVariantsRejectedOnTwoRoots) {
 TEST(Splice, GlobalResidueRotationRejectedOnLegalTree) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(229);
   auto g = share(graph::relabel_random(graph::random_tree(24, rng), rng,
                                        graph::RawId{1} << 40));
   const auto cfg = language.sample_legal(g, rng);
   util::Rng attack_rng(233);
-  for (const SpliceAttack& attack : splice_attacks(spread, cfg, attack_rng)) {
-    if (attack.name != "residue-rotate-global") continue;
+  bool found = false;
+  for (const SpliceAttack& attack :
+       fragment_splice_attacks(spread, cfg, attack_rng)) {
+    if (attack.name != "fragment-residue-rotate") continue;
+    found = true;
     const core::Verdict verdict =
         run_verifier_t(spread, cfg, attack.labeling, 4);
     EXPECT_GE(verdict.rejections(), 1u);
   }
+  EXPECT_TRUE(found);
 }
 
 TEST(Splice, AttackRosterIsComplete) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 8);
+  const FragmentSpreadScheme spread(base, 8);
   util::Rng rng(239);
   auto g = share(graph::grid(4, 4));
   const auto cfg = language.sample_legal(g, rng);
   util::Rng attack_rng(241);
   std::set<std::string> names;
-  for (const SpliceAttack& attack : splice_attacks(spread, cfg, attack_rng))
+  for (const SpliceAttack& attack :
+       fragment_splice_attacks(spread, cfg, attack_rng))
     names.insert(attack.name);
   EXPECT_EQ(names, (std::set<std::string>{
-                       "region-prefix", "suffix-crossbreed",
-                       "residue-rotate-region", "residue-rotate-global",
-                       "chunk-crosswire"}));
+                       "fragment-region-prefix", "fragment-suffix-crossbreed",
+                       "residue-rotate-region", "fragment-residue-rotate",
+                       "chunk-crosswire", "tag-flip"}));
 }
 
-// The adversary suite now reports splice strategies for spread schemes; on
-// an illegal configuration none of them may reach zero rejections (this is
-// the integration path expect_sound exercises).
+// The adversary suite reports splice strategies for spread schemes; on an
+// illegal configuration none of them may reach zero rejections (this is the
+// integration path expect_sound exercises).
 TEST(Splice, AdversaryIntegrationStaysSound) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   for (const unsigned t : {2u, 4u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     pls::testing::expect_sound(spread, meet_in_the_middle(10), 251 + t);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Cross-region attacks on the fragment spread.
+// Cross-region attacks, on markings that name their regions.
 // ---------------------------------------------------------------------------
-
-/// Every fragment splice variant must leave >= 1 rejecting node on an
-/// illegal configuration, and the verdict must say so at every thread count
-/// (the parallel verifier is the production path the adversary drives).
-void expect_fragment_splices_rejected(const FragmentSpreadScheme& spread,
-                                      const local::Configuration& cfg,
-                                      std::uint64_t seed) {
-  ASSERT_FALSE(spread.language().contains(cfg));
-  util::Rng rng(seed);
-  const std::vector<SpliceAttack> attacks =
-      fragment_splice_attacks(spread, cfg, rng);
-  ASSERT_FALSE(attacks.empty());
-  for (const SpliceAttack& attack : attacks) {
-    for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-      BatchOptions options;
-      options.threads = threads;
-      BatchVerifier verifier(spread, cfg, spread.radius(), options);
-      EXPECT_GE(verifier.run_one(attack.labeling).rejections(), 1u)
-          << spread.name() << " accepted fragment splice '" << attack.name
-          << "' at threads=" << verifier.threads() << " on "
-          << cfg.graph().describe();
-    }
-  }
-}
 
 /// A connected spanning tree that is not the MST: a cycle's MST drops the
 /// unique heaviest edge; this drops a different one.
@@ -190,8 +178,8 @@ TEST(Splice, FragmentVariantsRejectedOnWrongMstAtEveryThreadCount) {
   const schemes::MstScheme base(language);
   for (const unsigned t : {2u, 4u, 8u}) {
     const FragmentSpreadScheme spread(base, t);
-    expect_fragment_splices_rejected(spread, wrong_cycle_tree(language, 10, 401 + t),
-                                     409 + t);
+    expect_splices_rejected(spread, wrong_cycle_tree(language, 10, 401 + t),
+                            409 + t);
   }
 }
 
@@ -203,7 +191,7 @@ TEST(Splice, FragmentVariantsRejectedOnStpTwoRoots) {
     auto g = share(graph::grid(3, 4));
     auto cfg = language.make_tree(g, 0).with_state(
         11, schemes::encode_pointer(std::nullopt));
-    expect_fragment_splices_rejected(spread, cfg, 419 + t);
+    expect_splices_rejected(spread, cfg, 419 + t);
   }
 }
 
@@ -235,9 +223,10 @@ TEST(Splice, FragmentRosterAndRegionRotationOnLegalMst) {
   for (const SpliceAttack& attack :
        fragment_splice_attacks(spread, cfg, attack_rng))
     names.insert(attack.name);
-  std::set<std::string> expected{"fragment-region-prefix",
-                                 "fragment-suffix-crossbreed",
-                                 "fragment-residue-rotate"};
+  std::set<std::string> expected{
+      "fragment-region-prefix", "fragment-suffix-crossbreed",
+      "residue-rotate-region",  "fragment-residue-rotate",
+      "chunk-crosswire",        "tag-flip"};
   if (regions.size() > 1) {
     expected.insert("region-id-rotate");
     expected.insert("fragment-chunk-crosswire");
@@ -261,8 +250,8 @@ TEST(Splice, FragmentRosterAndRegionRotationOnLegalMst) {
   }
 }
 
-// The fragment attacks ride the adversary suite the same way the global
-// ones do: expect_sound must stay sound with them in the roster.
+// The cross-region attacks ride the adversary suite too: expect_sound must
+// stay sound with them in the roster.
 TEST(Splice, FragmentAdversaryIntegrationStaysSound) {
   const schemes::MstLanguage language;
   const schemes::MstScheme base(language);

@@ -1,6 +1,7 @@
-// SpreadScheme: completeness and soundness of the mechanical 1-round ->
-// t-PLS transform, plus the proof-size/t tradeoff it exists to demonstrate.
-#include "radius/spread.hpp"
+// The spread transform (FragmentSpreadScheme) on globally redundant
+// languages: completeness and soundness of the mechanical 1-round -> t-PLS
+// transform, plus the proof-size/t tradeoff it exists to demonstrate.
+#include "radius/fragment_spread.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@ namespace {
 
 using pls::testing::share;
 
-void expect_complete_t(const SpreadScheme& scheme,
+void expect_complete_t(const FragmentSpreadScheme& scheme,
                        const local::Configuration& cfg) {
   ASSERT_TRUE(scheme.language().contains(cfg));
   const core::Labeling lab = scheme.mark(cfg);
@@ -36,7 +37,7 @@ TEST(Spread, StpCompletenessSweep) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   for (const unsigned t : {1u, 2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     for (auto& g : pls::testing::unweighted_family(131)) {
       util::Rng rng(137);
       expect_complete_t(spread, language.sample_legal(g, rng));
@@ -48,7 +49,7 @@ TEST(Spread, StlCompletenessSweep) {
   const schemes::StlLanguage language;
   const schemes::StlScheme base(language);
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     for (auto& g : pls::testing::unweighted_family(139)) {
       util::Rng rng(149);
       expect_complete_t(spread, language.sample_legal(g, rng));
@@ -60,7 +61,7 @@ TEST(Spread, MstCompletenessSweep) {
   const schemes::MstLanguage language;
   const schemes::MstScheme base(language);
   for (const unsigned t : {2u, 4u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     for (auto& g : pls::testing::weighted_family(151)) {
       util::Rng rng(157);
       expect_complete_t(spread, language.sample_legal(g, rng));
@@ -89,7 +90,7 @@ TEST(Spread, StpSoundOnMeetInTheMiddle) {
   }
   const local::Configuration cfg(g, states);
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     pls::testing::expect_sound(spread, cfg, 163);
   }
 }
@@ -104,7 +105,7 @@ TEST(Spread, StpSoundOnCycle) {
         g->id(static_cast<graph::NodeIndex>((v + 1) % 6))));
   const local::Configuration cfg(g, states);
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     pls::testing::expect_sound(spread, cfg, 167);
   }
 }
@@ -116,7 +117,7 @@ TEST(Spread, StpSoundOnTwoRoots) {
   auto cfg = language.make_tree(g, 0).with_state(
       3, schemes::encode_pointer(std::nullopt));
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     pls::testing::expect_sound(spread, cfg, 173);
   }
 }
@@ -124,7 +125,7 @@ TEST(Spread, StpSoundOnTwoRoots) {
 TEST(Spread, TamperedCertificateRejected) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   util::Rng rng(179);
   auto g = share(graph::grid(4, 4));
   const auto cfg = language.sample_legal(g, rng);
@@ -137,7 +138,7 @@ TEST(Spread, TamperedCertificateRejected) {
 TEST(Spread, RadiusBeyondDiameterStillComplete) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 32);
+  const FragmentSpreadScheme spread(base, 32);
   auto g = share(graph::path(6));  // diameter 5 << 32
   expect_complete_t(spread, language.make_tree(g, 2));
 }
@@ -147,7 +148,7 @@ TEST(Spread, RadiusBeyondDiameterStillComplete) {
 TEST(Spread, DisconnectedAgreeComponents) {
   const schemes::AgreeLanguage language(48);
   const schemes::AgreeScheme base(language);
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   graph::Graph::Builder b;
   for (graph::RawId id = 1; id <= 7; ++id) b.add_node(id);
   b.add_edge(0, 1);
@@ -168,10 +169,10 @@ TEST(Spread, DisconnectedAgreeComponents) {
 TEST(Spread, InvalidRadiiRejected) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  EXPECT_THROW(SpreadScheme(base, 0), std::logic_error);
-  EXPECT_THROW(SpreadScheme(base, 64), std::logic_error);
+  EXPECT_THROW(FragmentSpreadScheme(base, 0), std::logic_error);
+  EXPECT_THROW(FragmentSpreadScheme(base, 64), std::logic_error);
   // Running a radius-4 scheme in a radius-2 engine is invalid input too.
-  const SpreadScheme spread(base, 4);
+  const FragmentSpreadScheme spread(base, 4);
   auto g = share(graph::path(5));
   const auto cfg = language.make_tree(g, 0);
   const core::Labeling lab = spread.mark(cfg);
@@ -181,7 +182,7 @@ TEST(Spread, InvalidRadiiRejected) {
 TEST(Spread, BallSchemeRejectsOneRoundEngine) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
-  const SpreadScheme spread(base, 2);
+  const FragmentSpreadScheme spread(base, 2);
   auto g = share(graph::path(4));
   const auto cfg = language.make_tree(g, 0);
   const core::Labeling lab = spread.mark(cfg);
@@ -201,7 +202,7 @@ TEST(Spread, MaxBitsDecreaseWithRadius) {
 
   std::size_t prev = base.mark(cfg).max_bits();
   for (const unsigned t : {2u, 4u, 8u}) {
-    const SpreadScheme spread(base, t);
+    const FragmentSpreadScheme spread(base, t);
     const std::size_t bits = spread.mark(cfg).max_bits();
     EXPECT_LT(bits, prev) << "t=" << t;
     prev = bits;
@@ -209,9 +210,9 @@ TEST(Spread, MaxBitsDecreaseWithRadius) {
 }
 
 // The spread header's residue field is sized by the actual chunk-count cap
-// k <= t/2 + 1, not by the 6-bit worst case of the k field: the bound must
-// still dominate every marker output across the registry, and shrink as the
-// old hardcoded bit_width(62) residue bound is replaced.
+// k <= t/2 + 1, not by the worst case of the k field: the bound must still
+// dominate every marker output across the registry, and shrink as the old
+// hardcoded bit_width(62) residue bound is replaced.
 TEST(Spread, ProofSizeBoundCoversRegistryAtAllRadii) {
   util::Rng rng(941);
   for (const schemes::SchemeEntry& entry : schemes::standard_catalog()) {
@@ -226,7 +227,7 @@ TEST(Spread, ProofSizeBoundCoversRegistryAtAllRadii) {
     }
     const local::Configuration cfg = entry.language->sample_legal(g, rng);
     for (const unsigned t : {1u, 2u, 4u, 8u}) {
-      const SpreadScheme spread(*entry.scheme, t);
+      const FragmentSpreadScheme spread(*entry.scheme, t);
       const core::Labeling lab = spread.mark(cfg);
       const std::size_t bound =
           spread.proof_size_bound(cfg.n(), cfg.max_state_bits());
@@ -243,7 +244,7 @@ TEST(Spread, ProofSizeBoundCoversRegistryAtAllRadii) {
       ASSERT_GE(bound, base_bound);
       const std::size_t header_budget = bound - base_bound;
       for (const local::Certificate& cert : lab.certs) {
-        const auto wire = detail::parse_wire(cert);
+        const auto wire = detail::parse_fragment_wire(cert);
         ASSERT_TRUE(wire.has_value()) << spread.name();
         const std::size_t measured_header = cert.bit_size() -
                                             wire->suffix.bit_size() -
@@ -253,9 +254,11 @@ TEST(Spread, ProofSizeBoundCoversRegistryAtAllRadii) {
 
       // Tightness regression: the residue field is sized by k <= t/2 + 1,
       // so for t <= 8 the bound must be strictly below the old formula that
-      // budgeted the residue at the k field's 6-bit ceiling.
-      EXPECT_LT(bound, base_bound + detail::kChunkCountField +
+      // budgeted the residue at the 6-bit header's ceiling (the region id
+      // budget is the same on both sides).
+      EXPECT_LT(bound, base_bound + detail::kHeaderBits +
                            util::bit_width_for(62) +
+                           detail::varint_bits(16 * cfg.n() * cfg.n() + 1) +
                            detail::varint_bits(base_bound))
           << spread.name();
     }
