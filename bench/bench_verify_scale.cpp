@@ -201,9 +201,9 @@ Row measure(const core::Scheme& scheme, const local::Configuration& cfg,
 
   // Micro-assert for the staged pipeline: the run_one path serves geometry
   // through the atlas and interns chunk payloads into dense ids after the
-  // parallel parse (link_parses), while the baseline engine rebuilds balls
-  // and re-parses raw BitStrings everywhere — any divergence between the
-  // two shows up right here.
+  // parallel parse (the verifier's LinkTable), while the baseline engine
+  // rebuilds balls and re-parses raw BitStrings everywhere — any divergence
+  // between the two shows up right here.
   row.verdicts_identical =
       same_verdict(baseline, seq) && same_verdict(baseline, par);
   PLS_ASSERT(row.verdicts_identical);

@@ -217,8 +217,6 @@ void absorb(MetricsRegistry& registry, const radius::DeltaStats& stats) {
                      static_cast<double>(stats.certs_reparsed));
   registry.set_gauge("delta.links_incremental",
                      static_cast<double>(stats.links_incremental));
-  registry.set_gauge("delta.links_full",
-                     static_cast<double>(stats.links_full));
   registry.set_gauge("delta.link_reseeds",
                      static_cast<double>(stats.link_reseeds));
   registry.set_gauge("delta.centers_reswept",

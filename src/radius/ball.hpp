@@ -40,12 +40,14 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "graph/bfs_core.hpp"
 #include "local/views.hpp"
 #include "pls/certificate.hpp"
+#include "util/bitstring.hpp"
 
 namespace pls::radius {
 
@@ -221,13 +223,28 @@ class BallBuilder {
 };
 
 /// Base class for scheme-defined parsed certificates (the parse-once cache of
-/// the verification pipeline).  A BallScheme that overrides parse_cert
-/// returns its own subclass; stage 2 parses each node's certificate exactly
-/// once and hands the per-node results to every verify_ball call through
-/// RadiusContext::parsed.
+/// the verification pipeline).  BallScheme::parse_cert returns the scheme's
+/// own subclass; stage 2 parses each node's certificate exactly once, interns
+/// every parse's link key (detail::LinkTable, parse_link.hpp), and hands the
+/// per-node results to every verify_ball call through RadiusContext::parsed.
 class ParsedCert {
  public:
+  /// link_class of a parse that was never interned: it has no link key, or
+  /// it lives outside a verifier's parse cache.
+  static constexpr std::uint32_t kUnlinked =
+      std::numeric_limits<std::uint32_t>::max();
+
   virtual ~ParsedCert() = default;
+
+  /// The payload stage 2 interns for this parse — for the spread scheme,
+  /// its chunk — or nullptr when there is nothing to intern.  Must stay
+  /// valid and unchanged while the parse is resident.
+  virtual const util::BitString* link_key() const noexcept { return nullptr; }
+
+  /// Dense class id of link_key(), assigned by the verifier's link phase:
+  /// two resident parses carry equal ids iff their keys are bit-identical,
+  /// so the sweep's equality checks compare ids instead of BitStrings.
+  std::uint32_t link_class = kUnlinked;
 
  protected:
   ParsedCert() = default;
@@ -260,7 +277,8 @@ class RadiusContext {
   std::size_t network_size() const noexcept { return network_size_; }
 
   /// Parse-once cache (stage 2): true when every node's certificate was
-  /// pre-parsed by the scheme's parse_cert hook.
+  /// pre-parsed by the scheme's parse_cert (BatchVerifier always supplies
+  /// one; the reference engine run_verifier_t_baseline never does).
   bool has_parse_cache() const noexcept { return !parsed_.empty(); }
 
   /// The cached parse of node v's certificate; nullptr means parse_cert

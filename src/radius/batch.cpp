@@ -3,6 +3,7 @@
 #include "obs/trace.hpp"
 #include "pls/engine.hpp"
 #include "util/assert.hpp"
+#include "util/failpoint.hpp"
 
 namespace pls::radius {
 
@@ -22,10 +23,6 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
   if (ball_scheme_ != nullptr) PLS_REQUIRE(t >= ball_scheme_->radius());
   pool_ = std::make_unique<util::ThreadPool>(threads_);
   slots_.resize(threads_);
-  // Per-verifier incremental-link state (null = scheme has no relink hook;
-  // delta runs then fall back to a full link_parses pass).
-  if (ball_scheme_ != nullptr && ball_scheme_->has_cert_parser())
-    link_state_ = ball_scheme_->make_link_state();
   if (options.metrics != nullptr) {
     obs::MetricsRegistry& m = *options.metrics;
     metrics_.labelings = &m.counter("verify.labelings");
@@ -63,12 +60,13 @@ void BatchVerifier::finish_sweep() {
 void BatchVerifier::parse_link(const core::Labeling& labeling,
                                ParsedLabeling& out, bool parallel) {
   const std::size_t n = cfg_.n();
-  out.pins.clear();  // the half's previous labeling is gone either way
+  out.pin.reset();  // the half's previous labeling is gone either way
   out.storage.clear();
   out.storage.resize(n);
   out.view.assign(n, nullptr);
   const auto parse_chunk = [&](unsigned, std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
+      PLS_FAILPOINT("radius.parse");
       out.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
       out.view[v] = out.storage[v].get();
     }
@@ -80,16 +78,11 @@ void BatchVerifier::parse_link(const core::Labeling& labeling,
   } else {
     parse_chunk(0, 0, n);
   }
-  // Link phase: intern payloads repeated across the per-node parses into
-  // small dense ids; single-threaded, the sweep workers only read the
-  // linked parses.  With incremental-link support the full link goes
-  // through the verifier's persistent LinkState (same observable ids), so
-  // ANY full run leaves a table a later run_delta can relink against.
-  if (link_state_ != nullptr) {
-    ball_scheme_->link_parses_stateful(*link_state_, out.storage);
-  } else {
-    ball_scheme_->link_parses(out.storage);
-  }
+  // Link phase: intern the parses' link keys into small dense ids;
+  // single-threaded, the sweep workers only read the linked parses.  The
+  // table persists in the verifier, so ANY full run leaves one a later
+  // run_delta can relink against.
+  link_.link(out.storage);
 }
 
 util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
@@ -119,10 +112,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     };
   }
 
-  const std::span<const ParsedCert* const> cache =
-      ball_scheme_->has_cert_parser()
-          ? std::span<const ParsedCert* const>(parsed.view)
-          : std::span<const ParsedCert* const>();
+  const std::span<const ParsedCert* const> cache = parsed.view;
   const unsigned radius = ball_scheme_->radius();
   const local::Visibility mode = scheme_.visibility();
   return [this, &labeling, &accept, center_of, cache, radius, mode](
@@ -174,18 +164,14 @@ std::vector<core::Verdict> BatchVerifier::run(
     return i < pins.size() ? pins[i] : BufferPin();
   };
   const auto install_pin = [this, &pin_of](std::size_t i) {
-    ParsedLabeling& half = parsed_[i % 2];
-    half.pins.clear();
-    if (BufferPin pin = pin_of(i); pin != nullptr)
-      half.pins.push_back(std::move(pin));
+    parsed_[i % 2].pin = pin_of(i);
   };
 
   std::vector<core::Verdict> verdicts;
   verdicts.reserve(labelings.size());
   if (labelings.empty()) return verdicts;  // resident state untouched
 
-  const bool cached =
-      ball_scheme_ != nullptr && ball_scheme_->has_cert_parser();
+  const bool cached = ball_scheme_ != nullptr;
 
   // Cancellation observed before any buffer is touched leaves the resident
   // state intact; once past this point an abandoned run clears it like any
@@ -294,39 +280,30 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
 
   // Stage 2, incremental: re-parse exactly the touched certificates into
   // the resident cache (clean entries carry forward across the labeling
-  // boundary), then re-link them — with stable ids through the scheme's
-  // LinkState, or by the full-relink fallback, which reassigns every
-  // resident entry consistently and is therefore equally correct.
-  const bool cached =
-      ball_scheme_ != nullptr && ball_scheme_->has_cert_parser();
-  // The resident half's pins: the carried-forward parses are owned copies,
-  // so earlier buffers' pins are no longer load-bearing — swap them for
-  // the new frame's (defensively covering the parses just taken from it)
-  // instead of accumulating one per delta across an unbounded stream.
-  // Without a parse cache the half holds no views into any buffer at all,
-  // so the pins are dropped outright.
-  parsed_[resident_].pins.clear();
-  if (cached && pin != nullptr)
-    parsed_[resident_].pins.push_back(std::move(pin));
+  // boundary), then re-link them against the verifier's LinkTable, whose
+  // stable ids keep carried-forward parses comparable with fresh ones.
+  const bool cached = ball_scheme_ != nullptr;
+  // The resident half's pin: the carried-forward parses are owned copies,
+  // so earlier buffers' pins are no longer load-bearing — swap in the new
+  // frame's (defensively covering the parses just taken from it) instead of
+  // accumulating one per delta across an unbounded stream.  Without a parse
+  // cache the half holds no views into any buffer at all, so the pin is
+  // dropped outright.
+  parsed_[resident_].pin = cached ? std::move(pin) : BufferPin();
   if (cached) {
     PLS_TRACE_SPAN("delta.reparse", delta.touched.size());
     obs::ScopedTimer parse_timer(metrics_.delta_parse);
     ParsedLabeling& parsed = parsed_[resident_];
     PLS_ASSERT(parsed.storage.size() == n);
     for (const graph::NodeIndex v : delta.touched) {
+      PLS_FAILPOINT("radius.parse");
       parsed.storage[v] = ball_scheme_->parse_cert(next.certs[v]);
       parsed.view[v] = parsed.storage[v].get();
     }
     delta_stats_.certs_reparsed += delta.touched.size();
-    if (link_state_ != nullptr) {
-      ball_scheme_->relink_parses(*link_state_, parsed.storage,
-                                  delta.touched);
-      ++delta_stats_.links_incremental;
-      delta_stats_.link_reseeds = link_state_->reseeds;
-    } else {
-      ball_scheme_->link_parses(parsed.storage);
-      ++delta_stats_.links_full;
-    }
+    link_.relink(parsed.storage, delta.touched);
+    ++delta_stats_.links_incremental;
+    delta_stats_.link_reseeds = link_.reseeds();
   }
 
   // Stage 3, dirty-center sweep: only centers whose decoding radius reaches
@@ -356,11 +333,6 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
 
   resident_valid_ = true;
   return splice_verdict();
-}
-
-core::Verdict BatchVerifier::run_delta(const core::Labeling& prev,
-                                       const core::Labeling& next) {
-  return run_delta(next, LabelingDelta::diff(prev, next));
 }
 
 core::Verdict BatchVerifier::run_one(const core::Labeling& labeling,

@@ -9,7 +9,9 @@
 //   2. PARSE/LINK — labeling-dependent, center-independent: each node's
 //                  certificate parsed exactly once per labeling
 //                  (BallScheme::parse_cert), then the single-threaded link
-//                  phase interns repeated payloads (link_parses).
+//                  phase interns the parses' link keys into dense class ids
+//                  (detail::LinkTable, parse_link.hpp — owned here, the one
+//                  link contract for every scheme).
 //   3. SWEEP     — per-center verify_ball over geometry bound to the
 //                  labeling, fanned out over util::ThreadPool's chunked
 //                  work-stealing split (skewed ball sizes rebalance across
@@ -34,13 +36,11 @@
 // k nodes.  The delta path (a) re-parses only the touched certificates into
 // the resident half of the double-buffered parse cache, carrying every
 // clean entry forward across the labeling boundary; (b) re-links them
-// incrementally through BallScheme::relink_parses with per-verifier
-// LinkState — stable class ids keep carried-forward parses comparable with
-// fresh ones — falling back to a full link_parses for schemes without the
-// hook; (c) resolves the dirty-center set through the reverse-ball index
-// (DirtyIndex, delta.hpp — ball symmetry served by the geometry atlas) and
-// sweeps only those over the pool, splicing carried-forward verdicts for
-// the clean centers.  Verdicts are bit-identical to a from-scratch run at
+// incrementally through the verifier's LinkTable — stable class ids keep
+// carried-forward parses comparable with fresh ones; (c) resolves the
+// dirty-center set through the reverse-ball index (DirtyIndex, delta.hpp —
+// ball symmetry served by the geometry atlas) and sweeps only those over the
+// pool, splicing carried-forward verdicts for the clean centers.  Verdicts are bit-identical to a from-scratch run at
 // every thread count; DeltaStats is the observable proof that an empty
 // delta does no stage work at all.  pls::core::attack feeds its hill-climb
 // steps through this path.
@@ -57,6 +57,7 @@
 #include "radius/atlas.hpp"
 #include "radius/delta.hpp"
 #include "radius/engine_t.hpp"
+#include "radius/parse_link.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pls::radius {
@@ -124,13 +125,6 @@ class BatchVerifier {
                           const LabelingDelta& delta,
                           BufferPin pin = nullptr);
 
-  /// Convenience for callers that did not track their mutations: diffs the
-  /// two labelings (O(n) certificate compares — the hill-climb passes an
-  /// explicit delta instead) and applies the delta.  `prev` must be the
-  /// resident labeling.
-  core::Verdict run_delta(const core::Labeling& prev,
-                          const core::Labeling& next);
-
   /// Whether a resident labeling exists for run_delta to build on (set by
   /// every successful run, cleared while a run is in flight or after one
   /// throws).
@@ -180,7 +174,7 @@ class BatchVerifier {
   struct ParsedLabeling {
     std::vector<std::unique_ptr<ParsedCert>> storage;
     std::vector<const ParsedCert*> view;
-    std::vector<BufferPin> pins;
+    BufferPin pin;
   };
 
   void parse_link(const core::Labeling& labeling, ParsedLabeling& out,
@@ -235,11 +229,11 @@ class BatchVerifier {
   unsigned resident_ = 0;        ///< buffer half holding the resident state
   bool resident_valid_ = false;  ///< a resident labeling exists for deltas
 
-  // Delta-path machinery: the reverse-ball index and the scheme's
-  // persistent interning state (null when the scheme has no incremental
-  // link — delta runs then fall back to a full link_parses).
+  // Stage-2 link phase: the interning table every full run resets and every
+  // delta relinks against (parse_link.hpp).  Delta-path machinery: the
+  // reverse-ball index.
+  detail::LinkTable link_;
   DirtyIndex dirty_index_;
-  std::unique_ptr<LinkState> link_state_;
   DeltaStats delta_stats_;
 
   // Cooperative cancellation token (see set_cancel); caller-thread-only

@@ -20,10 +20,11 @@
 // The index therefore derives the dirty set by reading ball membership from
 // the atlas (each touched node is itself a dirty center of its own block, so
 // a lookup never builds geometry the sweep won't want), deduplicating with
-// an epoch-stamped visited set, and handing back the centers sorted — the
-// order the sweep's static partition wants for block locality.  At r = 1 the
-// ball is the closed neighborhood and the graph's adjacency answers
-// directly, with no geometry at all (the plain 1-round schemes' path).
+// an epoch-stamped visited set, and handing back the centers sorted — so
+// each contiguous chunk the work-stealing sweep claims walks its atlas
+// blocks in order.  At r = 1 the ball is the closed neighborhood and the
+// graph's adjacency answers directly, with no geometry at all (the plain
+// 1-round schemes' path).
 #pragma once
 
 #include <cstdint>
@@ -57,9 +58,8 @@ struct DeltaStats {
   std::uint64_t delta_runs = 0;        ///< run_delta calls
   std::uint64_t empty_runs = 0;        ///< of those: no touched node at all
   std::uint64_t certs_reparsed = 0;    ///< stage-2 parses done by delta runs
-  std::uint64_t links_incremental = 0; ///< relink_parses calls (stable ids)
-  std::uint64_t links_full = 0;        ///< full-relink fallbacks
-  std::uint64_t link_reseeds = 0;      ///< LinkState memory-bound rebuilds
+  std::uint64_t links_incremental = 0; ///< LinkTable relinks (stable ids)
+  std::uint64_t link_reseeds = 0;      ///< LinkTable memory-bound rebuilds
                                        ///< (intern-table epoch resets)
   std::uint64_t centers_reswept = 0;   ///< stage-3 verify calls by delta runs
   std::uint64_t verdicts_carried = 0;  ///< clean centers spliced, not swept

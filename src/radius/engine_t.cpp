@@ -11,37 +11,6 @@ bool BallScheme::verify(const local::VerifierContext&) const {
       __FILE__, __LINE__);
 }
 
-std::unique_ptr<ParsedCert> BallScheme::parse_cert(
-    const local::Certificate&) const {
-  util::contract_failure(
-      "precondition", "parse_cert called on a scheme without a cert parser",
-      __FILE__, __LINE__);
-}
-
-void BallScheme::link_parses(
-    std::span<const std::unique_ptr<ParsedCert>>) const {}
-
-std::unique_ptr<LinkState> BallScheme::make_link_state() const {
-  return nullptr;  // no incremental link; delta runs fall back to link_parses
-}
-
-void BallScheme::link_parses_stateful(
-    LinkState&, std::span<const std::unique_ptr<ParsedCert>>) const {
-  util::contract_failure(
-      "precondition",
-      "link_parses_stateful called on a scheme without incremental link",
-      __FILE__, __LINE__);
-}
-
-void BallScheme::relink_parses(LinkState&,
-                               std::span<const std::unique_ptr<ParsedCert>>,
-                               std::span<const graph::NodeIndex>) const {
-  util::contract_failure(
-      "precondition",
-      "relink_parses called on a scheme without incremental link",
-      __FILE__, __LINE__);
-}
-
 std::vector<SchemeAttack> BallScheme::adversarial_labelings(
     const local::Configuration&, util::Rng&) const {
   return {};

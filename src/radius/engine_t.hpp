@@ -17,9 +17,7 @@
 //     verification_round_bits at t = 1.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,33 +35,6 @@ struct SchemeAttack {
   core::Labeling labeling;
 };
 
-/// Opaque per-verifier state of the incremental link path: whatever a scheme
-/// must remember across a delta stream so relink_parses can hand out
-/// *stable* ids — for the spread scheme, the append-only payload -> class
-/// interning table (parse_link.hpp).  Owned by the BatchVerifier, created by
-/// BallScheme::make_link_state, never shared between verifiers (link state
-/// is mutated single-threaded in stage 2).
-///
-/// Thread contract (the compile-time analysis's terms): LinkState carries no
-/// capability of its own — it is serialized by its owning BatchVerifier's
-/// single-caller contract, mutated only in the stage-2 link phase, and the
-/// sweep workers that later read the ids it minted are ordered behind that
-/// mutation by the ThreadPool's job hand-off (pool mutex).  A scheme must
-/// not stash shared mutable state here without adding a capability for it.
-class LinkState {
- public:
-  virtual ~LinkState() = default;
-
-  /// Times the scheme rebuilt this state from scratch mid-stream to bound
-  /// its memory (the spread scheme re-seeds its append-only intern table
-  /// once dead ids outnumber live ones, parse_link.hpp).  Cumulative over
-  /// the state's lifetime; surfaced as DeltaStats::link_reseeds.
-  std::uint64_t reseeds = 0;
-
- protected:
-  LinkState() = default;
-};
-
 /// A scheme whose decoder reads a radius-t ball instead of the 1-hop view.
 class BallScheme : public core::Scheme {
  public:
@@ -73,57 +44,17 @@ class BallScheme : public core::Scheme {
   /// The decoder, run independently at every center.
   virtual bool verify_ball(const RadiusContext& ctx) const = 0;
 
-  /// Parse-once hook.  A scheme that returns true here must override
-  /// parse_cert; BatchVerifier then parses every node's certificate
-  /// exactly once per labeling and exposes the results to verify_ball via
+  /// Stage 2 of the parse-once pipeline: parses one certificate into the
+  /// scheme's own ParsedCert subclass; nullptr means malformed (the scheme's
+  /// verify_ball decides what a malformed member implies — for every scheme
+  /// so far, reject).  BatchVerifier parses every node's certificate exactly
+  /// once per labeling, interns the parses' link keys (ParsedCert::link_key,
+  /// parse_link.hpp), and exposes the results to verify_ball via
   /// RadiusContext::parsed, instead of each of the O(n) overlapping balls
-  /// re-parsing the same certificates.
-  virtual bool has_cert_parser() const noexcept { return false; }
-
-  /// Parses one certificate into the scheme's own ParsedCert subclass;
-  /// nullptr means malformed (the scheme's verify_ball decides what a
-  /// malformed member implies — for every scheme so far, reject).  Must be
-  /// thread-safe: the verifier parses nodes in parallel.
+  /// re-parsing the same certificates.  Must be thread-safe: the verifier
+  /// parses nodes in parallel.
   virtual std::unique_ptr<ParsedCert> parse_cert(
-      const local::Certificate& cert) const;
-
-  /// Link phase of the parse-once pipeline.  BatchVerifier calls this
-  /// once per labeling, after the parallel parse and before any verify_ball,
-  /// with every node's parse (entries are null for malformed certificates).
-  /// Schemes intern payloads repeated across nodes — the spread scheme's
-  /// chunk bit strings — into small dense ids here, so the per-ball equality
-  /// checks on the hot path compare ids instead of BitStrings.  Runs on one
-  /// thread; the linked parses are read-shared by all workers afterwards.
-  virtual void link_parses(
-      std::span<const std::unique_ptr<ParsedCert>> parsed) const;
-
-  /// Incremental-link support (the delta path, radius/delta.hpp).  A scheme
-  /// that returns non-null state here must override both stateful hooks
-  /// below; nullptr (the default) makes BatchVerifier::run_delta fall back
-  /// to a full link_parses pass per delta — still correct (a full re-link
-  /// assigns ids consistently across every resident parse, and clean
-  /// centers' carried verdicts depend only on certificate bits), just O(n)
-  /// instead of O(|touched|).
-  virtual std::unique_ptr<LinkState> make_link_state() const;
-
-  /// Stateful full link: same observable result as link_parses, and
-  /// additionally records the interning tables in `state` so later
-  /// relink_parses calls against the same parse cache hand out stable ids.
-  /// BatchVerifier uses this on every full run when make_link_state
-  /// returned non-null, so any full run can seed a delta stream.
-  virtual void link_parses_stateful(
-      LinkState& state,
-      std::span<const std::unique_ptr<ParsedCert>> parsed) const;
-
-  /// Incremental link: re-links only `touched` nodes' parses (the rest of
-  /// `parsed` is carried forward from the run that last filled `state`).
-  /// The stability contract that keeps mixed old/new comparisons valid:
-  /// across every call sharing one `state` since its last full link, two
-  /// parse entries carry the same class id iff their payloads are
-  /// bit-identical — ids are never reused for different payloads.
-  virtual void relink_parses(LinkState& state,
-                             std::span<const std::unique_ptr<ParsedCert>> parsed,
-                             std::span<const graph::NodeIndex> touched) const;
+      const local::Certificate& cert) const = 0;
 
   /// Scheme-aware adversarial labelings for the attack suite: labelings
   /// that target the scheme's own structural invariants, beyond what the

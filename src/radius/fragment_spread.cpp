@@ -5,7 +5,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "radius/parse_link.hpp"
 #include "radius/splice.hpp"
 #include "radius/spread_wire.hpp"
 #include "util/assert.hpp"
@@ -24,14 +23,12 @@ constexpr std::uint32_t kUnassigned =
 
 /// The verifier's cached parse of one fragment-spread certificate.
 struct FragmentParsed final : ParsedCert {
-  static constexpr std::uint32_t kUnlinked =
-      std::numeric_limits<std::uint32_t>::max();
-
   explicit FragmentParsed(FragmentWire w) : wire(std::move(w)) {}
+  /// The chunk payload: link_class is its interned class.
+  const util::BitString* link_key() const noexcept override {
+    return &wire.chunk;
+  }
   FragmentWire wire;
-  /// Dense chunk-payload class assigned by link_parses: equal ids iff the
-  /// chunks are bit-identical.  kUnlinked outside a verifier's cache.
-  std::uint32_t chunk_class = kUnlinked;
 };
 
 /// One region decomposition, fully resolved: dense region index per node,
@@ -244,29 +241,6 @@ std::unique_ptr<ParsedCert> FragmentSpreadScheme::parse_cert(
   return std::make_unique<FragmentParsed>(std::move(*wire));
 }
 
-void FragmentSpreadScheme::link_parses(
-    std::span<const std::unique_ptr<ParsedCert>> parsed) const {
-  detail::intern_chunk_classes<FragmentParsed>(parsed);
-}
-
-std::unique_ptr<LinkState> FragmentSpreadScheme::make_link_state() const {
-  return std::make_unique<detail::ChunkInternState>();
-}
-
-void FragmentSpreadScheme::link_parses_stateful(
-    LinkState& state,
-    std::span<const std::unique_ptr<ParsedCert>> parsed) const {
-  detail::intern_chunk_classes_stateful<FragmentParsed>(
-      static_cast<detail::ChunkInternState&>(state), parsed);
-}
-
-void FragmentSpreadScheme::relink_parses(
-    LinkState& state, std::span<const std::unique_ptr<ParsedCert>> parsed,
-    std::span<const graph::NodeIndex> touched) const {
-  detail::relink_chunk_classes<FragmentParsed>(
-      static_cast<detail::ChunkInternState&>(state), parsed, touched);
-}
-
 std::vector<SchemeAttack> FragmentSpreadScheme::adversarial_labelings(
     const local::Configuration& cfg, util::Rng& rng) const {
   std::vector<SchemeAttack> attacks = fragment_splice_attacks(*this, cfg, rng);
@@ -399,14 +373,14 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
   std::vector<const FragmentWire*>& parsed = scratch.parsed;
   std::vector<std::uint32_t>& chunk_class = scratch.chunk_class;
   parsed.assign(members.size(), nullptr);
-  chunk_class.assign(members.size(), FragmentParsed::kUnlinked);
+  chunk_class.assign(members.size(), ParsedCert::kUnlinked);
   if (ctx.has_parse_cache()) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       const auto* p =
           static_cast<const FragmentParsed*>(ctx.parsed(members[i].node));
       if (p == nullptr) return false;  // malformed certificate in the ball
       parsed[i] = &p->wire;
-      chunk_class[i] = p->chunk_class;
+      chunk_class[i] = p->link_class;
     }
   } else {
     std::vector<FragmentWire>& local_parses = scratch.local_parses;
@@ -482,7 +456,7 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       rep = static_cast<std::uint32_t>(i);
       continue;
     }
-    const bool equal = chunk_class[i] != FragmentParsed::kUnlinked
+    const bool equal = chunk_class[i] != ParsedCert::kUnlinked
                            ? chunk_class[i] == chunk_class[rep]
                            : parsed[i]->chunk == parsed[rep]->chunk;
     if (!equal) return false;

@@ -79,27 +79,11 @@ class FragmentSpreadScheme final : public BallScheme {
                                std::size_t state_bits) const override;
 
   /// Parse-once support (batch.hpp): the cached parse carries the wire's
-  /// region id, so the verifier's parse cache is region-aware.
-  bool has_cert_parser() const noexcept override { return true; }
+  /// region id, so the verifier's parse cache is region-aware, and exposes
+  /// its chunk payload as the link key, so per-ball chunk agreement on the
+  /// sweep hot path compares interned ids, not BitStrings.
   std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const override;
-
-  /// Interns chunk payloads into dense class ids after the parallel parse
-  /// (equal id <=> bit-identical chunk), so per-ball chunk agreement on the
-  /// sweep hot path compares ids, not BitStrings.
-  void link_parses(
-      std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
-
-  /// Incremental link (the delta path): a persistent interning table —
-  /// region ids live in the wire, so only the chunk payload needs stable
-  /// interning.
-  std::unique_ptr<LinkState> make_link_state() const override;
-  void link_parses_stateful(
-      LinkState& state,
-      std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
-  void relink_parses(
-      LinkState& state, std::span<const std::unique_ptr<ParsedCert>> parsed,
-      std::span<const graph::NodeIndex> touched) const override;
 
   /// The splice suite (splice.hpp): two instances' markings stitched
   /// together, rotated residues and region ids, crossed chunk payloads,

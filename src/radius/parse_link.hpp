@@ -1,117 +1,83 @@
-// Link-phase helpers for the spread scheme's parse cache.
+// The link phase of stage 2: interning parsed certificates' link keys.
 //
-// FragmentSpreadScheme implements the link hooks by walking the verifier's
-// per-node parse cache and interning each certificate's chunk payload into
-// a dense class id (equal id <=> bit-identical chunk), so the per-ball
-// chunk-agreement checks on the verify hot path compare ids instead of
-// BitStrings.  The helpers are templated on the ParsedCert subclass, which
-// must expose `wire.chunk` (the payload) and `chunk_class` (the slot to
-// fill).
+// After the parallel parse, BatchVerifier walks its per-node parse cache and
+// interns every parse's link key (ParsedCert::link_key — the spread scheme's
+// chunk payload) into a dense class id, ParsedCert::link_class (equal id <=>
+// bit-identical key).  The per-ball agreement checks on the sweep hot path
+// then compare ids instead of BitStrings.  Parses without a key are left
+// kUnlinked.
 //
-// Two variants serve the two pipeline entries:
+// LinkTable is the one interning table, owned by the verifier and persistent
+// across runs so a delta stream can relink incrementally:
 //
-//   * intern_chunk_classes — the stateless full link (BallScheme::
-//     link_parses): one throwaway table per labeling, ids dense from 0 in
-//     first-encounter order.
-//   * ChunkInternState + the stateful pair — the delta path.  The table
-//     lives in the verifier (BallScheme::make_link_state) and persists
-//     across run_delta calls: a full link resets it (same ids as the
-//     stateless variant, bit for bit), an incremental relink re-interns only
-//     the touched nodes' payloads against it.  The table is append-only
-//     between full links, which is exactly the relink_parses stability
-//     contract: an id once handed out always means the same payload, so a
-//     dirty ball mixing freshly relinked members with members carried
-//     forward from any earlier run still compares classes correctly — in
-//     particular a certificate mutated *back* to its previous value gets its
-//     previous id again.
+//   * link() — the full link of a fresh parse cache: resets the table and
+//     interns every parse, ids dense from 0 in first-encounter (node) order.
+//   * relink() — the delta path: re-interns only the touched nodes' parses
+//     against the table.  The table is append-only between full links, which
+//     is the stability contract: an id once handed out always means the same
+//     payload, so a dirty ball mixing freshly relinked members with members
+//     carried forward from any earlier run still compares classes correctly —
+//     in particular a certificate mutated *back* to its previous value gets
+//     its previous id again.
 //
 // Append-only is a leak under an unbounded mutation stream: every novel
 // payload mints a new entry and nothing ever retires, even though at most n
-// payloads are live (one per resident parse).  relink_chunk_classes therefore
-// re-seeds — runs the O(n) stateful full link — once the table exceeds
-// kReseedClassMultiple * n.  A full link is the stability contract's epoch
-// boundary anyway: it resets the table and re-interns every resident parse in
-// one pass, so no comparison ever mixes ids from both sides of the reset.
+// payloads are live (one per resident parse).  relink() therefore re-seeds —
+// runs the O(n) full link — once the table exceeds kReseedClassMultiple * n.
+// A full link is the stability contract's epoch boundary anyway: it resets
+// the table and re-interns every resident parse in one pass, so no
+// comparison ever mixes ids from both sides of the reset.
+//
+// Thread contract: LinkTable carries no capability of its own.  It is
+// serialized by its owning BatchVerifier's single-caller contract and mutated
+// only in stage 2; the sweep workers that later read the ids it minted are
+// ordered behind that mutation by the ThreadPool's job hand-off (pool mutex).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
 
+#include "graph/graph.hpp"
 #include "radius/ball.hpp"
-#include "radius/engine_t.hpp"
-#include "util/assert.hpp"
 #include "util/bitstring.hpp"
 
 namespace pls::radius::detail {
 
-/// The spread scheme's per-verifier link state: the chunk-payload interning
-/// table shared by both stateful helpers below.
-class ChunkInternState final : public LinkState {
- public:
-  std::unordered_map<util::BitString, std::uint32_t, util::BitStringHash>
-      classes;
-};
-
-/// Incremental relinks re-seed the intern table (O(n) full link) once it
-/// exceeds this multiple of the resident parse count, bounding a delta
-/// stream's memory at ~kReseedClassMultiple live-set sizes of dead ids.
+/// Incremental relinks re-seed the table (O(n) full link) once it exceeds
+/// this multiple of the resident parse count, bounding a delta stream's
+/// memory at ~kReseedClassMultiple live-set sizes of dead ids.
 inline constexpr std::size_t kReseedClassMultiple = 4;
 
-template <typename Parsed>
-void intern_into(
-    std::unordered_map<util::BitString, std::uint32_t, util::BitStringHash>&
-        classes,
-    const std::unique_ptr<ParsedCert>& p) {
-  if (p == nullptr) return;
-  auto* sp = static_cast<Parsed*>(p.get());
-  // Ids are minted from the table size: past 2^32 entries the cast would
-  // wrap and silently alias two distinct payloads — the one failure a
-  // verifier must never turn into a wrong verdict.  The re-seed bound keeps
-  // real streams far below this; the check makes the contract explicit.
-  PLS_ASSERT(classes.size() <=
-             std::numeric_limits<std::uint32_t>::max());
-  const auto [it, inserted] =
-      classes.emplace(sp->wire.chunk, static_cast<std::uint32_t>(classes.size()));
-  sp->chunk_class = it->second;
-}
+class LinkTable {
+ public:
+  /// Full link: resets the table, then interns every parse (null entries —
+  /// malformed certificates — and keyless parses are skipped).
+  void link(std::span<const std::unique_ptr<ParsedCert>> parsed);
 
-template <typename Parsed>
-void intern_chunk_classes(
-    std::span<const std::unique_ptr<ParsedCert>> parsed) {
+  /// Incremental link: re-interns only the `touched` entries of `parsed`
+  /// (the rest are carried forward from earlier runs against this table),
+  /// then re-seeds (the full link's reset + intern pass) if the table has
+  /// outgrown its bound.
+  void relink(std::span<const std::unique_ptr<ParsedCert>> parsed,
+              std::span<const graph::NodeIndex> touched);
+
+  /// Distinct keys interned since the last full link.
+  std::size_t size() const noexcept { return classes_.size(); }
+
+  /// Times relink() re-seeded the table to bound its memory; cumulative
+  /// over the table's lifetime (surfaced as DeltaStats::link_reseeds).
+  std::uint64_t reseeds() const noexcept { return reseeds_; }
+
+ private:
+  void intern(ParsedCert* parsed);
+  void intern_all(std::span<const std::unique_ptr<ParsedCert>> parsed);
+
   std::unordered_map<util::BitString, std::uint32_t, util::BitStringHash>
-      classes;
-  for (const std::unique_ptr<ParsedCert>& p : parsed)
-    intern_into<Parsed>(classes, p);
-}
-
-/// Stateful full link: resets the table, then interns every parse — the
-/// observable ids are identical to intern_chunk_classes's.
-template <typename Parsed>
-void intern_chunk_classes_stateful(
-    ChunkInternState& state,
-    std::span<const std::unique_ptr<ParsedCert>> parsed) {
-  state.classes.clear();
-  for (const std::unique_ptr<ParsedCert>& p : parsed)
-    intern_into<Parsed>(state.classes, p);
-}
-
-/// Incremental relink: re-interns only `touched` entries against the
-/// persistent (append-only since the last full link) table, then re-seeds
-/// via the stateful full link if the table has outgrown its bound.
-template <typename Parsed>
-void relink_chunk_classes(ChunkInternState& state,
-                          std::span<const std::unique_ptr<ParsedCert>> parsed,
-                          std::span<const graph::NodeIndex> touched) {
-  for (const graph::NodeIndex v : touched)
-    intern_into<Parsed>(state.classes, parsed[v]);
-  if (state.classes.size() > kReseedClassMultiple * parsed.size()) {
-    intern_chunk_classes_stateful<Parsed>(state, parsed);
-    ++state.reseeds;
-  }
-}
+      classes_;
+  std::uint64_t reseeds_ = 0;
+};
 
 }  // namespace pls::radius::detail

@@ -367,7 +367,6 @@ TEST(BatchVerifier, ParallelParseIsNotCountedAsASweep) {
   const FragmentSpreadScheme spread(base, 2);
   auto g = share(graph::path(64));
   const local::Configuration cfg = language.make_tree(g, 0);
-  ASSERT_TRUE(spread.has_cert_parser());
 
   obs::MetricsRegistry registry;
   BatchOptions options;

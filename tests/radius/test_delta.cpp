@@ -2,8 +2,8 @@
 // test_fuzz_differential.cpp replays whole mutation trails through it;
 // these pin the mechanism): the reverse-ball index equals brute-force
 // distance, an empty mutation set does literally no stage work, stable
-// interning survives a mutate-back, the full-relink fallback serves schemes
-// without the incremental hook, and run_delta is bit-identical to a
+// interning survives a mutate-back and a full link's epoch reset, parses
+// without a link key relink exactly, and run_delta is bit-identical to a
 // from-scratch run at every thread count.
 #include "radius/delta.hpp"
 
@@ -144,7 +144,6 @@ TEST(BatchVerifierDelta, EmptyDeltaDoesNoWorkAndSplicesTheVerdict) {
   EXPECT_EQ(after.empty_runs, 1u);
   EXPECT_EQ(after.certs_reparsed, 0u);
   EXPECT_EQ(after.links_incremental, 0u);
-  EXPECT_EQ(after.links_full, 0u);
   EXPECT_EQ(after.centers_reswept, 0u);
   EXPECT_EQ(after.verdicts_carried, 0u);
 }
@@ -245,10 +244,11 @@ TEST(BatchVerifierDelta, DeltaAfterBatchBuildsOnTheLastLabeling) {
   const Verdict got = verifier.run_delta(next, delta);
   EXPECT_EQ(got.accept(),
             run_verifier_t_baseline(spread, cfg, next, 2).accept());
-  // And the two-labeling convenience overload diffs for us.
+  // And a delta computed by diffing the two labelings.
   Labeling final = next;
   final.certs[2] = honest.certs[2];
-  const Verdict got2 = verifier.run_delta(next, final);
+  const Verdict got2 =
+      verifier.run_delta(final, LabelingDelta::diff(next, final));
   EXPECT_EQ(got2.accept(),
             run_verifier_t_baseline(spread, cfg, final, 2).accept());
   EXPECT_TRUE(got2.all_accept());  // back to the honest marking
@@ -276,7 +276,6 @@ TEST(BatchVerifierDelta, StatsAccountReparsesAndDirtySweeps) {
   EXPECT_EQ(stats.delta_runs, 1u);
   EXPECT_EQ(stats.certs_reparsed, 1u);
   EXPECT_EQ(stats.links_incremental, 1u);
-  EXPECT_EQ(stats.links_full, 0u);
   // On a path, B(7, 2) = {5, 6, 7, 8, 9}.
   EXPECT_EQ(stats.centers_reswept, 5u);
   EXPECT_EQ(stats.verdicts_carried, cfg.n() - 5u);
@@ -307,16 +306,17 @@ TEST(BatchVerifierDelta, PlainSchemesUseRadiusOneDirtySets) {
   EXPECT_EQ(verifier.atlas().stats().misses, 0u);
 }
 
-/// A ball scheme with a parse cache but no incremental link: accept iff
-/// every ball member's certificate length is congruent to the center's
-/// mod 4 (arbitrary, total, and sensitive to any length mutation).  Its
-/// delta runs must take the full-relink fallback and still be exact.
-class NoRelinkScheme final : public BallScheme {
+/// A ball scheme whose parses have no link key: accept iff every ball
+/// member's certificate length is congruent to the center's mod 4
+/// (arbitrary, total, and sensitive to any length mutation).  Its delta runs
+/// relink through the same LinkTable as the spread scheme's — interning
+/// nothing — and must still be exact.
+class KeylessScheme final : public BallScheme {
  public:
-  explicit NoRelinkScheme(const core::Language& language)
+  explicit KeylessScheme(const core::Language& language)
       : language_(language) {}
 
-  std::string_view name() const noexcept override { return "norelink"; }
+  std::string_view name() const noexcept override { return "keyless"; }
   const core::Language& language() const noexcept override {
     return language_;
   }
@@ -332,7 +332,6 @@ class NoRelinkScheme final : public BallScheme {
     return 0;
   }
 
-  bool has_cert_parser() const noexcept override { return true; }
   std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const override {
     auto parsed = std::make_unique<Parsed>();
@@ -360,9 +359,9 @@ class NoRelinkScheme final : public BallScheme {
   const core::Language& language_;
 };
 
-TEST(BatchVerifierDelta, SchemesWithoutRelinkFallBackToFullLink) {
+TEST(BatchVerifierDelta, KeylessParsesRelinkExactly) {
   const schemes::StpLanguage language;
-  const NoRelinkScheme scheme(language);
+  const KeylessScheme scheme(language);
   util::Rng rng(61009);
   auto g = share(graph::random_connected(18, 10, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
@@ -380,8 +379,8 @@ TEST(BatchVerifierDelta, SchemesWithoutRelinkFallBackToFullLink) {
               run_verifier_t_baseline(scheme, cfg, cur, 2).accept())
         << "step " << step;
   }
-  EXPECT_EQ(verifier.delta_stats().links_full, 6u);
-  EXPECT_EQ(verifier.delta_stats().links_incremental, 0u);
+  EXPECT_EQ(verifier.delta_stats().links_incremental, 6u);
+  EXPECT_EQ(verifier.delta_stats().link_reseeds, 0u);  // nothing interned
 }
 
 // The fragment spread's delta runs under region structure: mutations of
@@ -410,65 +409,113 @@ TEST(BatchVerifierDelta, FragmentSpreadDeltasMatchFullRuns) {
   expect_delta_matches_full(spread, cfg, 4, honest, stream, deltas);
 }
 
-// ---- Bounded link state (the satellite bugfix) ----------------------------
+// ---- Bounded link table ----------------------------------------------------
 //
 // The intern table is append-only between full links, so a mutation stream
 // that keeps inventing payloads is the worst case: without the re-seed it
 // grows one entry per step forever.  These tests drive exactly that stream.
 
-/// Minimal stand-in satisfying the parse_link template contract
-/// (`wire.chunk` payload + `chunk_class` slot) — the real FragmentParsed is
+/// Minimal stand-in for a keyed parse: the real FragmentParsed is
 /// translation-unit-local to its scheme.
 struct FakeParsed final : ParsedCert {
-  struct Wire {
-    util::BitString chunk;
-  } wire;
-  std::uint32_t chunk_class = 0;
+  explicit FakeParsed(util::BitString c) : chunk(std::move(c)) {}
+  const util::BitString* link_key() const noexcept override { return &chunk; }
+  util::BitString chunk;
 };
 
-TEST(ChunkInternState, RelinkReseedsKeepTheTableBounded) {
+std::vector<std::unique_ptr<ParsedCert>> fake_parses(
+    const std::vector<std::uint64_t>& payloads) {
+  std::vector<std::unique_ptr<ParsedCert>> parsed;
+  for (const std::uint64_t x : payloads)
+    parsed.push_back(
+        std::make_unique<FakeParsed>(util::BitString::of_uint(x, 32)));
+  return parsed;
+}
+
+void set_payload(const std::unique_ptr<ParsedCert>& p, std::uint64_t x) {
+  static_cast<FakeParsed*>(p.get())->chunk = util::BitString::of_uint(x, 32);
+}
+
+/// The contract every carried-forward comparison rests on: equal payloads
+/// share a class, distinct payloads never do.
+void expect_classes_coherent(
+    const std::vector<std::unique_ptr<ParsedCert>>& parsed) {
+  for (std::size_t a = 0; a < parsed.size(); ++a) {
+    ASSERT_NE(parsed[a]->link_class, ParsedCert::kUnlinked) << a;
+    for (std::size_t b = a + 1; b < parsed.size(); ++b)
+      EXPECT_EQ(*parsed[a]->link_key() == *parsed[b]->link_key(),
+                parsed[a]->link_class == parsed[b]->link_class)
+          << a << " vs " << b;
+  }
+}
+
+TEST(LinkTable, RelinkReseedsKeepTheTableBounded) {
   constexpr std::size_t kN = 64;
   constexpr int kSteps = 10000;
-  std::vector<std::unique_ptr<ParsedCert>> parsed;
-  for (std::size_t v = 0; v < kN; ++v) {
-    auto p = std::make_unique<FakeParsed>();
-    p->wire.chunk = util::BitString::of_uint(v, 32);
-    parsed.push_back(std::move(p));
-  }
-  detail::ChunkInternState state;
-  detail::intern_chunk_classes_stateful<FakeParsed>(state, parsed);
-  ASSERT_EQ(state.classes.size(), kN);
+  std::vector<std::uint64_t> payloads(kN);
+  for (std::size_t v = 0; v < kN; ++v) payloads[v] = v;
+  const std::vector<std::unique_ptr<ParsedCert>> parsed = fake_parses(payloads);
+  detail::LinkTable table;
+  table.link(parsed);
+  ASSERT_EQ(table.size(), kN);
 
-  std::size_t peak = state.classes.size();
+  std::size_t peak = table.size();
   std::uint64_t fresh = kN;  // every step's payload is novel
   for (int step = 0; step < kSteps; ++step) {
     const auto v = static_cast<graph::NodeIndex>(step % kN);
-    static_cast<FakeParsed*>(parsed[v].get())->wire.chunk =
-        util::BitString::of_uint(fresh++, 32);
+    set_payload(parsed[v], fresh++);
     const graph::NodeIndex touched[] = {v};
-    detail::relink_chunk_classes<FakeParsed>(state, parsed, touched);
-    peak = std::max(peak, state.classes.size());
+    table.relink(parsed, touched);
+    peak = std::max(peak, table.size());
   }
   // Bounded: one relink can overshoot the bound by its own touched set (one
   // entry here) before the re-seed snaps the table back to the live set.
   EXPECT_LE(peak, detail::kReseedClassMultiple * kN + 1);
   // And the stream genuinely exercised the bound, roughly every
   // (kReseedClassMultiple - 1) * kN novel payloads.
-  EXPECT_GE(state.reseeds, static_cast<std::uint64_t>(
+  EXPECT_GE(table.reseeds(), static_cast<std::uint64_t>(
                 kSteps / ((detail::kReseedClassMultiple) * kN)));
 
-  // Id coherence after many epochs: equal payloads share a class, distinct
-  // payloads never do — the contract every carried-forward comparison rests
-  // on.
-  std::vector<std::uint32_t> classes;
-  for (const auto& p : parsed)
-    classes.push_back(static_cast<const FakeParsed*>(p.get())->chunk_class);
-  for (std::size_t a = 0; a < kN; ++a)
-    for (std::size_t b = a + 1; b < kN; ++b) {
-      const auto* pa = static_cast<const FakeParsed*>(parsed[a].get());
-      const auto* pb = static_cast<const FakeParsed*>(parsed[b].get());
-      EXPECT_EQ(pa->wire.chunk == pb->wire.chunk, classes[a] == classes[b]);
-    }
+  // Id coherence after many epochs.
+  expect_classes_coherent(parsed);
+}
+
+TEST(LinkTable, FullLinkResetsTheEpoch) {
+  // Six parses over four distinct payloads; first encounters in node order
+  // are 10, 20, 30, 40.
+  const std::vector<std::unique_ptr<ParsedCert>> parsed =
+      fake_parses({10, 20, 10, 30, 40, 20});
+  detail::LinkTable table;
+  table.link(parsed);
+  ASSERT_EQ(table.size(), 4u);
+  EXPECT_EQ(parsed[5]->link_class, parsed[1]->link_class);
+
+  // A relink stream on node 5 grows the append-only table past the live set.
+  for (std::uint64_t step = 0; step < 5; ++step) {
+    set_payload(parsed[5], 1000 + step);
+    const graph::NodeIndex touched[] = {5};
+    table.relink(parsed, touched);
+  }
+  ASSERT_EQ(table.size(), 4u + 5u);
+  ASSERT_EQ(table.reseeds(), 0u);  // still under the re-seed bound
+
+  // The full link drops every dead id: the table holds exactly the distinct
+  // live payloads {10, 20, 30, 40, 1004}, ids dense from 0 in
+  // first-encounter (node) order.
+  table.link(parsed);
+  EXPECT_EQ(table.size(), 5u);
+  const std::vector<std::uint32_t> expected = {0, 1, 0, 2, 3, 4};
+  for (std::size_t v = 0; v < parsed.size(); ++v)
+    EXPECT_EQ(parsed[v]->link_class, expected[v]) << v;
+
+  // Node 5 mutated back to its pre-reset payload gets the class of its
+  // equal (node 1), in the new epoch's ids.
+  set_payload(parsed[5], 20);
+  const graph::NodeIndex touched[] = {5};
+  table.relink(parsed, touched);
+  EXPECT_EQ(parsed[5]->link_class, parsed[1]->link_class);
+  EXPECT_EQ(table.size(), 5u);
+  expect_classes_coherent(parsed);
 }
 
 // End to end: a >=10k-step single-certificate mutation stream through

@@ -1,8 +1,9 @@
 // Deterministic fault injection (util/failpoint.hpp) against the serving
-// stack: injected atlas OOMs, wire corruption, and sweep stalls must leave
-// the server AVAILABLE (shedding and failing requests, never crashing or
-// hanging), keep every served verdict bit-identical to an offline oracle,
-// and replay byte-for-byte under a fixed seed.  The whole suite is compiled
+// stack: injected atlas and stage-2 parse/link OOMs, wire corruption, and
+// sweep stalls must leave the server AVAILABLE (shedding and failing
+// requests, never crashing or hanging), keep every served verdict
+// bit-identical to an offline oracle, and replay byte-for-byte under a
+// fixed seed.  The whole suite is compiled
 // against -DPROOFLAB_FAILPOINTS=ON (the chaos CI job); in a normal build
 // only the compiled-out smoke test below remains.
 #include "util/failpoint.hpp"
@@ -159,6 +160,99 @@ TEST_F(Chaos, InjectedFaultFailsTheRequestNotTheServer) {
 
   const obs::MetricsSnapshot snap = metrics.snapshot();
   EXPECT_EQ(snap.counters.at("serve.faults"), 1u);
+}
+
+/// One bad_alloc armed at a stage-2 site (parse or link), first during a
+/// served full frame and then during a served delta.  Each faulted request
+/// must come back kFaulted and count exactly one serve.faults; the base dies
+/// with it, so the next delta is cancelled by name; and the next full frame
+/// serves a verdict bit-identical to a fault-free oracle at the same thread
+/// count.  Checked at threads {1, 2, hw}.
+void expect_stage2_fault_contained(const char* site,
+                                   const local::Configuration& cfg,
+                                   const core::Scheme& scheme,
+                                   util::Rng& rng) {
+  // A t = 2 ball scheme: only ball schemes have a stage-2 parse/link.
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  const Labeling honest = spread.mark(cfg);
+  // The recovery full carries a tampered certificate, so the oracle
+  // comparison covers rejecting verdicts too.
+  Labeling tampered = honest;
+  tampered.certs[5] = local::random_state(40, rng);
+  Labeling next = honest;
+  next.certs[3] = local::random_state(24, rng);
+  const std::vector<graph::NodeIndex> touched = {3};
+  const std::uint64_t epoch = cfg.graph().epoch();
+  const auto n = static_cast<std::uint32_t>(cfg.n());
+
+  for (const unsigned threads :
+       {1u, 2u, util::ThreadPool::hardware_threads()}) {
+    SCOPED_TRACE(::testing::Message() << site << " threads " << threads);
+    radius::BatchOptions oracle_options;
+    oracle_options.threads = threads;
+    radius::BatchVerifier oracle(spread, cfg, 2, oracle_options);
+    const std::vector<bool> expected = oracle.run_one(tampered).accept();
+
+    obs::MetricsRegistry metrics;
+    ServerOptions options;
+    options.threads = threads;
+    options.metrics = &metrics;
+    Server server(options);
+    const std::uint32_t id = server.add_tenant("solo", spread, cfg, 2);
+    const auto serve = [&](std::vector<std::uint8_t> bytes) {
+      server.submit(frame_of(std::move(bytes)), Server::now_ns());
+      std::optional<Server::Response> r = server.serve_next();
+      EXPECT_TRUE(r.has_value());
+      return r.value_or(Server::Response{});
+    };
+    const auto faults = [&] {
+      return metrics.snapshot().counters.at("serve.faults");
+    };
+    // Arms one bad_alloc, serves the frame, and checks the containment.
+    const auto expect_faulted = [&](std::vector<std::uint8_t> bytes,
+                                    std::uint64_t faults_before) {
+      failpoint::arm(site,
+                     failpoint::Plan{.action = failpoint::Action::kBadAlloc,
+                                     .probability = 1.0,
+                                     .seed = 5,
+                                     .max_fires = 1});
+      const Server::Response faulted = serve(std::move(bytes));
+      EXPECT_EQ(failpoint::fires(site), 1u);
+      failpoint::disarm(site);
+      EXPECT_FALSE(faulted.wire_ok);
+      EXPECT_STREQ(faulted.error, "internal fault during verification");
+      EXPECT_EQ(faulted.rejection.kind, RejectKind::kFaulted);
+      EXPECT_EQ(faults(), faults_before + 1);
+    };
+    // After a fault: the next delta has no base, the next full is exact.
+    const auto expect_recovers = [&] {
+      const Server::Response orphan =
+          serve(encode_delta(id, epoch, 2, n, touched, next));
+      EXPECT_STREQ(orphan.error, "no delta base resident");
+      EXPECT_EQ(orphan.rejection.kind, RejectKind::kCancelled);
+      const Server::Response recovered =
+          serve(encode_full(id, epoch, 2, tampered));
+      ASSERT_TRUE(recovered.wire_ok) << recovered.error;
+      EXPECT_EQ(recovered.verdict.accept(), expected);
+    };
+
+    // During a served full frame.
+    expect_faulted(encode_full(id, epoch, 2, honest), 0);
+    expect_recovers();
+
+    // During a served delta, behind a resident full.
+    ASSERT_TRUE(serve(encode_full(id, epoch, 2, honest)).wire_ok);
+    expect_faulted(encode_delta(id, epoch, 2, n, touched, next), 1);
+    expect_recovers();
+  }
+}
+
+TEST_F(Chaos, ParseFaultFailsTheRequestAndLosesOnlyTheBase) {
+  expect_stage2_fault_contained("radius.parse", cfg, scheme, rng);
+}
+
+TEST_F(Chaos, LinkFaultFailsTheRequestAndLosesOnlyTheBase) {
+  expect_stage2_fault_contained("radius.link", cfg, scheme, rng);
 }
 
 TEST_F(Chaos, DeadlineExpiresMidSweepThenTenantRecovers) {

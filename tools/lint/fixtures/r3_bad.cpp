@@ -1,7 +1,9 @@
-// R3 golden fixture (bad): a verdict-producing function iterating an
-// unordered container — hash order would feed the verdict.
+// R3 golden fixture (bad): a verdict-producing function and a class-id
+// linker each iterating an unordered container — hash order would feed the
+// verdict, or the ids the verdict compares.
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 struct Verdict {
   bool ok;
@@ -11,4 +13,12 @@ Verdict verify_ball(const std::unordered_map<std::uint32_t, int>& classes) {
   int acc = 0;
   for (const auto& [node, cls] : classes) acc ^= cls + static_cast<int>(node);
   return Verdict{acc == 0};
+}
+
+// Mints class ids in hash order: the same payloads get different ids from
+// one table layout to the next.
+void relink(const std::unordered_map<std::uint64_t, std::uint32_t>& payloads,
+            std::vector<std::uint32_t>& class_of) {
+  std::uint32_t next = 0;
+  for (const auto& [payload, node] : payloads) class_of[node] = next++;
 }

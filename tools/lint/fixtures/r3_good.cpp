@@ -1,5 +1,6 @@
 // R3 golden fixture (good): the verdict path iterates a node-id-ordered
-// vector; a non-verdict exporter may iterate hash containers.
+// vector, the linker walks nodes in id order and only looks payloads up in
+// its hash table; a non-verdict exporter may iterate hash containers.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,18 @@ Verdict verify_ball(const std::vector<int>& classes_by_node) {
   int acc = 0;
   for (int cls : classes_by_node) acc ^= cls;
   return Verdict{acc == 0};
+}
+
+// Ids dense from 0 in first-encounter (node) order, whatever the table's
+// layout.
+void relink(const std::vector<std::uint64_t>& payload_by_node,
+            std::vector<std::uint32_t>& class_of) {
+  std::unordered_map<std::uint64_t, std::uint32_t> ids;
+  class_of.clear();
+  for (const std::uint64_t payload : payload_by_node) {
+    const auto next = static_cast<std::uint32_t>(ids.size());
+    class_of.push_back(ids.try_emplace(payload, next).first->second);
+  }
 }
 
 int export_stats(const std::unordered_map<std::uint32_t, int>& m) {

@@ -424,8 +424,10 @@ def run_r2(fl):
 # class-id interning/link functions, whose outputs feed verdict comparisons.
 DECODER_NAME_RE = re.compile(r"(?:^|::)(verify\w*|decode\w*|parse_cert)$")
 LINKER_NAME_RE = re.compile(r"(?:^|::)(intern\w*|(?:re)?link\w*)$")
+# Lazy template body: a greedy one would run past the container's closing
+# '>' to a later parameter's and name that parameter instead.
 UNORDERED_DECL_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}]*>[\s&]*(\w+)\s*[;({=,)]"
+    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>[\s&]*(\w+)\s*[;({=,)]"
 )
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
 
@@ -436,6 +438,12 @@ def _unordered_names(stripped):
 
 def run_r3(fl):
     names = _unordered_names(fl.stripped)
+    # A .cpp's member containers are declared in its own header (a linker
+    # class's intern table, say): their names count too.
+    header = os.path.splitext(fl.path)[0] + ".hpp"
+    if fl.path.endswith(".cpp") and os.path.exists(header):
+        with open(header, encoding="utf-8", errors="replace") as fh:
+            names |= _unordered_names(strip_comments_and_strings(fh.read()))
     if not names:
         return
     for fn in fl.functions:

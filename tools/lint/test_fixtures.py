@@ -26,8 +26,10 @@ CASES = [
     ("r1_good.cpp", "R1", 0),
     ("r2_bad.cpp", "R2", 3),
     ("r2_good.cpp", "R2", 0),
-    ("r3_bad.cpp", "R3", 1),
+    ("r3_bad.cpp", "R3", 2),
     ("r3_good.cpp", "R3", 0),
+    # The intern table is a member declared in the sibling header.
+    ("r3_member_bad.cpp", "R3", 1),
     ("r4_bad.cpp", "R4", 2),
     ("r4_good.cpp", "R4", 0),
     ("r5_bad.cpp", "R5", 1),
