@@ -227,6 +227,7 @@ class BallBuilder {
 /// own subclass; stage 2 parses each node's certificate exactly once, interns
 /// every parse's link key (detail::LinkTable, parse_link.hpp), and hands the
 /// per-node results to every verify_ball call through RadiusContext::parsed.
+/// A parse owns every byte it holds and never aliases its certificate.
 class ParsedCert {
  public:
   /// link_class of a parse that was never interned: it has no link key, or

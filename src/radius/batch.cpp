@@ -60,7 +60,6 @@ void BatchVerifier::finish_sweep() {
 void BatchVerifier::parse_link(const core::Labeling& labeling,
                                ParsedLabeling& out, bool parallel) {
   const std::size_t n = cfg_.n();
-  out.pin.reset();  // the half's previous labeling is gone either way
   out.storage.clear();
   out.storage.resize(n);
   out.view.assign(n, nullptr);
@@ -153,19 +152,10 @@ void BatchVerifier::post_sweep(const core::Labeling& labeling,
 }
 
 std::vector<core::Verdict> BatchVerifier::run(
-    std::span<const core::Labeling> labelings,
-    std::span<const BufferPin> pins) {
+    std::span<const core::Labeling> labelings) {
   const std::size_t n = cfg_.n();
   for (const core::Labeling& lab : labelings)
     PLS_REQUIRE(lab.size() == n);
-  // Pin of labeling i (nullptr when the caller passed none): parked in the
-  // half that parses it so the overlap window holds both buffers alive.
-  const auto pin_of = [pins](std::size_t i) {
-    return i < pins.size() ? pins[i] : BufferPin();
-  };
-  const auto install_pin = [this, &pin_of](std::size_t i) {
-    parsed_[i % 2].pin = pin_of(i);
-  };
 
   std::vector<core::Verdict> verdicts;
   verdicts.reserve(labelings.size());
@@ -190,7 +180,6 @@ std::vector<core::Verdict> BatchVerifier::run(
     obs::ScopedTimer parse_timer(metrics_.parse);
     parse_link(labelings[0], parsed_[0], /*parallel=*/true);
   }
-  install_pin(0);
 
   if (metrics_.labelings != nullptr) metrics_.labelings->add(labelings.size());
   for (std::size_t i = 0; i < labelings.size(); ++i) {
@@ -221,7 +210,6 @@ std::vector<core::Verdict> BatchVerifier::run(
           obs::ScopedTimer parse_timer(metrics_.parse);
           parse_link(labelings[i + 1], parsed_[(i + 1) % 2],
                      /*parallel=*/false);
-          install_pin(i + 1);
         } catch (...) {
           finish_sweep();
           throw;
@@ -243,8 +231,7 @@ std::vector<core::Verdict> BatchVerifier::run(
 }
 
 core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
-                                       const LabelingDelta& delta,
-                                       BufferPin pin) {
+                                       const LabelingDelta& delta) {
   const std::size_t n = cfg_.n();
   PLS_REQUIRE(next.size() == n);
   PLS_REQUIRE(resident_valid_);  // a delta needs a full run to build on
@@ -282,15 +269,7 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   // the resident cache (clean entries carry forward across the labeling
   // boundary), then re-link them against the verifier's LinkTable, whose
   // stable ids keep carried-forward parses comparable with fresh ones.
-  const bool cached = ball_scheme_ != nullptr;
-  // The resident half's pin: the carried-forward parses are owned copies,
-  // so earlier buffers' pins are no longer load-bearing — swap in the new
-  // frame's (defensively covering the parses just taken from it) instead of
-  // accumulating one per delta across an unbounded stream.  Without a parse
-  // cache the half holds no views into any buffer at all, so the pin is
-  // dropped outright.
-  parsed_[resident_].pin = cached ? std::move(pin) : BufferPin();
-  if (cached) {
+  if (ball_scheme_ != nullptr) {
     PLS_TRACE_SPAN("delta.reparse", delta.touched.size());
     obs::ScopedTimer parse_timer(metrics_.delta_parse);
     ParsedLabeling& parsed = parsed_[resident_];
@@ -309,7 +288,7 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   // Stage 3, dirty-center sweep: only centers whose decoding radius reaches
   // a touched node can change verdict; everyone else's is spliced from the
   // resident bytes untouched.  Plain 1-round decoders read layer 1 only, so
-  // their dirty radius is 1 whatever t the verifier was pinned at.
+  // their dirty radius is 1 whatever t the verifier is bound to.
   const unsigned dirty_radius =
       ball_scheme_ != nullptr ? ball_scheme_->radius() : 1u;
   std::span<const graph::NodeIndex> dirty;
@@ -335,9 +314,8 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   return splice_verdict();
 }
 
-core::Verdict BatchVerifier::run_one(const core::Labeling& labeling,
-                                     BufferPin pin) {
-  std::vector<core::Verdict> verdicts = run({&labeling, 1}, {&pin, 1});
+core::Verdict BatchVerifier::run_one(const core::Labeling& labeling) {
+  std::vector<core::Verdict> verdicts = run({&labeling, 1});
   return std::move(verdicts.front());
 }
 

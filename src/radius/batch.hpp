@@ -17,11 +17,11 @@
 //                  work-stealing split (skewed ball sizes rebalance across
 //                  slots).
 //
-// BatchVerifier pins one (scheme, configuration, t) and verifies any number
-// of labelings against it.  For a batch, the stages overlap: while the pool
-// sweeps labeling i, the calling thread (which joins the posted range's claim
-// loop only at ThreadPool::finish_range) parses and links labeling i+1 into
-// the other half of a double buffer.  Verdicts are bit-identical to
+// BatchVerifier is bound to one (scheme, configuration, t) and verifies any
+// number of labelings against it.  For a batch, the stages overlap: while the
+// pool sweeps labeling i, the calling thread (which joins the posted range's
+// claim loop only at ThreadPool::finish_range) parses and links labeling i+1
+// into the other half of a double buffer.  Verdicts are bit-identical to
 // per-labeling runs at every thread count — parse results are per-node and
 // scheduling-independent, the link phase is deterministic, and each verdict
 // depends only on its own labeling's stage-2 output — so the overlap is a
@@ -47,6 +47,12 @@
 //
 // run_one is the single-labeling entry point (a batch of one; run_verifier_t
 // is a sequential run_one over a zero-budget atlas).
+//
+// Certificate bytes: every run is synchronous and reads its labelings'
+// certificates only until it returns.  Parses are owned copies
+// (BallScheme::parse_cert), so the resident state a later run_delta builds
+// on never aliases a caller's buffer — certificates that alias external
+// memory (util::BitString::aliasing) need only outlive the call.
 #pragma once
 
 #include <memory>
@@ -61,21 +67,6 @@
 #include "util/thread_pool.hpp"
 
 namespace pls::radius {
-
-/// Keeps an externally owned buffer alive: labelings whose certificates
-/// alias caller-managed memory (util::BitString::aliasing — the serving
-/// tier's zero-copy wire path) pass one of these alongside, and the
-/// verifier parks it in the ParsedLabeling half that parsed the labeling.
-/// The pin is what makes the pipelining window safe: while the sweep of
-/// labeling i overlaps the parse of labeling i+1, BOTH halves hold their
-/// own buffer's pin, so releasing a request buffer early cannot yank bytes
-/// out from under an in-flight stage.  The engine itself never reads a
-/// labeling's raw certificate bytes after the run that verified it returns
-/// (parse_cert outputs are owned copies; the delta path re-reads only the
-/// NEXT labeling's touched certs), so callers may mutate or free a pinned
-/// buffer once their run call returns — dropping the pin is then the
-/// verifier's bookkeeping, not a correctness event.
-using BufferPin = std::shared_ptr<const void>;
 
 struct BatchOptions {
   /// Execution slots; 0 means util::ThreadPool::hardware_threads().
@@ -94,25 +85,21 @@ struct BatchOptions {
 
 class BatchVerifier {
  public:
-  /// Pins (scheme, cfg, t).  Both must outlive the verifier.  Requires
+  /// Binds (scheme, cfg, t).  Both must outlive the verifier.  Requires
   /// t >= 1, and t >= scheme.radius() for ball schemes.
   BatchVerifier(const core::Scheme& scheme, const local::Configuration& cfg,
                 unsigned t, BatchOptions options = {});
 
   /// Verifies every labeling of the span, pipelined as described above.
   /// verdicts[i] is bit-identical to a fresh per-labeling run_one (and to
-  /// run_verifier_t_baseline) at every thread count.  `pins[i]` (optional,
-  /// may be shorter than `labelings` or empty) keeps labeling i's aliased
-  /// buffer alive through its parse + sweep window; see BufferPin.
-  std::vector<core::Verdict> run(std::span<const core::Labeling> labelings,
-                                 std::span<const BufferPin> pins = {});
+  /// run_verifier_t_baseline) at every thread count.
+  std::vector<core::Verdict> run(std::span<const core::Labeling> labelings);
 
   /// Batch of one — the single-labeling entry point.  Callable repeatedly
   /// with different labelings: the parse cache is rebuilt per call, while
   /// the geometry atlas and thread machinery persist, which is what the
   /// adversary's hill-climb loop amortizes.
-  core::Verdict run_one(const core::Labeling& labeling,
-                        BufferPin pin = nullptr);
+  core::Verdict run_one(const core::Labeling& labeling);
 
   /// The delta front door.  Verifies `next` given that it differs from the
   /// *resident* labeling — the one the last successful run()/run_one()/
@@ -122,8 +109,7 @@ class BatchVerifier {
   /// bit-identical to run_one(next) at every thread count.  An empty
   /// mutation set does no parse, no link, and no sweep work (delta_stats()).
   core::Verdict run_delta(const core::Labeling& next,
-                          const LabelingDelta& delta,
-                          BufferPin pin = nullptr);
+                          const LabelingDelta& delta);
 
   /// Whether a resident labeling exists for run_delta to build on (set by
   /// every successful run, cleared while a run is in flight or after one
@@ -165,16 +151,10 @@ class BatchVerifier {
   // The shared GeometryAtlas *is* internally locked and annotated
   // (atlas.hpp); everything else here must stay caller-thread-only.
 
-  /// Stage-2 output for one labeling: the per-node parse-once cache, plus
-  /// the pin of the buffer its labeling's certificates may alias.  The pin
-  /// lives exactly as long as the half could be read by an in-flight stage:
-  /// installed when the half is (re)parsed, dropped when the half is next
-  /// rebuilt (the parses themselves are owned, so holding it longer is
-  /// bookkeeping, not correctness — see BufferPin).
+  /// Stage-2 output for one labeling: the per-node parse-once cache.
   struct ParsedLabeling {
     std::vector<std::unique_ptr<ParsedCert>> storage;
     std::vector<const ParsedCert*> view;
-    BufferPin pin;
   };
 
   void parse_link(const core::Labeling& labeling, ParsedLabeling& out,

@@ -52,7 +52,9 @@ class BallScheme : public core::Scheme {
   /// parse_link.hpp), and exposes the results to verify_ball via
   /// RadiusContext::parsed, instead of each of the O(n) overlapping balls
   /// re-parsing the same certificates.  Must be thread-safe: the verifier
-  /// parses nodes in parallel.
+  /// parses nodes in parallel.  The parse must own its bytes and never alias
+  /// `cert`: parses stay resident for later deltas after the certificate's
+  /// buffer (possibly a request frame) is released.
   virtual std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const = 0;
 

@@ -8,6 +8,23 @@
 #include "util/failpoint.hpp"
 
 namespace pls::serve {
+namespace {
+
+/// A response that carries no verdict: `reason` says why for humans,
+/// `rejection` what for retry logic; latency runs from arrival to `end_ns`.
+Server::Response failure(std::uint32_t tenant_id, std::uint64_t seq,
+                         const char* reason, Rejection rejection,
+                         std::uint64_t arrival_ns, std::uint64_t end_ns) {
+  Server::Response response;
+  response.tenant_id = tenant_id;
+  response.seq = seq;
+  response.error = reason;
+  response.rejection = rejection;
+  response.latency_ns = end_ns - arrival_ns;
+  return response;
+}
+
+}  // namespace
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
@@ -186,14 +203,8 @@ std::optional<Server::Response> Server::serve_next() {
     const Rejected r = rejected_.front();
     rejected_.pop_front();
     --queued_;
-    Response response;
-    response.tenant_id = r.tenant_id;
-    response.seq = r.seq;
-    response.wire_ok = false;
-    response.error = r.reason;
-    response.rejection = r.rejection;
-    response.latency_ns = now_ns() - r.arrival_ns;
-    return response;
+    return failure(r.tenant_id, r.seq, r.reason, r.rejection, r.arrival_ns,
+                   now_ns());
   }
   if (queued_ == 0 || tenants_.empty()) return std::nullopt;
 
@@ -231,13 +242,10 @@ std::optional<Server::Response> Server::serve_next() {
       // is dropped and those deltas fail fast until the next full re-seeds.
       abandon_base(tenant);
       if (expired_ != nullptr) expired_->add(1);
-      Response response;
-      response.tenant_id = request.view.tenant_id();
-      response.seq = request.seq;
-      response.error = "deadline expired before dispatch";
-      response.rejection = Rejection{RejectKind::kExpired, 0};
-      response.latency_ns = now_ns() - request.arrival_ns;
-      return response;
+      return failure(request.view.tenant_id(), request.seq,
+                     "deadline expired before dispatch",
+                     Rejection{RejectKind::kExpired, 0}, request.arrival_ns,
+                     now_ns());
     }
     if (!turn_credited_) {
       tenant.deficit += options_.quantum;
@@ -283,14 +291,13 @@ Server::Response Server::dispatch(Tenant& tenant, Request request) {
   const std::uint64_t service_start = now_ns();
   try {
     if (request.view.kind() == WireKind::kFull) {
-      // Zero copy: the labeling's certificates alias the frame; the frame's
-      // pin rides into the verifier's parse cache alongside them.
+      // Zero copy: the labeling's certificates alias the frame, which the
+      // tenant holds for as long as the labeling is its delta base.
       core::Labeling labeling;
       labeling.certs = request.view.certs();
-      response.verdict = verifier.run_one(labeling, request.frame);
+      response.verdict = verifier.run_one(labeling);
       tenant.current = std::move(labeling);
-      tenant.pins.clear();
-      tenant.pins.push_back(request.frame);
+      tenant.base_frame = request.frame;
     } else {
       // submit() admits a delta only behind an admitted full, and
       // dispatching that full installs tenant.current — but the base is
@@ -300,55 +307,48 @@ Server::Response Server::dispatch(Tenant& tenant, Request request) {
       // verdict for a labeling the client never submitted; fail fast, the
       // client's recovery is a fresh full.  The reason is cause-neutral:
       // both abandonment and an expired drop end here.
-      if (tenant.current.certs.empty()) {
-        response.error = "no delta base resident";
-        response.rejection = Rejection{RejectKind::kCancelled, 0};
-        response.latency_ns = now_ns() - request.arrival_ns;
-        return response;
-      }
-      // Swap the touched certificates into the tenant's current labeling in
+      if (tenant.current.certs.empty())
+        return failure(response.tenant_id, response.seq,
+                       "no delta base resident",
+                       Rejection{RejectKind::kCancelled, 0},
+                       request.arrival_ns, now_ns());
+      // Copy the touched certificates into the tenant's current labeling in
       // place (O(k), no per-request copy of the other n-k) and run the delta
-      // against it.
+      // against it.  The copies own their bytes, so this frame is released
+      // with its response; the untouched certificates keep aliasing
+      // base_frame.
       radius::LabelingDelta delta;
       delta.touched = request.view.touched();
       const std::vector<local::Certificate>& fresh = request.view.certs();
-      for (std::size_t i = 0; i < delta.touched.size(); ++i)
-        tenant.current.certs[delta.touched[i]] = fresh[i];
-      response.verdict =
-          verifier.run_delta(tenant.current, delta, request.frame);
-      tenant.pins.push_back(request.frame);
-      if (tenant.pins.size() > kMaxTenantPins) {
-        // Consolidation bound: own every certificate's bytes and release the
-        // accumulated request buffers, so an unbounded delta stream pins a
-        // bounded set of frames.
-        for (local::Certificate& cert : tenant.current.certs)
-          cert = cert.materialize();
-        tenant.pins.clear();
+      for (std::size_t i = 0; i < delta.touched.size(); ++i) {
+        PLS_FAILPOINT("serve.delta_copy");
+        tenant.current.certs[delta.touched[i]] = fresh[i].materialize();
       }
+      response.verdict = verifier.run_delta(tenant.current, delta);
     }
   } catch (const util::CancelledError&) {
     // The deadline fired mid-run: the sweep stopped cooperatively at a
     // chunk/labeling boundary.  The verifier keeps no resident state from
     // an abandoned run, but tenant.current may be half-updated by THIS
-    // request (a delta's certs swapped in, a full's install skipped), so
+    // request (a delta's certs copied in, a full's install skipped), so
     // the base is dropped — the next run is bit-exact from a clean slate.
     abandon_base(tenant);
     if (expired_ != nullptr) expired_->add(1);
     if (cancelled_sweeps_ != nullptr) cancelled_sweeps_->add(1);
-    response.error = "deadline expired during verification";
-    response.rejection = Rejection{RejectKind::kExpired, 0};
-    response.latency_ns = now_ns() - request.arrival_ns;
-    return response;
+    return failure(response.tenant_id, response.seq,
+                   "deadline expired during verification",
+                   Rejection{RejectKind::kExpired, 0}, request.arrival_ns,
+                   now_ns());
   } catch (const std::exception&) {
     // Containment: an internal fault (an atlas build OOM, an injected
     // fault) fails THIS request, never the server.  Same base-loss rule as
     // cancellation — the run stopped at an arbitrary point.
     abandon_base(tenant);
     if (faults_ != nullptr) faults_->add(1);
-    response.error = "internal fault during verification";
-    response.rejection = Rejection{RejectKind::kFaulted, 0};
-    response.latency_ns = now_ns() - request.arrival_ns;
-    return response;
+    return failure(response.tenant_id, response.seq,
+                   "internal fault during verification",
+                   Rejection{RejectKind::kFaulted, 0}, request.arrival_ns,
+                   now_ns());
   }
   const std::uint64_t end = now_ns();
   // Service-rate EWMA (ns per cost unit) behind retry_after hints; 1/8 new
@@ -369,11 +369,10 @@ Server::Response Server::dispatch(Tenant& tenant, Request request) {
   // resident and queued deltas behind this request remain verdict-exact.
   if (request.deadline_ns != 0 && end >= request.deadline_ns) {
     if (expired_ != nullptr) expired_->add(1);
-    response.verdict = core::Verdict{};
-    response.error = "deadline expired after verification";
-    response.rejection = Rejection{RejectKind::kExpired, 0};
-    response.latency_ns = end - request.arrival_ns;
-    return response;
+    return failure(response.tenant_id, response.seq,
+                   "deadline expired after verification",
+                   Rejection{RejectKind::kExpired, 0}, request.arrival_ns,
+                   end);
   }
   response.wire_ok = true;
   response.latency_ns = end - request.arrival_ns;
@@ -388,7 +387,7 @@ Server::Response Server::dispatch(Tenant& tenant, Request request) {
 
 void Server::abandon_base(Tenant& tenant) {
   tenant.current = core::Labeling{};
-  tenant.pins.clear();
+  tenant.base_frame = nullptr;
 }
 
 std::uint64_t Server::retry_after_hint(std::uint64_t cost) const noexcept {

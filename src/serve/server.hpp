@@ -16,23 +16,21 @@
 // serve.latency_ns histograms are the observable proof (the CI smoke gates
 // no tenant's p99 above 3x the best).
 //
-// Zero-copy ingestion: submit() takes SHARED ownership of the frame buffer
-// (radius::BufferPin), requests are parsed at dispatch time (RequestView),
-// and the parsed certificates alias the frame straight into the verifier's
-// parse cache — the pin rides along into ParsedLabeling, so a producer may
-// drop its handle the moment submit() returns and the bytes stay alive
-// through any parse/sweep overlap window.  The producer must not MUTATE a
-// submitted buffer until its response comes back (the serve/test suite
-// asserts both directions of this contract); after that, the engine holds
-// no bit-dependence on the frame (see BufferPin in radius/batch.hpp).
-//
-// Delta requests verify against the tenant's CURRENT labeling (the last one
-// verified for it): touched certificates are swapped in as aliased views
-// and run through BatchVerifier::run_delta.  The tenant accumulates one
-// frame pin per aliased generation and consolidates — materializes every
-// certificate into owned storage and drops all pins — when the set exceeds
-// kMaxTenantPins, so an unbounded delta stream holds a bounded set of
-// request buffers, not all of history.
+// Zero-copy ingestion: submit() takes SHARED ownership of the frame buffer,
+// requests are parsed at dispatch time (RequestView), and a full labeling's
+// certificates alias the frame straight into the verifier, so a producer may
+// drop its handle the moment submit() returns.  The server is the one owner
+// of request bytes (the verifier reads a labeling only during a run — see
+// radius/batch.hpp).  A full's frame is held while its labeling is the
+// tenant's delta base — until the tenant's next full, or until the base is
+// lost — because the base's untouched certificates alias it and run_delta
+// reads them (a plain 1-round scheme re-sweeps neighbours from their raw
+// bytes).  Every other frame is released with its response: a delta request
+// copies its k touched certificates into the tenant's CURRENT labeling (the
+// last one verified for it) as owned bytes and runs BatchVerifier::run_delta
+// on it, so a delta stream of any length holds one request buffer per
+// tenant.  The producer must not MUTATE a submitted buffer while the server
+// holds it (the serve/test suite asserts both directions of this contract).
 //
 // Thread contract: like BatchVerifier, the Server is externally
 // synchronized — one dispatcher thread calls submit()/serve_next()/drain().
@@ -134,12 +132,8 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// A frame buffer the server may pin: shared ownership of immutable bytes.
+  /// A frame buffer the server may hold: shared ownership of immutable bytes.
   using Frame = std::shared_ptr<const std::vector<std::uint8_t>>;
-
-  /// Aliased-generation bound per tenant before certificates are
-  /// materialized and the held frame pins dropped.
-  static constexpr std::size_t kMaxTenantPins = 8;
 
   explicit Server(ServerOptions options = {});
   ~Server();
@@ -163,8 +157,9 @@ class Server {
   /// Enqueues a frame.  `arrival_ns` is the open-loop arrival timestamp
   /// (steady-clock ns) latency is measured from; pass now_ns() for
   /// closed-loop callers.  The server shares ownership of the buffer until
-  /// the request completes (zero-copy pinning); the producer must not
-  /// mutate the bytes until then.  Frames that fail parsing, don't match
+  /// the response returns, or — for a served full labeling — until the
+  /// tenant's next full or the loss of its delta base (see the header
+  /// comment); the producer must not mutate the bytes until then.  Frames that fail parsing, don't match
   /// their claimed tenant's (n, epoch, t), or send a delta before any full
   /// labeling are rejected at submit — queuing garbage under the claimed
   /// tenant would let an attacker consume a victim's DRR budget — and
@@ -207,16 +202,16 @@ class Server {
     /// A full frame has been queued (the FIFO queue then guarantees every
     /// later delta dispatches with a base labeling resident).
     bool base_queued = false;
-    // The tenant's current labeling (delta base): certificates may alias
-    // the frames in `pins`; consolidated to owned storage when the pin set
-    // exceeds kMaxTenantPins.
+    // The tenant's current labeling (delta base): certificates a delta
+    // touched are owned copies, every other one aliases base_frame — the
+    // frame of the full labeling the base was seeded from.
     core::Labeling current;
-    std::vector<radius::BufferPin> pins;
+    Frame base_frame;
     obs::Histogram* latency = nullptr;  ///< serve.latency_ns.<name>
   };
 
   /// A submit-time rejection waiting to surface as a Response (the frame
-  /// itself is already released — nothing verifiable to pin).
+  /// itself is already released — nothing verifiable to hold).
   struct Rejected {
     std::uint32_t tenant_id = 0;
     std::uint64_t arrival_ns = 0;

@@ -45,8 +45,7 @@
 // was given.  A parsed view holds ONLY offsets into
 // the frame: the caller owns the frame's lifetime and must keep it alive
 // and byte-stable while any certificate view from it is read (the Server
-// pins the buffer for exactly this — see serve/server.hpp and
-// radius::BufferPin).
+// holds the frame for exactly this — see serve/server.hpp).
 #pragma once
 
 #include <cstdint>

@@ -48,7 +48,7 @@ class BitString {
   /// byte, same layout BitWriter produces).  The caller guarantees the
   /// pointed-to bytes outlive every copy of the returned string and stay
   /// bit-stable while any of them is read — the zero-copy wire-ingestion
-  /// contract (serve/wire.hpp pins the request buffer for exactly this).
+  /// contract (serve::Server holds the request frame for exactly this).
   static BitString aliasing(const std::uint8_t* data, std::size_t nbits) {
     PLS_REQUIRE(nbits == 0 || data != nullptr);
     BitString s;

@@ -404,13 +404,12 @@ AliasedCopy alias_of(const Labeling& src) {
   return out;
 }
 
-// The zero-copy pin contract, producer side: aliased labelings with their
-// buffers passed as pins are bit-identical to owned ones, and the producer
-// may drop every handle — labelings AND buffers — the moment run() returns.
-// The overlap window (stage 2 of labeling i+1 during the sweep of labeling
-// i) is defensively pinned: the engine's parse halves hold the buffers, so
-// the post-run delta below reads no freed memory (the ASan job proves it).
-TEST(BatchVerifier, PinnedAliasedLabelingsMatchOwnedAndOutliveTheProducer) {
+// The zero-copy contract, producer side: aliased labelings are bit-identical
+// to owned ones, and the producer may free every buffer — labelings AND
+// bytes — the moment run() returns.  The verifier holds nothing of them:
+// parses own their bytes, so the post-run delta below reads no freed memory
+// (the ASan job proves it).
+TEST(BatchVerifier, AliasedLabelingsMatchOwnedAndOutliveTheProducer) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);
@@ -434,21 +433,19 @@ TEST(BatchVerifier, PinnedAliasedLabelingsMatchOwnedAndOutliveTheProducer) {
     options.threads = threads;
     BatchVerifier batch(spread, cfg, 2, options);
     {
-      std::vector<Labeling> aliased;
-      std::vector<BufferPin> pins;
+      std::vector<AliasedCopy> aliased;
+      std::vector<Labeling> labs;
       for (const Labeling& lab : owned) {
-        AliasedCopy copy = alias_of(lab);
-        aliased.push_back(std::move(copy.lab));
-        pins.push_back(std::move(copy.buffer));
+        aliased.push_back(alias_of(lab));
+        labs.push_back(aliased.back().lab);
       }
-      const std::vector<Verdict> got = batch.run(aliased, pins);
+      const std::vector<Verdict> got = batch.run(labs);
       ASSERT_EQ(got.size(), owned.size());
       for (std::size_t i = 0; i < owned.size(); ++i)
         EXPECT_EQ(got[i].accept(),
                   run_verifier_t_baseline(spread, cfg, owned[i], 2).accept())
             << "labeling " << i << " threads " << threads;
-      // Producer teardown: aliases and buffer handles die here; only the
-      // pins inside the verifier keep the bytes alive.
+      // Producer teardown: every alias and every buffer is freed here.
     }
     EXPECT_EQ(batch.run_delta(delta_next, delta).accept(),
               delta_oracle.accept())
@@ -479,7 +476,7 @@ TEST(BatchVerifier, BufferMutationAfterRunReturnsCannotChangeVerdicts) {
   BatchVerifier batch(spread, cfg, 2, options);
 
   AliasedCopy copy = alias_of(honest);
-  const Verdict first = batch.run_one(copy.lab, copy.buffer);
+  const Verdict first = batch.run_one(copy.lab);
   EXPECT_EQ(first.accept(),
             run_verifier_t_baseline(spread, cfg, honest, 2).accept());
 

@@ -1,11 +1,11 @@
 // Deterministic fault injection (util/failpoint.hpp) against the serving
-// stack: injected atlas and stage-2 parse/link OOMs, wire corruption, and
-// sweep stalls must leave the server AVAILABLE (shedding and failing
-// requests, never crashing or hanging), keep every served verdict
-// bit-identical to an offline oracle, and replay byte-for-byte under a
-// fixed seed.  The whole suite is compiled
-// against -DPROOFLAB_FAILPOINTS=ON (the chaos CI job); in a normal build
-// only the compiled-out smoke test below remains.
+// stack: injected atlas, stage-2 parse/link and delta-copy OOMs, wire
+// corruption, and sweep stalls must leave the server AVAILABLE (shedding
+// and failing requests, never crashing or hanging), keep every served
+// verdict bit-identical to an offline oracle, and replay byte-for-byte
+// under a fixed seed.  The whole suite is compiled against
+// -DPROOFLAB_FAILPOINTS=ON (the chaos CI job); in a normal build only the
+// compiled-out smoke test below remains.
 #include "util/failpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -162,19 +162,17 @@ TEST_F(Chaos, InjectedFaultFailsTheRequestNotTheServer) {
   EXPECT_EQ(snap.counters.at("serve.faults"), 1u);
 }
 
-/// One bad_alloc armed at a stage-2 site (parse or link), first during a
-/// served full frame and then during a served delta.  Each faulted request
-/// must come back kFaulted and count exactly one serve.faults; the base dies
-/// with it, so the next delta is cancelled by name; and the next full frame
-/// serves a verdict bit-identical to a fault-free oracle at the same thread
-/// count.  Checked at threads {1, 2, hw}.
-void expect_stage2_fault_contained(const char* site,
-                                   const local::Configuration& cfg,
-                                   const core::Scheme& scheme,
-                                   util::Rng& rng) {
-  // A t = 2 ball scheme: only ball schemes have a stage-2 parse/link.
-  const radius::FragmentSpreadScheme spread(scheme, 2);
-  const Labeling honest = spread.mark(cfg);
+/// One bad_alloc armed at `site`, during a served full frame (when the site
+/// is on the full path) and then during a served delta.  Each faulted
+/// request must come back kFaulted and count exactly one serve.faults; the
+/// base dies with it, releasing its frame, so the next delta is cancelled by
+/// name; and the next full frame serves a verdict bit-identical to a
+/// fault-free oracle at the same thread count.  Checked at threads
+/// {1, 2, hw}.
+void expect_fault_contained(const char* site, const core::Scheme& served,
+                            unsigned t, const local::Configuration& cfg,
+                            util::Rng& rng, bool full_hits_site) {
+  const Labeling honest = served.mark(cfg);
   // The recovery full carries a tampered certificate, so the oracle
   // comparison covers rejecting verdicts too.
   Labeling tampered = honest;
@@ -190,7 +188,7 @@ void expect_stage2_fault_contained(const char* site,
     SCOPED_TRACE(::testing::Message() << site << " threads " << threads);
     radius::BatchOptions oracle_options;
     oracle_options.threads = threads;
-    radius::BatchVerifier oracle(spread, cfg, 2, oracle_options);
+    radius::BatchVerifier oracle(served, cfg, t, oracle_options);
     const std::vector<bool> expected = oracle.run_one(tampered).accept();
 
     obs::MetricsRegistry metrics;
@@ -198,9 +196,13 @@ void expect_stage2_fault_contained(const char* site,
     options.threads = threads;
     options.metrics = &metrics;
     Server server(options);
-    const std::uint32_t id = server.add_tenant("solo", spread, cfg, 2);
+    const std::uint32_t id = server.add_tenant("solo", served, cfg, t);
+    // The last submitted frame, to watch the base frame's lifetime.
+    std::weak_ptr<const std::vector<std::uint8_t>> last_frame;
     const auto serve = [&](std::vector<std::uint8_t> bytes) {
-      server.submit(frame_of(std::move(bytes)), Server::now_ns());
+      Server::Frame frame = frame_of(std::move(bytes));
+      last_frame = frame;
+      server.submit(std::move(frame), Server::now_ns());
       std::optional<Server::Response> r = server.serve_next();
       EXPECT_TRUE(r.has_value());
       return r.value_or(Server::Response{});
@@ -227,32 +229,53 @@ void expect_stage2_fault_contained(const char* site,
     // After a fault: the next delta has no base, the next full is exact.
     const auto expect_recovers = [&] {
       const Server::Response orphan =
-          serve(encode_delta(id, epoch, 2, n, touched, next));
+          serve(encode_delta(id, epoch, t, n, touched, next));
       EXPECT_STREQ(orphan.error, "no delta base resident");
       EXPECT_EQ(orphan.rejection.kind, RejectKind::kCancelled);
       const Server::Response recovered =
-          serve(encode_full(id, epoch, 2, tampered));
+          serve(encode_full(id, epoch, t, tampered));
       ASSERT_TRUE(recovered.wire_ok) << recovered.error;
       EXPECT_EQ(recovered.verdict.accept(), expected);
     };
 
+    std::uint64_t faults_before = 0;
     // During a served full frame.
-    expect_faulted(encode_full(id, epoch, 2, honest), 0);
-    expect_recovers();
+    if (full_hits_site) {
+      expect_faulted(encode_full(id, epoch, t, honest), faults_before++);
+      expect_recovers();
+    }
 
-    // During a served delta, behind a resident full.
-    ASSERT_TRUE(serve(encode_full(id, epoch, 2, honest)).wire_ok);
-    expect_faulted(encode_delta(id, epoch, 2, n, touched, next), 1);
+    // During a served delta, behind a resident full whose frame is released
+    // with the lost base.
+    ASSERT_TRUE(serve(encode_full(id, epoch, t, honest)).wire_ok);
+    const auto base_frame = last_frame;
+    EXPECT_FALSE(base_frame.expired());
+    expect_faulted(encode_delta(id, epoch, t, n, touched, next),
+                   faults_before);
+    EXPECT_TRUE(base_frame.expired());
     expect_recovers();
   }
 }
 
+// Stage-2 sites: only ball schemes have a stage-2 parse/link, so these run
+// a t = 2 spread.
 TEST_F(Chaos, ParseFaultFailsTheRequestAndLosesOnlyTheBase) {
-  expect_stage2_fault_contained("radius.parse", cfg, scheme, rng);
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  expect_fault_contained("radius.parse", spread, 2, cfg, rng, true);
 }
 
 TEST_F(Chaos, LinkFaultFailsTheRequestAndLosesOnlyTheBase) {
-  expect_stage2_fault_contained("radius.link", cfg, scheme, rng);
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  expect_fault_contained("radius.link", spread, 2, cfg, rng, true);
+}
+
+// The server's per-delta certificate copy runs for every scheme; fulls never
+// reach it.  Both the plain 1-round scheme (whose re-sweep reads the base's
+// raw certificates) and a t = 2 spread.
+TEST_F(Chaos, DeltaCopyFaultFailsTheRequestAndLosesOnlyTheBase) {
+  expect_fault_contained("serve.delta_copy", scheme, 1, cfg, rng, false);
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  expect_fault_contained("serve.delta_copy", spread, 2, cfg, rng, false);
 }
 
 TEST_F(Chaos, DeadlineExpiresMidSweepThenTenantRecovers) {

@@ -2,8 +2,8 @@
 // be bit-identical to the in-memory BatchVerifier::run/run_delta path for
 // every registry scheme at every thread count; the DRR schedule must be
 // starvation-free; malformed or mismatched frames must surface as named
-// rejections without billing a tenant; and frame pins must be held exactly
-// as long as the zero-copy aliases need them, then released.
+// rejections without billing a tenant; and request frames must be held
+// exactly as long as the zero-copy aliases need them, then released.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -287,75 +287,91 @@ TEST(Server, DeltaBeforeAnyFullIsAnError) {
   EXPECT_EQ(snap.histograms.at("serve.latency_ns.solo").count, 1u);
 }
 
-// The pin lifecycle: the producer may drop its frame handle the moment
-// submit() returns (the server keeps the aliased bytes alive), and an
-// unbounded delta stream pins a bounded frame set — consolidation past
-// kMaxTenantPins materializes the tenant's labeling and releases history.
-TEST(Server, FramesStayPinnedUntilConsolidationReleasesThem) {
+// The frame lifecycle: the producer may drop its handle the moment submit()
+// returns, and the server holds exactly one frame per tenant — the full whose
+// labeling is the delta base.  A delta copies its touched certificates into
+// that base, so its own frame is released with its response; the full's
+// frame lives until the next full, or until the base is lost (here a delta
+// expires at dispatch).
+TEST(Server, DeltaFramesAreReleasedWithTheirResponse) {
   const schemes::StpLanguage language;
   const schemes::StpScheme scheme(language);
   util::Rng rng(60905);
   auto g = share(graph::random_connected(10, 6, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
   const std::uint64_t epoch = cfg.graph().epoch();
+  const auto n = static_cast<std::uint32_t>(cfg.n());
   const Labeling honest = scheme.mark(cfg);
+  const Labeling second = random_labeling(cfg.n(), rng);
 
   ServerOptions options;
   options.threads = 1;
   Server server(options);
-  const std::uint32_t id = server.add_tenant("pinned", scheme, cfg, 1);
-
-  const int kDeltas = 10;
-  std::vector<std::weak_ptr<const std::vector<std::uint8_t>>> watch;
-  std::vector<Labeling> states;  // tenant labeling after each request
-  states.push_back(honest);
-  std::vector<std::vector<graph::NodeIndex>> touches;
-  Labeling current = honest;
-  {
-    Server::Frame f = frame_of(encode_full(id, epoch, 1, honest));
-    watch.emplace_back(f);
-    server.submit(std::move(f), Server::now_ns());
-  }
-  for (int d = 0; d < kDeltas; ++d) {
-    const auto v = static_cast<graph::NodeIndex>(d % cfg.n());
-    current.certs[v] = local::random_state(24, rng);
-    const std::vector<graph::NodeIndex> touched = {v};
-    Server::Frame f = frame_of(
-        encode_delta(id, epoch, 1, static_cast<std::uint32_t>(cfg.n()),
-                     touched, current));
-    watch.emplace_back(f);
-    server.submit(std::move(f), Server::now_ns());  // no handle kept
-    states.push_back(current);
-    touches.push_back(touched);
-  }
-
-  const std::vector<Server::Response> responses = server.drain();
-  ASSERT_EQ(responses.size(), std::size_t{1 + kDeltas});
-
+  const std::uint32_t id = server.add_tenant("frames", scheme, cfg, 1);
   radius::BatchOptions batch_options;
   batch_options.threads = 1;
   radius::BatchVerifier oracle(scheme, cfg, 1, batch_options);
-  EXPECT_EQ(responses[0].verdict.accept(),
-            oracle.run_one(states[0]).accept());
-  for (int d = 0; d < kDeltas; ++d) {
-    ASSERT_TRUE(responses[d + 1].wire_ok) << responses[d + 1].error;
+
+  // Submits one frame (no handle kept) and serves it; `watch` observes the
+  // frame's lifetime.
+  std::weak_ptr<const std::vector<std::uint8_t>> watch;
+  const auto serve = [&](std::vector<std::uint8_t> bytes,
+                         std::uint64_t arrival) {
+    Server::Frame f = frame_of(std::move(bytes));
+    watch = f;
+    server.submit(std::move(f), arrival);
+    std::optional<Server::Response> r = server.serve_next();
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(Server::Response{});
+  };
+
+  const Server::Response first = serve(encode_full(id, epoch, 1, honest),
+                                       Server::now_ns());
+  ASSERT_TRUE(first.wire_ok) << first.error;
+  EXPECT_EQ(first.verdict.accept(), oracle.run_one(honest).accept());
+  const auto first_frame = watch;
+  EXPECT_FALSE(first_frame.expired());
+
+  Labeling current = honest;
+  for (int d = 0; d < 10; ++d) {
+    const auto v = static_cast<graph::NodeIndex>(d % cfg.n());
+    current.certs[v] = local::random_state(24, rng);
     radius::LabelingDelta delta;
-    delta.touched = touches[d];
-    EXPECT_EQ(responses[d + 1].verdict.accept(),
-              oracle.run_delta(states[d + 1], delta).accept())
+    delta.touched = {v};
+    const Server::Response r = serve(
+        encode_delta(id, epoch, 1, n, delta.touched, current),
+        Server::now_ns());
+    ASSERT_TRUE(r.wire_ok) << r.error;
+    EXPECT_EQ(r.verdict.accept(), oracle.run_delta(current, delta).accept())
         << "delta " << d;
+    EXPECT_TRUE(watch.expired()) << "delta " << d;
+    EXPECT_FALSE(first_frame.expired()) << "delta " << d;
   }
 
-  // pins grow 1 (full) + 1 per delta and consolidate past kMaxTenantPins:
-  // the full and the first 8 delta frames were released, the 2 after the
-  // consolidation point are still pinned.
-  for (std::size_t i = 0; i < watch.size(); ++i) {
-    if (i < 1 + Server::kMaxTenantPins) {
-      EXPECT_TRUE(watch[i].expired()) << "frame " << i;
-    } else {
-      EXPECT_FALSE(watch[i].expired()) << "frame " << i;
-    }
+  // The next full replaces the base: the first full's frame goes.
+  const Server::Response replaced = serve(encode_full(id, epoch, 1, second),
+                                          Server::now_ns());
+  ASSERT_TRUE(replaced.wire_ok) << replaced.error;
+  EXPECT_EQ(replaced.verdict.accept(), oracle.run_one(second).accept());
+  EXPECT_TRUE(first_frame.expired());
+  const auto second_frame = watch;
+  EXPECT_FALSE(second_frame.expired());
+
+  // Losing the base releases its frame too: a delta that expires before
+  // dispatch drops the base along with itself.
+  Labeling next = second;
+  next.certs[3] = local::random_state(24, rng);
+  const std::vector<graph::NodeIndex> touched = {3};
+  const std::uint64_t arrival = Server::now_ns();
+  const std::uint64_t ttl = 2'000'000;
+  server.submit(frame_of(encode_delta(id, epoch, 1, n, touched, next, ttl)),
+                arrival);
+  while (Server::now_ns() < arrival + ttl) {
   }
+  const std::optional<Server::Response> dropped = server.serve_next();
+  ASSERT_TRUE(dropped.has_value());
+  EXPECT_STREQ(dropped->error, "deadline expired before dispatch");
+  EXPECT_TRUE(second_frame.expired());
 }
 
 TEST(Server, ProducerMayMutateAFrameOnceItIsReleased) {
@@ -378,8 +394,8 @@ TEST(Server, ProducerMayMutateAFrameOnceItIsReleased) {
   server.submit(Server::Frame(mutable_frame), Server::now_ns());
   ASSERT_TRUE(server.serve_next().has_value());
 
-  // A second full labeling replaces the tenant's pin set; the first frame
-  // must be fully released...
+  // A second full labeling replaces the tenant's base frame; the first
+  // frame must be fully released...
   server.submit(frame_of(encode_full(id, epoch, 1, second)),
                 Server::now_ns());
   ASSERT_TRUE(server.serve_next().has_value());
