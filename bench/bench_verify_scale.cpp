@@ -10,17 +10,17 @@
 //
 // 2. Multi-labeling batch (the adversary's workload): L labelings derived
 //    from the honest marking by hill-climb-style point mutations, all
-//    verified against ONE (scheme, cfg, t).  BatchVerifier + a warm
-//    GeometryAtlas (geometry built once, served to every labeling, parse of
-//    labeling i+1 overlapped with the sweep of labeling i) against the
-//    rebuild-every-run baseline (byte_budget = 0 atlas: same code path, no
+//    verified against ONE (scheme, cfg, t).  A run_one loop on one
+//    BatchVerifier + a warm GeometryAtlas (geometry built once, served to
+//    every labeling) — the loop the server and the adversary run — against
+//    the rebuild-every-run baseline (byte_budget = 0 atlas: same code path, no
 //    geometry retained — the pre-atlas behavior).  Reports throughput
 //    (labelings/sec), the atlas hit rate, and resident bytes.
 //
 // 3. Incremental delta stream (the hill-climb's inner loop): a single-cert
 //    mutation stream — labeling i is labeling i-1 with exactly one node's
-//    certificate replaced — verified (a) by the full pipelined batch over a
-//    warm atlas (the strongest full-re-verify path) and (b) through
+//    certificate replaced — verified (a) by a run_one loop over a warm atlas
+//    (the full re-verify every served full pays) and (b) through
 //    BatchVerifier::run_delta with the mutated node declared per step, so
 //    only the touched certificate is re-parsed and only the dirty centers
 //    (the mutated node's radius-t ball, by ball symmetry) are re-swept.
@@ -35,9 +35,10 @@
 // 4. Skewed sweep (the work-stealing case): a fragment-style instance —
 //    dense chorded-ring core on the low sixteenth of the index space,
 //    sparse chains over the rest — whose fat balls all sit in the first
-//    chunks' home slot.  Runs the batch over a warm atlas and reports the
-//    steal counters and per-slot busy-time quantiles from the obs registry;
-//    verdicts are asserted identical across thread counts {1, 2, hw}.
+//    chunks' home slot.  Runs a run_one loop over a warm atlas and reports
+//    the steal counters and per-slot busy-time quantiles from the obs
+//    registry; verdicts are asserted identical across thread counts
+//    {1, 2, hw}.
 //    (Open-loop serving is bench_serve_multitenant's job, over the real
 //    serve::Server.)
 //
@@ -52,11 +53,11 @@
 //    asserted verdict-identical to an unconstrained ground-truth replay.
 //
 // Verdict identity is asserted everywhere: scenario 1 across
-// baseline/sequential/parallel runs per row; scenario 2 across the
-// rebuild loop and batch runs at threads {1, 2, hardware}, and against
+// baseline/sequential/parallel runs per row; scenario 2 across the rebuild
+// loop and warm run_one loops at threads {1, 2, hardware}, and against
 // run_verifier_t_baseline for the first few labelings (all of them under
 // --smoke — the naive engine is too slow to oracle 100 full-size labelings);
-// scenario 3 delta vs. full batch for every labeling of the stream, delta at
+// scenario 3 delta vs. full runs for every labeling of the stream, delta at
 // threads {1, 2, hardware} over a prefix, and the stream head against the
 // naive engine (full runs only — it is a 4096-node t = 8 instance).
 //
@@ -65,9 +66,9 @@
 // (BatchOptions::metrics); the emitted JSON carries the full snapshot —
 // count/mean/p50/p90/p95/p99 per stage — and stderr quotes the headline
 // p50/p99.  --trace-out additionally records the timed batch contender with
-// obs::TraceRecorder and writes a chrome://tracing document showing the
-// parse(i+1)-inside-sweep-window(i) pipelining overlap and per-slot sweep
-// skew.  --max-disabled-span-ns gates the observability tax: the measured
+// obs::TraceRecorder and writes a chrome://tracing document showing each
+// labeling's parse.link span followed by its sweep window, and per-slot
+// sweep skew.  --max-disabled-span-ns gates the observability tax: the measured
 // per-span cost of an instrumented-but-disabled trace point (one relaxed
 // atomic load) must stay under the bound.
 //
@@ -235,6 +236,16 @@ std::vector<core::Labeling> candidate_labelings(const core::Scheme& scheme,
   return labs;
 }
 
+/// One run_one per labeling, in order, on the same verifier.
+std::vector<core::Verdict> run_each(radius::BatchVerifier& verifier,
+                                    std::span<const core::Labeling> labs) {
+  std::vector<core::Verdict> verdicts;
+  verdicts.reserve(labs.size());
+  for (const core::Labeling& lab : labs)
+    verdicts.push_back(verifier.run_one(lab));
+  return verdicts;
+}
+
 BatchResult measure_batch(const core::Scheme& scheme,
                           const local::Configuration& cfg, unsigned t,
                           unsigned threads,
@@ -248,8 +259,8 @@ BatchResult measure_batch(const core::Scheme& scheme,
   r.threads = threads;
 
   // Rebuild-every-run baseline: the identical staged code path with a
-  // byte_budget = 0 atlas (nothing retained between runs) and no batch
-  // pipelining — what every pre-atlas caller paid.
+  // byte_budget = 0 atlas (nothing retained between runs) — what every
+  // pre-atlas caller paid.
   std::vector<core::Verdict> rebuild_verdicts;
   rebuild_verdicts.reserve(labs.size());
   {
@@ -266,8 +277,9 @@ BatchResult measure_batch(const core::Scheme& scheme,
         std::chrono::duration<double, std::milli>(stop - start).count();
   }
 
-  // BatchVerifier + warm atlas, the timed contender — the run the stage
-  // histograms (and, under --trace-out, the chrome trace) describe.
+  // A run_one loop on one BatchVerifier + warm atlas, the timed contender —
+  // the run the stage histograms (and, under --trace-out, the chrome trace)
+  // describe.
   std::vector<core::Verdict> batch_verdicts;
   {
     radius::BatchOptions options;
@@ -276,7 +288,7 @@ BatchResult measure_batch(const core::Scheme& scheme,
     radius::BatchVerifier batch(scheme, cfg, t, options);
     if (trace) obs::TraceRecorder::enable();
     const auto start = std::chrono::steady_clock::now();
-    batch_verdicts = batch.run(labs);
+    batch_verdicts = run_each(batch, labs);
     const auto stop = std::chrono::steady_clock::now();
     if (trace) obs::TraceRecorder::disable();
     r.batch_ms =
@@ -289,7 +301,7 @@ BatchResult measure_batch(const core::Scheme& scheme,
   r.batch_per_sec = static_cast<double>(labs.size()) / (r.batch_ms / 1000.0);
   r.speedup = r.rebuild_ms / r.batch_ms;
 
-  // Verdict identity: batch == rebuild for every labeling, batch at
+  // Verdict identity: batch == rebuild for every labeling, run_one loops at
   // threads {1, 2, hardware} all equal (untimed), and the first
   // `baseline_checked` labelings against the naive reference engine.
   bool identical = true;
@@ -301,7 +313,7 @@ BatchResult measure_batch(const core::Scheme& scheme,
     radius::BatchOptions options;
     options.threads = check_threads;
     radius::BatchVerifier batch(scheme, cfg, t, options);
-    const std::vector<core::Verdict> verdicts = batch.run(labs);
+    const std::vector<core::Verdict> verdicts = run_each(batch, labs);
     for (std::size_t i = 0; i < labs.size(); ++i)
       identical = identical && same_verdict(verdicts[i], batch_verdicts[i]);
   }
@@ -322,7 +334,7 @@ struct IncrementalResult {
   unsigned t = 0;
   std::size_t labelings = 0;
   unsigned threads = 1;
-  double full_ms = 0.0;    ///< pipelined batch, warm atlas (full re-verify)
+  double full_ms = 0.0;    ///< run_one loop, warm atlas (full re-verify)
   double delta_ms = 0.0;   ///< one seeding run + run_delta per mutation
   double full_per_sec = 0.0;
   double delta_per_sec = 0.0;
@@ -410,7 +422,7 @@ IncrementalResult measure_incremental(const core::Scheme& scheme,
   std::vector<core::Verdict> full_verdicts;
   {
     const auto start = std::chrono::steady_clock::now();
-    full_verdicts = full.run(stream.labs);
+    full_verdicts = run_each(full, stream.labs);
     const auto stop = std::chrono::steady_clock::now();
     r.full_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
@@ -552,7 +564,7 @@ ServingResult measure_serving(const core::Scheme& scheme,
   {
     radius::BatchVerifier verifier = verifier_at(threads, &registry);
     const auto start = std::chrono::steady_clock::now();
-    timed = verifier.run(labs);
+    timed = run_each(verifier, labs);
     const auto stop = std::chrono::steady_clock::now();
     r.stealing_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
@@ -571,8 +583,8 @@ ServingResult measure_serving(const core::Scheme& scheme,
   bool identical = timed.size() == labs.size();
   for (const unsigned check_threads :
        {1u, 2u, util::ThreadPool::hardware_threads()}) {
-    const std::vector<core::Verdict> got =
-        verifier_at(check_threads, nullptr).run(labs);
+    radius::BatchVerifier check = verifier_at(check_threads, nullptr);
+    const std::vector<core::Verdict> got = run_each(check, labs);
     for (std::size_t i = 0; identical && i < got.size(); ++i)
       identical = same_verdict(got[i], timed[i]);
   }

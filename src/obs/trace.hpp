@@ -1,11 +1,11 @@
 // Span tracing for the verification pipeline — chrome://tracing exporter.
 //
 // The staged pipeline (Geometry -> Parse/Link -> Sweep, radius/batch.hpp)
-// overlaps stage 2 of labeling i+1 with the pool's sweep of labeling i, and
-// fans the sweep out over per-slot worker threads.  Wall-clock totals cannot
-// show whether that overlap window actually opens, or whether one sweep slot
-// straggles while the rest idle; a span trace can.  TraceRecorder is the
-// process-wide span sink:
+// runs stage 2 and then the sweep for each labeling, fanning both out over
+// per-slot worker threads.  Wall-clock totals cannot show where a run's time
+// goes between the stages, or whether one sweep slot straggles while the
+// rest idle; a span trace can.  TraceRecorder is the process-wide span
+// sink:
 //
 //   * Zero overhead when disabled.  `enabled()` is one relaxed atomic load;
 //     a TraceSpan constructed while disabled reads no clock and records
@@ -25,7 +25,7 @@
 //
 // Span names must be string literals (the event stores the pointer); the
 // optional arg is a small integer rendered into the event's args (the batch
-// verifier stamps the labeling index, the sweep its slot).
+// verifier stamps a full run's node count, the sweep its slot).
 //
 // Enable/disable are meant to bracket a workload from a quiesced state
 // (nothing mid-span); spans started in one enabled window and finished in

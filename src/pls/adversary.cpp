@@ -47,9 +47,9 @@ AttackReport attack(const Scheme& scheme, const local::Configuration& cfg,
   // attack: thousands of candidate labelings are verified against the same
   // (scheme, cfg, t) triple, so ball geometry is built once per center and
   // each candidate pays only its own parse + sweep.  Sequential
-  // (threads = 1): attack results must not depend on the host's core count,
-  // and the hill-climb is adaptive (candidate i+1 depends on verdict i), so
-  // there is no batch to pipeline.
+  // (threads = 1): attack results must not depend on the host's core count.
+  // The hill-climb is adaptive (candidate i+1 depends on verdict i), so
+  // candidates are verified one run_one at a time.
   const unsigned t = effective_radius(scheme, options.rounds);
   radius::BatchOptions batch_options;
   batch_options.threads = 1;

@@ -39,55 +39,30 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
   }
 }
 
-void BatchVerifier::finish_sweep() {
-  const auto record = [this] {
-    if (metrics_.sweep_chunks == nullptr) return;  // no registry supplied
-    const util::RangeStats& stats = pool_->last_range_stats();
-    metrics_.sweep_chunks->add(stats.chunks);
-    metrics_.sweep_steals->add(stats.steals);
-    for (const std::uint64_t busy : stats.worker_busy_ns)
-      metrics_.worker_busy->record(busy);
-  };
-  try {
-    pool_->finish_range();
-  } catch (...) {
-    record();  // the pool assembles RangeStats before it rethrows
-    throw;
-  }
-  record();
-}
-
-void BatchVerifier::parse_link(const core::Labeling& labeling,
-                               ParsedLabeling& out, bool parallel) {
+void BatchVerifier::parse_link(const core::Labeling& labeling) {
   const std::size_t n = cfg_.n();
-  out.storage.clear();
-  out.storage.resize(n);
-  out.view.assign(n, nullptr);
-  const auto parse_chunk = [&](unsigned, std::size_t begin, std::size_t end) {
+  parsed_.storage.clear();
+  parsed_.storage.resize(n);
+  parsed_.view.assign(n, nullptr);
+  // A range job like the sweep's, but not a sweep: sweep() records the
+  // RangeStats of its own job only.
+  pool_->for_range(n, [&](unsigned, std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {
       PLS_FAILPOINT("radius.parse");
-      out.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
-      out.view[v] = out.storage[v].get();
+      parsed_.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
+      parsed_.view[v] = parsed_.storage[v].get();
     }
-  };
-  if (parallel) {
-    // A range job like the sweep's, but not a sweep: its RangeStats are
-    // overwritten by the next sweep before finish_sweep records any.
-    pool_->for_range(n, parse_chunk);
-  } else {
-    parse_chunk(0, 0, n);
-  }
+  });
   // Link phase: intern the parses' link keys into small dense ids;
   // single-threaded, the sweep workers only read the linked parses.  The
   // table persists in the verifier, so ANY full run leaves one a later
   // run_delta can relink against.
-  link_.link(out.storage);
+  link_.link(parsed_.storage);
 }
 
 util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
-    const core::Labeling& labeling, const ParsedLabeling& parsed,
-    std::span<const graph::NodeIndex> centers,
-    std::vector<std::uint8_t>& accept) {
+    const core::Labeling& labeling,
+    std::span<const graph::NodeIndex> centers) {
   // Empty `centers` = the identity map over [0, n) (the full sweep); a
   // non-empty SORTED list re-sweeps exactly those centers (the delta
   // path).  Sortedness is what keeps the block walk below incremental: a
@@ -95,12 +70,12 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
   const auto center_of = [centers](std::size_t i) {
     return centers.empty() ? static_cast<graph::NodeIndex>(i) : centers[i];
   };
+  const std::span<std::uint8_t> accept = accept_;
 
   if (ball_scheme_ == nullptr) {
     // Plain 1-round scheme: the shared per-node routine, per-slot scratch.
-    return [this, &labeling, &accept, center_of](unsigned worker,
-                                                 std::size_t begin,
-                                                 std::size_t end) {
+    return [this, &labeling, center_of, accept](
+               unsigned worker, std::size_t begin, std::size_t end) {
       PLS_TRACE_SPAN("sweep.slot", worker);
       std::vector<local::NeighborView>& scratch = slots_[worker].views;
       for (std::size_t i = begin; i < end; ++i) {
@@ -111,10 +86,10 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     };
   }
 
-  const std::span<const ParsedCert* const> cache = parsed.view;
+  const std::span<const ParsedCert* const> cache = parsed_.view;
   const unsigned radius = ball_scheme_->radius();
   const local::Visibility mode = scheme_.visibility();
-  return [this, &labeling, &accept, center_of, cache, radius, mode](
+  return [this, &labeling, center_of, accept, cache, radius, mode](
              unsigned worker, std::size_t begin, std::size_t end) {
     PLS_TRACE_SPAN("sweep.slot", worker);
     const graph::Graph& g = cfg_.graph();
@@ -134,100 +109,68 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
   };
 }
 
-void BatchVerifier::post_sweep(const core::Labeling& labeling,
-                               const ParsedLabeling& parsed,
-                               std::span<const graph::NodeIndex> centers,
-                               std::vector<std::uint8_t>& accept) {
+void BatchVerifier::sweep(const core::Labeling& labeling,
+                          std::span<const graph::NodeIndex> centers) {
   if (centers.empty()) {
-    accept.assign(cfg_.n(), 0);
+    accept_.assign(cfg_.n(), 0);
   } else {
-    PLS_ASSERT(accept.size() == cfg_.n());
+    PLS_ASSERT(accept_.size() == cfg_.n());
   }
+  const auto record = [this] {
+    if (metrics_.sweep_chunks == nullptr) return;  // no registry supplied
+    const util::RangeStats& stats = pool_->last_range_stats();
+    metrics_.sweep_chunks->add(stats.chunks);
+    metrics_.sweep_steals->add(stats.steals);
+    for (const std::uint64_t busy : stats.worker_busy_ns)
+      metrics_.worker_busy->record(busy);
+  };
   // The token rides into the claim loop: an expired request abandons its
   // sweep at the next chunk boundary instead of finishing a labeling nobody
   // is waiting for.
-  pool_->post_range(centers.empty() ? cfg_.n() : centers.size(),
-                    sweep_fn(labeling, parsed, centers, accept),
-                    util::RangeOptions{.cancel = cancel_});
+  try {
+    pool_->for_range(centers.empty() ? cfg_.n() : centers.size(),
+                     sweep_fn(labeling, centers),
+                     util::RangeOptions{.cancel = cancel_});
+  } catch (...) {
+    record();  // the pool assembles RangeStats before it rethrows
+    throw;
+  }
+  record();
 }
 
-std::vector<core::Verdict> BatchVerifier::run(
-    std::span<const core::Labeling> labelings) {
-  const std::size_t n = cfg_.n();
-  for (const core::Labeling& lab : labelings)
-    PLS_REQUIRE(lab.size() == n);
+core::Verdict BatchVerifier::verdict() const {
+  return core::Verdict(std::vector<bool>(accept_.begin(), accept_.end()));
+}
 
-  std::vector<core::Verdict> verdicts;
-  verdicts.reserve(labelings.size());
-  if (labelings.empty()) return verdicts;  // resident state untouched
-
-  const bool cached = ball_scheme_ != nullptr;
-
+core::Verdict BatchVerifier::run_one(const core::Labeling& labeling) {
+  PLS_REQUIRE(labeling.size() == cfg_.n());
   // Cancellation observed before any buffer is touched leaves the resident
   // state intact; once past this point an abandoned run clears it like any
   // other throwing run.
   if (cancel_ != nullptr && cancel_->cancelled()) throw util::CancelledError();
+  // verify.e2e_ns: the whole full run — stage 2, the sweep, and verdict
+  // assembly.
+  obs::ScopedTimer e2e_timer(metrics_.e2e);
 
   // The buffers are about to be rewritten; should anything below throw, no
   // delta may build on them until a full run completes again.
   resident_valid_ = false;
-
-  // Stage 2 of the first labeling has nothing to overlap with — use the
-  // idle pool.  parsed_/accept_ are the double buffers: stage 2 of
-  // labeling i+1 fills the half the sweep of labeling i is not reading.
-  if (cached) {
-    PLS_TRACE_SPAN("parse.link", 0);
+  if (ball_scheme_ != nullptr) {
+    PLS_TRACE_SPAN("parse.link", cfg_.n());
     obs::ScopedTimer parse_timer(metrics_.parse);
-    parse_link(labelings[0], parsed_[0], /*parallel=*/true);
+    parse_link(labeling);
+  }
+  if (metrics_.labelings != nullptr) metrics_.labelings->add(1);
+  {
+    PLS_TRACE_SPAN("sweep.window", cfg_.n());
+    obs::ScopedTimer sweep_timer(metrics_.sweep);
+    sweep(labeling, {});
   }
 
-  if (metrics_.labelings != nullptr) metrics_.labelings->add(labelings.size());
-  for (std::size_t i = 0; i < labelings.size(); ++i) {
-    // Per-labeling cancellation boundary: the pool is quiescent here (the
-    // previous iteration's finish_range completed), so abandoning between
-    // labelings unwinds with no job in flight.
-    if (cancel_ != nullptr && cancel_->cancelled())
-      throw util::CancelledError();
-    // verify.e2e_ns: one labeling's wall contribution to the batch — the
-    // sweep window (including the overlapped stage-2 work of labeling i+1
-    // on the calling thread) plus verdict materialization.
-    obs::ScopedTimer e2e_timer(metrics_.e2e);
-    {
-      // The "sweep.window" span brackets post..finish on the calling
-      // thread, so in a trace it structurally contains the "parse.link"
-      // span of labeling i+1 — the pipelining overlap made visible.
-      PLS_TRACE_SPAN("sweep.window", i);
-      obs::ScopedTimer sweep_timer(metrics_.sweep);
-      post_sweep(labelings[i], parsed_[i % 2], {}, accept_[i % 2]);
-      // Overlap window: the workers are sweeping labeling i (with threads =
-      // 1 the sweep is merely deferred — strictly sequential, same
-      // verdicts).  A stage-2 throw must not unwind past the posted sweep:
-      // the workers are writing into this object's buffers under the
-      // caller's feet, so quiesce them first.
-      if (cached && i + 1 < labelings.size()) {
-        try {
-          PLS_TRACE_SPAN("parse.link", i + 1);
-          obs::ScopedTimer parse_timer(metrics_.parse);
-          parse_link(labelings[i + 1], parsed_[(i + 1) % 2],
-                     /*parallel=*/false);
-        } catch (...) {
-          finish_sweep();
-          throw;
-        }
-      }
-      finish_sweep();
-    }
-
-    std::vector<bool> bits(n);
-    for (std::size_t v = 0; v < n; ++v) bits[v] = accept_[i % 2][v] != 0;
-    verdicts.emplace_back(std::move(bits));
-  }
-
-  // The last labeling's stage-2 cache and verdict bytes stay behind as the
-  // resident state run_delta mutates in place.
-  resident_ = static_cast<unsigned>((labelings.size() - 1) % 2);
+  // The parse cache and verdict bytes stay behind as the resident state
+  // run_delta mutates in place.
   resident_valid_ = true;
-  return verdicts;
+  return verdict();
 }
 
 core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
@@ -240,20 +183,13 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   PLS_TRACE_SPAN("delta.run", delta.touched.size());
   obs::ScopedTimer e2e_timer(metrics_.delta_e2e);
 
-  std::vector<std::uint8_t>& accept = accept_[resident_];
-  const auto splice_verdict = [&] {
-    std::vector<bool> bits(n);
-    for (std::size_t v = 0; v < n; ++v) bits[v] = accept[v] != 0;
-    return core::Verdict(std::move(bits));
-  };
-
   if (delta.touched.empty()) {
     // Nothing differs from the resident labeling: no parse, no link, no
     // sweep — the verdict is the resident one, re-counted fresh (Verdict
     // caches its rejection count per object, so the splice never carries a
     // stale count).
     ++delta_stats_.empty_runs;
-    return splice_verdict();
+    return verdict();
   }
 
   // Cancellation observed here — before any mutation — leaves the resident
@@ -272,15 +208,14 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   if (ball_scheme_ != nullptr) {
     PLS_TRACE_SPAN("delta.reparse", delta.touched.size());
     obs::ScopedTimer parse_timer(metrics_.delta_parse);
-    ParsedLabeling& parsed = parsed_[resident_];
-    PLS_ASSERT(parsed.storage.size() == n);
+    PLS_ASSERT(parsed_.storage.size() == n);
     for (const graph::NodeIndex v : delta.touched) {
       PLS_FAILPOINT("radius.parse");
-      parsed.storage[v] = ball_scheme_->parse_cert(next.certs[v]);
-      parsed.view[v] = parsed.storage[v].get();
+      parsed_.storage[v] = ball_scheme_->parse_cert(next.certs[v]);
+      parsed_.view[v] = parsed_.storage[v].get();
     }
     delta_stats_.certs_reparsed += delta.touched.size();
-    link_.relink(parsed.storage, delta.touched);
+    link_.relink(parsed_.storage, delta.touched);
     ++delta_stats_.links_incremental;
     delta_stats_.link_reseeds = link_.reseeds();
   }
@@ -303,20 +238,11 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   {
     PLS_TRACE_SPAN("delta.resweep", dirty.size());
     obs::ScopedTimer sweep_timer(metrics_.delta_sweep);
-    // Blocking (no pipelining — delta streams are adaptive).
-    if (!dirty.empty()) {
-      post_sweep(next, parsed_[resident_], dirty, accept);
-      finish_sweep();
-    }
+    if (!dirty.empty()) sweep(next, dirty);
   }
 
   resident_valid_ = true;
-  return splice_verdict();
-}
-
-core::Verdict BatchVerifier::run_one(const core::Labeling& labeling) {
-  std::vector<core::Verdict> verdicts = run({&labeling, 1});
-  return std::move(verdicts.front());
+  return verdict();
 }
 
 }  // namespace pls::radius

@@ -1,4 +1,4 @@
-// Stages 2+3 of the verification pipeline, and its batch-labeling front end.
+// Stages 2+3 of the verification pipeline, and its verifier front end.
 //
 // The staged pipeline splits a radius-t verification into three separately
 // owned stages:
@@ -8,45 +8,44 @@
 //                  across verifiers, thread slots, and t values.
 //   2. PARSE/LINK — labeling-dependent, center-independent: each node's
 //                  certificate parsed exactly once per labeling
-//                  (BallScheme::parse_cert), then the single-threaded link
-//                  phase interns the parses' link keys into dense class ids
-//                  (detail::LinkTable, parse_link.hpp — owned here, the one
-//                  link contract for every scheme).
+//                  (BallScheme::parse_cert, fanned out over the pool), then
+//                  the single-threaded link phase interns the parses' link
+//                  keys into dense class ids (detail::LinkTable,
+//                  parse_link.hpp — owned here, the one link contract for
+//                  every scheme).
 //   3. SWEEP     — per-center verify_ball over geometry bound to the
 //                  labeling, fanned out over util::ThreadPool's chunked
 //                  work-stealing split (skewed ball sizes rebalance across
 //                  slots).
 //
 // BatchVerifier is bound to one (scheme, configuration, t) and verifies any
-// number of labelings against it.  For a batch, the stages overlap: while the
-// pool sweeps labeling i, the calling thread (which joins the posted range's
-// claim loop only at ThreadPool::finish_range) parses and links labeling i+1
-// into the other half of a double buffer.  Verdicts are bit-identical to
-// per-labeling runs at every thread count — parse results are per-node and
-// scheduling-independent, the link phase is deterministic, and each verdict
-// depends only on its own labeling's stage-2 output — so the overlap is a
-// pure wall-clock win.  threads = 1 degenerates to the strictly sequential
-// parse -> link -> sweep per labeling, spawning no threads.
+// number of labelings against it, one run_one call each: parse/link, then one
+// blocking sweep, then verdict assembly.  What persists across calls is the
+// geometry atlas, the thread pool and the buffers' capacity, so a loop of
+// run_one calls reuses every ball it has built.  Verdicts are bit-identical
+// to run_verifier_t_baseline at every thread count — parse results are
+// per-node and scheduling-independent, the link phase is deterministic, and
+// the sweep's writes are per-center disjoint.  threads = 1 runs strictly
+// sequentially on the calling thread, spawning no threads.
 //
-// On top of the batch, the verifier is *delta-aware*: run_delta verifies a
+// On top of the full run, the verifier is *delta-aware*: run_delta verifies a
 // labeling that differs from the previously verified one at a declared set
 // of touched nodes, exploiting the model's error-locality — a center's
 // verdict depends only on the certificates in its radius-t ball, so a
 // k-certificate mutation can flip verdicts only within distance t of those
 // k nodes.  The delta path (a) re-parses only the touched certificates into
-// the resident half of the double-buffered parse cache, carrying every
-// clean entry forward across the labeling boundary; (b) re-links them
-// incrementally through the verifier's LinkTable — stable class ids keep
-// carried-forward parses comparable with fresh ones; (c) resolves the
-// dirty-center set through the reverse-ball index (DirtyIndex, delta.hpp —
-// ball symmetry served by the geometry atlas) and sweeps only those over the
-// pool, splicing carried-forward verdicts for the clean centers.  Verdicts are bit-identical to a from-scratch run at
+// the resident parse cache, carrying every clean entry forward across the
+// labeling boundary; (b) re-links them incrementally through the verifier's
+// LinkTable — stable class ids keep carried-forward parses comparable with
+// fresh ones; (c) resolves the dirty-center set through the reverse-ball
+// index (DirtyIndex, delta.hpp — ball symmetry served by the geometry atlas)
+// and sweeps only those over the pool, splicing carried-forward verdicts for
+// the clean centers.  Verdicts are bit-identical to a from-scratch run at
 // every thread count; DeltaStats is the observable proof that an empty
 // delta does no stage work at all.  pls::core::attack feeds its hill-climb
 // steps through this path.
 //
-// run_one is the single-labeling entry point (a batch of one; run_verifier_t
-// is a sequential run_one over a zero-budget atlas).
+// run_verifier_t is a sequential run_one over a zero-budget atlas.
 //
 // Certificate bytes: every run is synchronous and reads its labelings'
 // certificates only until it returns.  Parses are owned copies
@@ -90,22 +89,18 @@ class BatchVerifier {
   BatchVerifier(const core::Scheme& scheme, const local::Configuration& cfg,
                 unsigned t, BatchOptions options = {});
 
-  /// Verifies every labeling of the span, pipelined as described above.
-  /// verdicts[i] is bit-identical to a fresh per-labeling run_one (and to
-  /// run_verifier_t_baseline) at every thread count.
-  std::vector<core::Verdict> run(std::span<const core::Labeling> labelings);
-
-  /// Batch of one — the single-labeling entry point.  Callable repeatedly
-  /// with different labelings: the parse cache is rebuilt per call, while
-  /// the geometry atlas and thread machinery persist, which is what the
-  /// adversary's hill-climb loop amortizes.
+  /// Verifies one labeling from scratch: parse/link, one sweep, verdict
+  /// assembly.  Callable repeatedly with different labelings: the parse
+  /// cache is rebuilt per call, while the geometry atlas and thread
+  /// machinery persist, which is what the adversary's hill-climb loop
+  /// amortizes.  The verdict is bit-identical to run_verifier_t_baseline at
+  /// every thread count.
   core::Verdict run_one(const core::Labeling& labeling);
 
   /// The delta front door.  Verifies `next` given that it differs from the
-  /// *resident* labeling — the one the last successful run()/run_one()/
-  /// run_delta() call verified (for run(span), the span's last element) —
-  /// at most on delta.touched (an over-approximation is fine; see
-  /// LabelingDelta).  Requires such a resident run; verdicts are
+  /// *resident* labeling — the one the last successful run_one()/run_delta()
+  /// call verified — at most on delta.touched (an over-approximation is
+  /// fine; see LabelingDelta).  Requires such a resident run; verdicts are
   /// bit-identical to run_one(next) at every thread count.  An empty
   /// mutation set does no parse, no link, and no sweep work (delta_stats()).
   core::Verdict run_delta(const core::Labeling& next,
@@ -116,11 +111,12 @@ class BatchVerifier {
   /// throws).
   bool has_resident() const noexcept { return resident_valid_; }
 
-  /// Cooperative cancellation: while set, every run checks the token at
-  /// per-labeling boundaries and at every chunk-claim boundary inside the
-  /// sweep (ThreadPool's RangeOptions::cancel), and abandons the run with
-  /// util::CancelledError.  An abandoned run leaves
-  /// the verifier exactly like any other throwing run: no resident state
+  /// Cooperative cancellation: while set, every run checks the token on
+  /// entry and at every chunk-claim boundary inside the sweep (ThreadPool's
+  /// RangeOptions::cancel), and abandons the run with util::CancelledError.
+  /// A run refused on entry has touched nothing: the resident state it
+  /// found is still there for run_delta.  A run abandoned later leaves the
+  /// verifier exactly like any other throwing run: no resident state
   /// (has_resident() false) and every buffer rebuilt from scratch by the
   /// next run, whose verdicts are therefore still bit-exact.  The token is
   /// read per run — the serving tier re-arms one token per request.  Null
@@ -142,14 +138,16 @@ class BatchVerifier {
  private:
   // Thread contract, in the terms the thread-safety analysis enforces
   // elsewhere: BatchVerifier is externally synchronized — one caller thread
-  // drives run/run_one/run_delta, so no member below carries a capability
+  // drives run_one/run_delta, so no member below carries a capability
   // (there is deliberately no mutex to guard them with).  The only
-  // cross-thread sharing is the posted sweep job: workers read `parsed_`,
-  // `slots_` (their own slot), and the labeling, and write disjoint bytes of
-  // an `accept_` half; ThreadPool's job hand-off (its annotated mutex,
-  // util/thread_pool.hpp) is the happens-before edge in both directions.
-  // The shared GeometryAtlas *is* internally locked and annotated
-  // (atlas.hpp); everything else here must stay caller-thread-only.
+  // cross-thread sharing is the pool's range jobs, each joined before the
+  // call that started it returns: parse workers write disjoint entries of
+  // `parsed_`; sweep workers read `parsed_`, `slots_` (their own slot), and
+  // the labeling, and write disjoint bytes of `accept_`.  ThreadPool's job
+  // hand-off (its annotated mutex, util/thread_pool.hpp) is the
+  // happens-before edge in both directions.  The shared GeometryAtlas *is*
+  // internally locked and annotated (atlas.hpp); everything else here must
+  // stay caller-thread-only.
 
   /// Stage-2 output for one labeling: the per-node parse-once cache.
   struct ParsedLabeling {
@@ -157,30 +155,28 @@ class BatchVerifier {
     std::vector<const ParsedCert*> view;
   };
 
-  void parse_link(const core::Labeling& labeling, ParsedLabeling& out,
-                  bool parallel);
+  /// Stage 2 into `parsed_`: parses every certificate over the pool, then
+  /// links the parses single-threaded.
+  void parse_link(const core::Labeling& labeling);
   /// The one stage-3 per-center verify body, shared by the full sweep and
   /// the dirty re-sweep: slot i of the returned range job verifies center
   /// centers[i] (or center i itself when `centers` is empty — the full
-  /// sweep) and writes accept[center].  The captured references must
-  /// outlive the job's execution.
+  /// sweep) and writes that center's `accept_` byte.  The captured
+  /// references must outlive the job's execution, and `accept_` must
+  /// already have its final size.
   util::ThreadPool::RangeFn sweep_fn(const core::Labeling& labeling,
-                                     const ParsedLabeling& parsed,
-                                     std::span<const graph::NodeIndex> centers,
-                                     std::vector<std::uint8_t>& accept);
-  /// Posts the stage-3 sweep over the pool and returns: `centers` empty
-  /// sweeps every center of a fresh accept vector (the full sweep); a
-  /// sorted center list re-verifies exactly those into the resident accept
-  /// bytes (the delta path).  The caller may overlap stage 2 of the next
-  /// labeling, then calls finish_sweep().
-  void post_sweep(const core::Labeling& labeling, const ParsedLabeling& parsed,
-                  std::span<const graph::NodeIndex> centers,
-                  std::vector<std::uint8_t>& accept);
-  /// Completes the posted sweep and publishes its RangeStats (chunk/steal
-  /// counts, per-slot busy time) to the metrics sinks — also when the sweep
-  /// throws (cancelled or faulted): its executed chunks and busy time were
-  /// real work inside the sweep window.
-  void finish_sweep();
+                                     std::span<const graph::NodeIndex> centers);
+  /// Runs the stage-3 sweep over the pool and blocks until it completes:
+  /// `centers` empty sweeps every center into a fresh `accept_` (the full
+  /// sweep); a sorted center list re-verifies exactly those into the
+  /// resident bytes (the delta path).  Publishes the sweep's RangeStats
+  /// (chunk/steal counts, per-slot busy time) to the metrics sinks — also
+  /// when the sweep throws (cancelled or faulted): its executed chunks and
+  /// busy time were real work inside the sweep window.
+  void sweep(const core::Labeling& labeling,
+             std::span<const graph::NodeIndex> centers);
+  /// The verdict the `accept_` bytes spell, counted fresh.
+  core::Verdict verdict() const;
 
   const core::Scheme& scheme_;
   const BallScheme* ball_scheme_;  // nullptr for plain 1-round schemes
@@ -196,17 +192,14 @@ class BatchVerifier {
   };
   std::vector<Slot> slots_;
 
-  // The pipeline's double buffers, members so their capacity persists
-  // across run()/run_one() calls — the adversary's hill-climb calls
-  // run_one thousands of times per attack and must not reallocate per
-  // candidate.  During run(), no labeling's parse outlives its iteration:
-  // each buffer is rebuilt (clear + resize) before its labeling's sweep is
-  // posted.  After a successful run, the LAST labeling's half stays behind
-  // as the *resident* state (resident_ names it) — the carried-forward
-  // parses and verdicts the delta path splices from and mutates in place.
-  ParsedLabeling parsed_[2];
-  std::vector<std::uint8_t> accept_[2];
-  unsigned resident_ = 0;        ///< buffer half holding the resident state
+  // Stage-2 parse cache and stage-3 verdict bytes, members so their
+  // capacity persists across run_one() calls — the adversary's hill-climb
+  // calls run_one thousands of times per attack and must not reallocate per
+  // candidate.  After a successful run they hold the *resident* state: the
+  // carried-forward parses and verdicts the delta path splices from and
+  // mutates in place.
+  ParsedLabeling parsed_;
+  std::vector<std::uint8_t> accept_;
   bool resident_valid_ = false;  ///< a resident labeling exists for deltas
 
   // Stage-2 link phase: the interning table every full run resets and every

@@ -114,24 +114,9 @@ void ThreadPool::worker_loop(unsigned worker) {
 
 void ThreadPool::for_range(std::size_t n, const RangeFn& fn,
                            RangeOptions options) {
-  PLS_REQUIRE(!posted_);
   const Job job = make_job(&fn, n, options);
   start(job);
   join(job);
-}
-
-void ThreadPool::post_range(std::size_t n, RangeFn fn, RangeOptions options) {
-  PLS_REQUIRE(!posted_);
-  posted_fn_ = std::move(fn);
-  posted_ = true;
-  posted_job_ = make_job(&posted_fn_, n, options);
-  start(posted_job_);
-}
-
-void ThreadPool::finish_range() {
-  PLS_REQUIRE(posted_);
-  posted_ = false;
-  join(posted_job_);
 }
 
 void ThreadPool::start(const Job& job) {

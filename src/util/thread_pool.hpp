@@ -91,25 +91,8 @@ class ThreadPool {
                                      std::size_t end)>;
   void for_range(std::size_t n, const RangeFn& fn, RangeOptions options = {});
 
-  /// Asynchronous variant for software pipelining: posts the job and returns
-  /// immediately — the workers start claiming right away, while the calling
-  /// thread joins the claim loop only inside finish_range().  Between the
-  /// two calls the caller may do unrelated work (the batch verifier parses
-  /// labeling i+1 there while the workers sweep labeling i).  A 1-thread
-  /// pool runs the whole range inside finish_range(), so nothing runs before
-  /// it and the sequential path still spawns nothing.  At most one posted
-  /// range may be outstanding; for_range(n, fn, o) ==
-  /// post_range(n, fn, o) + finish_range().
-  void post_range(std::size_t n, RangeFn fn, RangeOptions options = {});
-
-  /// Completes the posted range: claims chunks here, blocks until every
-  /// worker has stopped, and rethrows the first captured exception.
-  void finish_range();
-
-  /// Stats of the most recent job completed by this pool (for_range, or
-  /// post_range + finish_range), assembled before any rethrow; valid until
-  /// the next job starts.  Calling-thread-only, like the pool's other
-  /// bookkeeping between post and finish.
+  /// Stats of the most recent job completed by this pool, assembled before
+  /// any rethrow; valid until the next job starts.  Calling-thread-only.
   const RangeStats& last_range_stats() const noexcept { return last_stats_; }
 
   /// std::thread::hardware_concurrency, clamped to >= 1.
@@ -179,13 +162,7 @@ class ThreadPool {
   // the reset early because they re-read the job only after the
   // generation_ bump behind the same mutex.
   std::atomic<std::size_t> next_chunk_{0};
-  // post_range bookkeeping: touched only by the calling thread between
-  // post_range and finish_range (the workers read the job through job_),
-  // so these are caller-local, not guarded.
-  RangeFn posted_fn_;      // owning copy for post_range jobs
-  Job posted_job_;
-  bool posted_ = false;    // a post_range awaits finish_range
-  RangeStats last_stats_;  // assembled at the end of every job
+  RangeStats last_stats_;  // calling-thread-only, assembled at job end
 };
 
 }  // namespace pls::util

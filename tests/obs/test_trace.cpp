@@ -1,7 +1,7 @@
 // TraceRecorder: span nesting, the disabled path recording nothing, the
-// chrome-trace export shape — and the pipeline's overlap window: a 2-labeling
-// batch must show labeling 1's parse span nested inside labeling 0's sweep
-// window on the calling thread.
+// chrome-trace export shape — and a full run's stage structure: on the
+// calling thread, the "parse.link" span ends before the "sweep.window" span
+// opens, and every claimed chunk shows up as a span.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -118,46 +118,35 @@ TEST(TraceRecorder, ChromeTraceExportIsWellFormedJson) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(TraceRecorder, BatchTraceShowsParseSweepOverlapWindow) {
-  // Two labelings through the pipelined batch: while labeling 0's sweep is
-  // posted (the "sweep.window" span on the calling thread), the calling
-  // thread parses labeling 1 ("parse.link" arg 1).  The trace must show that
-  // overlap structurally: parse(1) nested inside window(0), same tid.
+TEST(TraceRecorder, FullRunTraceShowsParseThenSweepWindow) {
+  // One run_one: stage 2 ("parse.link") and the blocking sweep
+  // ("sweep.window") are both spans on the calling thread, disjoint and in
+  // that order.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const radius::FragmentSpreadScheme scheme(base, 2);
   auto g = testing::share(graph::grid(6, 6));
   const local::Configuration cfg = language.make_tree(g, 0);
   const core::Labeling lab = scheme.mark(cfg);
-  const std::vector<core::Labeling> labelings{lab, lab};
 
   radius::BatchOptions options;
   options.threads = 2;
   radius::BatchVerifier verifier(scheme, cfg, 2, options);
 
   TraceRecorder::enable();
-  const std::vector<core::Verdict> verdicts =
-      verifier.run(std::span<const core::Labeling>(labelings));
+  const core::Verdict verdict = verifier.run_one(lab);
   TraceRecorder::disable();
-  ASSERT_EQ(verdicts.size(), 2u);
-  EXPECT_TRUE(verdicts[0].all_accept());
-  EXPECT_TRUE(verdicts[1].all_accept());
+  EXPECT_TRUE(verdict.all_accept());
 
+  // Both spans carry the labeling's node count.
   const std::vector<Event> events = TraceRecorder::events();
-  const Event* window0 = find_event(events, "sweep.window", 0);
-  const Event* parse1 = find_event(events, "parse.link", 1);
-  ASSERT_NE(window0, nullptr);
-  ASSERT_NE(parse1, nullptr);
-  EXPECT_TRUE(contains(*window0, *parse1))
-      << "labeling 1's parse must run inside labeling 0's sweep window";
-  // The fan-out is visible too: one verify-body span per claimed chunk
-  // (36 centers over 2 slots: default chunk = 1) of both sweeps.  Which
-  // slot claimed each is timing-dependent — a fast claimant may drain every
-  // chunk before its peer wakes — so the spans are counted, not located.
-  std::size_t slot_spans = 0;
-  for (const Event& e : events)
-    if (std::string("sweep.slot") == e.name) ++slot_spans;
-  EXPECT_EQ(slot_spans, 2 * cfg.n());
+  const Event* parse = find_event(events, "parse.link", cfg.n());
+  const Event* window = find_event(events, "sweep.window", cfg.n());
+  ASSERT_NE(parse, nullptr);
+  ASSERT_NE(window, nullptr);
+  EXPECT_EQ(parse->tid, window->tid);
+  EXPECT_LE(parse->start_ns + parse->dur_ns, window->start_ns)
+      << "stage 2 must end before the sweep window opens";
 }
 
 TEST(TraceRecorder, StealingSweepShowsClaimedChunkSpans) {
@@ -187,7 +176,7 @@ TEST(TraceRecorder, StealingSweepShowsClaimedChunkSpans) {
     if (std::string("sweep.slot") == e.name) ++slot_spans;
   }
   // 36 centers, 2 slots, default chunk = max(1, 36/32) = 1: one claimed
-  // chunk per node for the first labeling's parallel parse, then one claimed
+  // chunk per node for the parallel parse, then one claimed
   // chunk (and one verify-body span) per center for the sweep, however
   // they land.
   EXPECT_EQ(chunk_spans, 2 * cfg.n());

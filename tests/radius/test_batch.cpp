@@ -1,11 +1,10 @@
-// BatchVerifier: the pipelined batch front end must be bit-identical to
-// per-labeling run_one calls and to the naive reference engine at every
-// thread count — including the stage-2 hazard the pipeline introduces: the
-// parse cache of labeling i+1 is filled WHILE the sweep of labeling i runs,
-// so a stale or crossed parse would be an ordering bug, not a logic bug.
-// These tests pin both down, plus the satellite regression: a parse cached
-// for one labeling must be unreachable from any other labeling's sweep, by
-// construction (double-buffered ParsedLabeling, rebuilt per labeling).
+// BatchVerifier: a loop of run_one calls on one verifier must be
+// bit-identical to the naive reference engine at every thread count, even
+// though the parse cache, verdict bytes, link table and atlas persist from
+// one labeling to the next — a stale or crossed parse would be a reuse bug,
+// not a logic bug.  These tests pin that down (certificates swapped between
+// consecutive labelings, aliased labelings freed after the run), plus the
+// stage metrics a full run records.
 #include "radius/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -41,6 +40,14 @@ Labeling random_labeling(std::size_t n, util::Rng& rng) {
   return lab;
 }
 
+/// One run_one per labeling, in order, on the same verifier.
+std::vector<Verdict> run_each(BatchVerifier& verifier,
+                              std::span<const Labeling> labs) {
+  std::vector<Verdict> verdicts;
+  for (const Labeling& lab : labs) verdicts.push_back(verifier.run_one(lab));
+  return verdicts;
+}
+
 void expect_batch_equals_baselines(const core::Scheme& scheme,
                                    const local::Configuration& cfg,
                                    unsigned t,
@@ -55,7 +62,7 @@ void expect_batch_equals_baselines(const core::Scheme& scheme,
     BatchOptions options;
     options.threads = threads;
     BatchVerifier batch(scheme, cfg, t, options);
-    const std::vector<Verdict> got = batch.run(labs);
+    const std::vector<Verdict> got = run_each(batch, labs);
     ASSERT_EQ(got.size(), labs.size());
     for (std::size_t i = 0; i < labs.size(); ++i)
       EXPECT_EQ(oracle[i].accept(), got[i].accept())
@@ -85,11 +92,10 @@ TEST(BatchVerifier, RegistryBatchesMatchPerLabelingBaseline) {
   }
 }
 
-// The satellite regression: certificates SWAP between consecutive labelings
-// of a batch.  If any stage-2 parse leaked across the pipeline's double
-// buffer (labeling i's sweep reading labeling i+1's half-built cache, or a
-// cache surviving a labeling change), these verdicts would diverge from the
-// per-labeling oracle — nodes would be judged on another labeling's parse.
+// Certificates SWAP between consecutive labelings of a run_one loop.  If any
+// stage-2 parse survived a labeling change in the verifier's reused parse
+// cache, these verdicts would diverge from the per-labeling oracle — nodes
+// would be judged on another labeling's parse.
 TEST(BatchVerifier, SwappedCertificatesAcrossBatchNeverReuseStaleParses) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -121,9 +127,10 @@ TEST(BatchVerifier, SwappedCertificatesAcrossBatchNeverReuseStaleParses) {
   expect_batch_equals_baselines(spread, cfg, 4, labs, "swap-batch");
 }
 
-// run_one interleaved with run(): the single-labeling path shares the atlas
-// and buffers with the batch path; interleaving must not leak state either.
-TEST(BatchVerifier, RunOneInterleavedWithBatches) {
+// Rounds of run_one on one verifier at threads = 2, each round a tampered
+// labeling and then a honest/tampered/honest sequence: the shared atlas and
+// buffers must not leak state from one labeling to the next.
+TEST(BatchVerifier, RepeatedRunOneRoundsNeverLeakState) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);
@@ -141,7 +148,7 @@ TEST(BatchVerifier, RunOneInterleavedWithBatches) {
     EXPECT_EQ(batch.run_one(tampered).accept(),
               run_verifier_t_baseline(spread, cfg, tampered, 2).accept());
     std::vector<Labeling> labs = {honest, tampered, honest};
-    const std::vector<Verdict> got = batch.run(labs);
+    const std::vector<Verdict> got = run_each(batch, labs);
     for (std::size_t i = 0; i < labs.size(); ++i)
       EXPECT_EQ(got[i].accept(),
                 run_verifier_t_baseline(spread, cfg, labs[i], 2).accept());
@@ -150,7 +157,7 @@ TEST(BatchVerifier, RunOneInterleavedWithBatches) {
   EXPECT_GT(batch.atlas().stats().hits, 0u);
 }
 
-TEST(BatchVerifier, EmptyBatchAndInputValidation) {
+TEST(BatchVerifier, InputValidation) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 4);
@@ -158,17 +165,15 @@ TEST(BatchVerifier, EmptyBatchAndInputValidation) {
   const auto cfg = language.make_tree(g, 0);
 
   BatchVerifier batch(spread, cfg, 4);
-  EXPECT_TRUE(batch.run({}).empty());
   Labeling wrong;
   wrong.certs.assign(2, local::Certificate{});
-  std::vector<Labeling> labs = {wrong};
-  EXPECT_THROW(batch.run(labs), std::logic_error);
+  EXPECT_THROW(batch.run_one(wrong), std::logic_error);
   EXPECT_THROW(BatchVerifier(spread, cfg, 0), std::logic_error);
   EXPECT_THROW(BatchVerifier(spread, cfg, 2), std::logic_error);
 }
 
-// The throughput claim's correctness half, in miniature: a batch over one
-// shared atlas equals the rebuild-every-run loop (budget-0 atlas) verdict
+// The throughput claim's correctness half, in miniature: a run_one loop over
+// one shared atlas equals the rebuild-every-run loop (budget-0 atlas) verdict
 // for verdict.
 TEST(BatchVerifier, WarmAtlasEqualsRebuildLoop) {
   const schemes::StpLanguage language;
@@ -196,7 +201,7 @@ TEST(BatchVerifier, WarmAtlasEqualsRebuildLoop) {
       AtlasOptions{.byte_budget = 0, .block_centers = 16});
   BatchVerifier cold(spread, cfg, 4, cold_options);
 
-  const std::vector<Verdict> warm_verdicts = warm.run(labs);
+  const std::vector<Verdict> warm_verdicts = run_each(warm, labs);
   for (std::size_t i = 0; i < labs.size(); ++i)
     EXPECT_EQ(warm_verdicts[i].accept(), cold.run_one(labs[i]).accept());
 
@@ -239,7 +244,7 @@ graph::Graph skewed_core_chain_graph(std::size_t core, std::size_t chains,
 
 // The scheduler gate: on the skewed instance, the work-stealing sweep must
 // match the baseline engine bit for bit at threads {1, 2, hw} — for full
-// pipelined batches and for the delta path's dirty re-sweep — even though
+// runs and for the delta path's dirty re-sweep — even though
 // the chunk assignment is nondeterministic.
 TEST(BatchVerifier, SkewedInstanceIdenticalAcrossThreads) {
   const schemes::StpLanguage language;
@@ -260,7 +265,7 @@ TEST(BatchVerifier, SkewedInstanceIdenticalAcrossThreads) {
   for (const Labeling& lab : labs)
     oracle.push_back(run_verifier_t_baseline(spread, cfg, lab, 4));
 
-  // One fixed delta on top of the batch's last labeling: a core cert and a
+  // One fixed delta on top of the last labeling: a core cert and a
   // chain-tail cert flip back to honest.
   const auto tail = static_cast<graph::NodeIndex>(cfg.n() - 1);
   Labeling delta_next = labs.back();
@@ -274,7 +279,7 @@ TEST(BatchVerifier, SkewedInstanceIdenticalAcrossThreads) {
     BatchOptions options;
     options.threads = threads;
     BatchVerifier batch(spread, cfg, 4, options);
-    const std::vector<Verdict> got = batch.run(labs);
+    const std::vector<Verdict> got = run_each(batch, labs);
     ASSERT_EQ(got.size(), labs.size());
     for (std::size_t i = 0; i < labs.size(); ++i)
       EXPECT_EQ(oracle[i].accept(), got[i].accept())
@@ -380,6 +385,34 @@ TEST(BatchVerifier, ParallelParseIsNotCountedAsASweep) {
   EXPECT_EQ(snap.histograms.at("verify.worker_busy_ns").count, 1u);
 }
 
+// verify.e2e_ns times the whole full run: stage 2 and the sweep window are
+// nested inside it, so its sum bounds theirs exactly.
+TEST(BatchVerifier, FullRunE2eCoversParseLinkAndSweep) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 2);
+  auto g = share(graph::path(64));
+  const local::Configuration cfg = language.make_tree(g, 0);
+
+  obs::MetricsRegistry registry;
+  BatchOptions options;
+  options.threads = 2;
+  options.metrics = &registry;
+  BatchVerifier verifier(spread, cfg, 2, options);
+  EXPECT_TRUE(verifier.run_one(spread.mark(cfg)).all_accept());
+
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const obs::HistogramSnapshot& e2e = snap.histograms.at("verify.e2e_ns");
+  const obs::HistogramSnapshot& parse =
+      snap.histograms.at("verify.parse_link_ns");
+  const obs::HistogramSnapshot& window =
+      snap.histograms.at("verify.sweep_window_ns");
+  EXPECT_EQ(e2e.count, 1u);
+  EXPECT_EQ(parse.count, 1u);
+  EXPECT_EQ(window.count, 1u);
+  EXPECT_GE(e2e.sum, parse.sum + window.sum);
+}
+
 /// An aliased twin of `src`: one contiguous byte buffer (a stand-in for a
 /// wire frame) plus a labeling whose certificates alias into it zero-copy.
 struct AliasedCopy {
@@ -406,9 +439,9 @@ AliasedCopy alias_of(const Labeling& src) {
 
 // The zero-copy contract, producer side: aliased labelings are bit-identical
 // to owned ones, and the producer may free every buffer — labelings AND
-// bytes — the moment run() returns.  The verifier holds nothing of them:
-// parses own their bytes, so the post-run delta below reads no freed memory
-// (the ASan job proves it).
+// bytes — the moment the last run_one returns.  The verifier holds nothing
+// of them: parses own their bytes, so the post-run delta below reads no
+// freed memory (the ASan job proves it).
 TEST(BatchVerifier, AliasedLabelingsMatchOwnedAndOutliveTheProducer) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -439,7 +472,7 @@ TEST(BatchVerifier, AliasedLabelingsMatchOwnedAndOutliveTheProducer) {
         aliased.push_back(alias_of(lab));
         labs.push_back(aliased.back().lab);
       }
-      const std::vector<Verdict> got = batch.run(labs);
+      const std::vector<Verdict> got = run_each(batch, labs);
       ASSERT_EQ(got.size(), owned.size());
       for (std::size_t i = 0; i < owned.size(); ++i)
         EXPECT_EQ(got[i].accept(),

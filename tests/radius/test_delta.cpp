@@ -109,9 +109,6 @@ TEST(BatchVerifierDelta, RequiresAResidentRun) {
   EXPECT_THROW(verifier.run_delta(honest, LabelingDelta{}), std::logic_error);
   verifier.run_one(honest);
   EXPECT_TRUE(verifier.has_resident());
-  // An empty run() leaves the resident state alone.
-  EXPECT_TRUE(verifier.run({}).empty());
-  EXPECT_TRUE(verifier.has_resident());
 
   LabelingDelta out_of_range;
   out_of_range.touched = {static_cast<graph::NodeIndex>(cfg.n())};
@@ -233,10 +230,9 @@ TEST(BatchVerifierDelta, DeltaAfterBatchBuildsOnTheLastLabeling) {
   second.certs[2] = local::random_state(12, rng);
   Labeling third = second;
   third.certs[11] = local::random_state(30, rng);
-  const std::vector<Labeling> batch = {honest, second, third};
-
   BatchVerifier verifier(spread, cfg, 2);
-  verifier.run(batch);  // resident = `third`
+  for (const Labeling& lab : {honest, second, third}) verifier.run_one(lab);
+  // The resident state is the last labeling verified: `third`.
   Labeling next = third;
   next.certs[11] = honest.certs[11];
   LabelingDelta delta;

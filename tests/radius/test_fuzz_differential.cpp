@@ -6,8 +6,8 @@
 // flips, truncations, random replacements, cert swaps — swept over every
 // registry scheme, radii t ∈ {1, 2, 4}, and thread counts {1, 2, hardware},
 // for both the plain scheme at radius t and its fragment spread.  This turns
-// PR 2's "bit-identical at every thread count" claim into a standing fuzzed
-// property.
+// the "bit-identical at every thread count" claim into a standing fuzzed
+// property, for full runs and the delta path alike.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -118,13 +118,13 @@ TEST(FuzzDifferential, RegistrySchemesAllEnginesAgree) {
   }
 }
 
-// The batch pipeline AND the delta path under the same fuzz: a whole
-// mutation trail is run (a) as ONE BatchVerifier batch (stage 2 of labeling
-// i+1 overlapping the sweep of labeling i, all labelings sharing one
-// geometry atlas), and (b) as a delta stream — one full seeding run, then
-// run_delta per step with exactly the mutated nodes declared.  Both must
+// Full runs AND the delta path under the same fuzz: a whole mutation trail
+// is run (a) as a run_one loop on ONE BatchVerifier (all labelings sharing
+// one parse cache, link table and geometry atlas), and (b) as a delta
+// stream — one full seeding run, then run_delta per step with exactly the
+// mutated nodes declared.  Both must
 // stay bit-identical to per-labeling baseline verdicts at every thread
-// count.  The batch leg is the differential form of the parse-cache
+// count.  The full-run leg is the differential form of the parse-cache
 // invalidation regression (adjacent labelings differ by swaps and rewrites,
 // so any parse or geometry surviving a labeling boundary flips a verdict);
 // the delta leg additionally fuzzes carry-forward itself — stale interned
@@ -221,10 +221,8 @@ TEST(FuzzDifferential, BatchedMutationTrailsMatchPerLabelingBaseline) {
         BatchOptions options;
         options.threads = threads;
         BatchVerifier batch(spread, cfg, t, options);
-        const std::vector<core::Verdict> got = batch.run(trail);
-        ASSERT_EQ(got.size(), trail.size());
         for (std::size_t i = 0; i < trail.size(); ++i)
-          ASSERT_EQ(oracle[i].accept(), got[i].accept())
+          ASSERT_EQ(oracle[i].accept(), batch.run_one(trail[i]).accept())
               << entry.label << " trail step " << i << " threads "
               << batch.threads();
 

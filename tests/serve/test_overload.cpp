@@ -377,6 +377,19 @@ TEST(Overload, CancelledRunIsVerdictExactOnRetry) {
   token.reset();
   EXPECT_EQ(verifier.run_delta(next, delta).accept(),
             oracle.run_delta(next, delta).accept());
+
+  // Full flavor of the same rule: a run_one refused at entry touches no
+  // buffer, so the resident base survives it and the next delta builds on it.
+  token.cancel();
+  EXPECT_THROW((void)verifier.run_one(garbage), util::CancelledError);
+  token.reset();
+  EXPECT_TRUE(verifier.has_resident());
+  Labeling after = next;
+  after.certs[7] = local::random_state(32, fx.rng);
+  radius::LabelingDelta delta_after;
+  delta_after.touched = {7};
+  EXPECT_EQ(verifier.run_delta(after, delta_after).accept(),
+            oracle.run_delta(after, delta_after).accept());
 }
 
 TEST(Overload, SeededTrailWithSheddingReplaysIdentically) {

@@ -149,95 +149,6 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   EXPECT_EQ(sum.load(), 200L * (63 * 64 / 2));
 }
 
-// post_range/finish_range: the pipelining split of for_range.  Workers may
-// claim chunks during the overlap window; the calling thread joins the claim
-// loop inside finish_range; coverage is identical to for_range's.
-TEST(ThreadPool, PostFinishCoversRangeExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(500);
-    std::atomic<int> overlap_work{0};
-    pool.post_range(hits.size(), [&](unsigned worker, std::size_t begin,
-                                     std::size_t end) {
-      EXPECT_LT(worker, threads);
-      for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    // The overlap window: the caller is free here while workers run.
-    overlap_work.store(42);
-    pool.finish_range();
-    EXPECT_EQ(overlap_work.load(), 42);
-    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-    EXPECT_GE(pool.last_range_stats().chunks, 1u);
-    EXPECT_EQ(pool.last_range_stats().worker_busy_ns.size(), threads);
-  }
-}
-
-TEST(ThreadPool, PostFinishSequentialDefersWholeRangeToFinish) {
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::size_t expect_begin = 0;
-  bool before_finish = true;
-  pool.post_range(
-      31,
-      [&](unsigned worker, std::size_t begin, std::size_t end) {
-        EXPECT_FALSE(before_finish);  // nothing may run before finish_range
-        EXPECT_EQ(worker, 0u);
-        EXPECT_EQ(begin, expect_begin);
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        expect_begin = end;
-      },
-      {.chunk = 8});
-  EXPECT_EQ(expect_begin, 0u);
-  before_finish = false;
-  pool.finish_range();
-  EXPECT_EQ(expect_begin, 31u);
-  EXPECT_EQ(pool.last_range_stats().chunks, 4u);
-}
-
-TEST(ThreadPool, PostFinishEmptyRangeAndReuse) {
-  ThreadPool pool(3);
-  std::atomic<int> calls{0};
-  pool.post_range(0, [&](unsigned, std::size_t, std::size_t) { ++calls; });
-  pool.finish_range();
-  EXPECT_EQ(calls.load(), 0);
-  EXPECT_EQ(pool.last_range_stats().chunks, 0u);
-  // Alternate post/finish with plain for_range on the same pool.
-  std::atomic<int> total{0};
-  pool.post_range(64, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  pool.finish_range();
-  pool.for_range(36, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 100);
-}
-
-TEST(ThreadPool, PostFinishExceptionPropagatesAtFinish) {
-  ThreadPool pool(2);
-  pool.post_range(10, [&](unsigned, std::size_t begin, std::size_t) {
-    if (begin == 0) throw std::runtime_error("chunk 0");
-  });
-  EXPECT_THROW(pool.finish_range(), std::runtime_error);
-  std::atomic<int> total{0};
-  pool.for_range(10, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 10);
-}
-
-TEST(ThreadPool, DoublePostOrUnpairedUseIsInvalid) {
-  ThreadPool pool(2);
-  pool.post_range(4, [](unsigned, std::size_t, std::size_t) {});
-  EXPECT_THROW(pool.post_range(4, [](unsigned, std::size_t, std::size_t) {}),
-               std::logic_error);
-  EXPECT_THROW(
-      pool.for_range(4, [](unsigned, std::size_t, std::size_t) {}),
-      std::logic_error);
-  pool.finish_range();
-  EXPECT_THROW(pool.finish_range(), std::logic_error);
-}
-
 TEST(ThreadPool, StealsAreCountedAgainstContiguousHomeShares) {
   // A chunk's home is the slot whose contiguous share of the chunk indices
   // [chunks * w / threads, chunks * (w + 1) / threads) contains it; every
@@ -371,28 +282,10 @@ TEST(ThreadPool, CancelMultiThreadedIsConsistent) {
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ThreadPool, PostFinishCancelSurfacesAtFinish) {
-  ThreadPool pool(1);
-  CancelToken token;
-  token.cancel();  // pre-cancelled: no chunk may run at all
-  std::size_t calls = 0;
-  pool.post_range(
-      50, [&](unsigned, std::size_t, std::size_t) { ++calls; },
-      {.chunk = 10, .cancel = &token});
-  EXPECT_THROW(pool.finish_range(), CancelledError);
-  EXPECT_EQ(calls, 0u);
-  EXPECT_TRUE(pool.last_range_stats().cancelled);
-  EXPECT_EQ(pool.last_range_stats().chunks, 0u);
-  std::atomic<int> total{0};
-  pool.for_range(10, [&](unsigned, std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 10);
-}
-
 TEST(ThreadPool, DeadlineTokenCancelsThroughThePool) {
   // An already-expired deadline behaves exactly like a tripped flag: the
-  // first claim is refused.
+  // first claim is refused, the job reports itself cancelled with nothing
+  // executed, and the pool takes the next job as usual.
   ThreadPool pool(1);
   CancelToken token;
   token.reset(1);  // long past
@@ -403,6 +296,13 @@ TEST(ThreadPool, DeadlineTokenCancelsThroughThePool) {
           {.chunk = 10, .cancel = &token}),
       CancelledError);
   EXPECT_EQ(calls, 0u);
+  EXPECT_TRUE(pool.last_range_stats().cancelled);
+  EXPECT_EQ(pool.last_range_stats().chunks, 0u);
+  std::size_t total = 0;
+  pool.for_range(10, [&](unsigned, std::size_t begin, std::size_t end) {
+    total += end - begin;
+  });
+  EXPECT_EQ(total, 10u);
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
