@@ -6,7 +6,10 @@
 //    engine (one ball at a time, every ball certificate re-parsed at every
 //    center) against BatchVerifier::run_one (staged pipeline: geometry
 //    atlas + parse-once cache + optional thread pool) at n = 4096, t in
-//    {1, 2, 4, 8}.  Emits the time–size tradeoff curve as JSON.
+//    {1, 2, 4, 8}.  Emits the time–size tradeoff curve as JSON.  Each
+//    session is a fresh verifier, so its geometry is cold: at t = 8 the
+//    --threads-slot session over the 1-slot one measures how well parallel
+//    slots build distinct atlas blocks (--require-cold-session-speedup).
 //
 // 2. Multi-labeling batch (the adversary's workload): L labelings derived
 //    from the honest marking by hill-climb-style point mutations, all
@@ -77,6 +80,7 @@
 //                           [--serving-out FILE] [--admission-out FILE]
 //                           [--seed S] [--threads T] [--t T] [--labelings L]
 //                           [--require-speedup X] [--require-batch-speedup X]
+//                           [--require-cold-session-speedup R]
 //                           [--require-incremental-speedup X]
 //                           [--max-disabled-span-ns X] [--zipf-s S]
 //                           [--require-admission-hit-rate R]
@@ -96,11 +100,16 @@
 //                             --smoke)
 //   --require-speedup X       fail if t = 8 sequential run_one speedup < X
 //   --require-batch-speedup X fail if batch+atlas throughput gain < X
+//   --require-cold-session-speedup R fail if the t = 8 row's cold run_one at
+//                             --threads slots is < R x its cold 1-slot run
+//                             (session_seq_ms / session_par_ms); checked
+//                             only at >= 4 threads
 //   --require-incremental-speedup X fail if delta-vs-full gain < X
 //   --max-disabled-span-ns X  fail if a disabled trace span costs > X ns
 //   --zipf-s S                admission-stream skew exponent (default 1.0)
 //   --require-admission-hit-rate R fail if the budget-constrained atlas's
 //                             delta-phase hit rate on the zipf stream < R
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <functional>
@@ -732,10 +741,18 @@ void emit_admission(obs::JsonWriter& json, const AdmissionResult& r,
   json.end_object();
 }
 
+/// The t = 8 row (always measured), where ball geometry dominates a cold
+/// session.
+const Row& t8_row(const std::vector<Row>& rows) {
+  const auto it = std::find_if(rows.begin(), rows.end(),
+                               [](const Row& r) { return r.t == 8; });
+  PLS_REQUIRE(it != rows.end());
+  return *it;
+}
+
 double t8_speedup_sequential(const std::vector<Row>& rows) {
-  for (const Row& r : rows)
-    if (r.t == 8) return r.baseline_ms / r.session_seq_ms;
-  return 0.0;
+  const Row& r = t8_row(rows);
+  return r.baseline_ms / r.session_seq_ms;
 }
 
 /// Writes the incremental-scenario object into an in-progress document (the
@@ -829,9 +846,8 @@ void emit(std::ostream& out, const std::vector<Row>& rows,
           const AdmissionResult& admission,
           double disabled_span_ns, std::uint64_t seed) {
   const double t8_speedup_seq = t8_speedup_sequential(rows);
-  double t8_speedup_par = 0.0;
-  for (const Row& r : rows)
-    if (r.t == 8) t8_speedup_par = r.baseline_ms / r.session_par_ms;
+  const double t8_speedup_par =
+      t8_row(rows).baseline_ms / t8_row(rows).session_par_ms;
   obs::JsonWriter json(out);
   json.begin_object();
   json.kv("bench", "verify_scale");
@@ -906,6 +922,8 @@ int main(int argc, char** argv) {
   const double require_speedup = args.take_double("require-speedup", 0.0);
   const double require_batch_speedup =
       args.take_double("require-batch-speedup", 0.0);
+  const double require_cold_session_speedup =
+      args.take_double("require-cold-session-speedup", 0.0);
   const double require_incremental_speedup =
       args.take_double("require-incremental-speedup", 0.0);
   const double max_disabled_span_ns =
@@ -921,6 +939,7 @@ int main(int argc, char** argv) {
                    "[--admission-out FILE] [--seed S] "
                    "[--threads T] [--t T] [--labelings L] "
                    "[--require-speedup X] [--require-batch-speedup X] "
+                   "[--require-cold-session-speedup R] "
                    "[--require-incremental-speedup X] "
                    "[--max-disabled-span-ns X] [--zipf-s S] "
                    "[--require-admission-hit-rate R]"))
@@ -1184,6 +1203,27 @@ int main(int argc, char** argv) {
     }
     std::cerr << "t=8 sequential speedup " << speedup << " >= required "
               << require_speedup << "\n";
+  }
+  if (require_cold_session_speedup > 0.0) {
+    // A fresh verifier per run, so both sides build every block cold: the
+    // parallel side's slots must build distinct blocks concurrently.  The
+    // bound assumes >= 4 slots; below that it is out of reach whatever the
+    // code does (2 slots top out near 2x), so the gate only reports.
+    const Row& r = t8_row(rows);
+    const double speedup = r.session_seq_ms / r.session_par_ms;
+    if (r.threads < 4) {
+      std::cerr << "t=8 cold session speedup " << speedup << " at "
+                << r.threads << " threads: gate skipped (needs >= 4)\n";
+    } else if (speedup < require_cold_session_speedup) {
+      std::cerr << "FAIL: t=8 cold session speedup " << speedup << " at "
+                << r.threads << " threads < required "
+                << require_cold_session_speedup << "\n";
+      return 1;
+    } else {
+      std::cerr << "t=8 cold session speedup " << speedup << " at "
+                << r.threads << " threads >= required "
+                << require_cold_session_speedup << "\n";
+    }
   }
   if (require_batch_speedup > 0.0) {
     if (batch.speedup < require_batch_speedup) {

@@ -10,16 +10,12 @@
 
 namespace pls::obs {
 
-namespace {
-
 std::uint64_t steady_now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-}  // namespace
 
 std::uint64_t HistogramSnapshot::quantile(double q) const noexcept {
   if (count == 0) return 0;
@@ -198,6 +194,8 @@ void absorb(MetricsRegistry& registry, const radius::AtlasStats& stats) {
   registry.set_gauge("atlas.peak_bytes",
                      static_cast<double>(stats.peak_bytes));
   registry.set_gauge("atlas.hit_rate", stats.hit_rate());
+  registry.set_gauge("atlas.build_ns", static_cast<double>(stats.build_ns));
+  registry.set_gauge("atlas.wait_ns", static_cast<double>(stats.wait_ns));
   // Residency attribution per built radius: which tenants' geometry holds
   // the shared budget (std::map, so export order is stable).
   for (const auto& [t, rb] : stats.by_radius) {

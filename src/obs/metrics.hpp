@@ -195,6 +195,10 @@ class MetricsRegistry {
   std::map<std::string, double, std::less<>> gauges_ PLS_GUARDED_BY(mu_);
 };
 
+/// Monotonic nanoseconds (steady clock): the one clock read for layers that
+/// time themselves outside a histogram (the atlas's build/wait totals).
+std::uint64_t steady_now_ns() noexcept;
+
 /// RAII stage timer: records the scope's wall time into `h`, or does
 /// nothing at all — no clock read — when `h` is null (the disabled path).
 class ScopedTimer {

@@ -1,5 +1,6 @@
 #include "radius/atlas.hpp"
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/failpoint.hpp"
@@ -68,8 +69,10 @@ std::shared_ptr<const GeometryBlock> GeometryAtlas::block(
         // the builder hands it to us through the slot — in-flight dedup
         // must never degenerate into serialized rebuilds of one block.
         const std::shared_ptr<Slot> pending = it->second;
+        const std::uint64_t wait_start = obs::steady_now_ns();
         while (pending->block == nullptr && pending->error == nullptr)
           built_cv_.wait(lock);
+        stats_.wait_ns += obs::steady_now_ns() - wait_start;
         if (pending->block != nullptr) {
           ++stats_.hits;
           return pending->block;
@@ -102,6 +105,7 @@ std::shared_ptr<const GeometryBlock> GeometryAtlas::block(
         std::min<std::size_t>(std::size_t{first} + options_.block_centers,
                               g.n()));
     std::shared_ptr<const GeometryBlock> built;
+    const std::uint64_t build_start = obs::steady_now_ns();
     try {
       PLS_TRACE_SPAN("atlas.build", index);
       // Chaos site: Action::kBadAlloc simulates the build OOMing — the
@@ -109,7 +113,9 @@ std::shared_ptr<const GeometryBlock> GeometryAtlas::block(
       PLS_FAILPOINT("radius.atlas.build");
       built = std::make_shared<const GeometryBlock>(g, first, end, t);
     } catch (...) {
+      const std::uint64_t build_ns = obs::steady_now_ns() - build_start;
       lock.lock();
+      stats_.build_ns += build_ns;
       // Wake every deduped waiter WITH the failure (slot outlives the map
       // entry), and erase the entry so a later lookup may rebuild.
       slot_it->second->error = std::current_exception();
@@ -118,7 +124,9 @@ std::shared_ptr<const GeometryBlock> GeometryAtlas::block(
       throw;
     }
 
+    const std::uint64_t build_ns = obs::steady_now_ns() - build_start;
     lock.lock();
+    stats_.build_ns += build_ns;
     // Publish to any waiters first (through the shared slot), then decide
     // residency.  Admission is decided BEFORE retiring the smaller-radius
     // blocks this one supersedes: a bypassed contender must not evict

@@ -41,8 +41,11 @@
 //     is the degenerate rebuild-every-run atlas (the benchmark baseline).
 //   * Concurrency.  Lookups, insertions, and eviction are mutex-serialized
 //     (short critical sections); block construction runs outside the lock
-//     with in-flight dedup, so parallel sweep slots requesting the same
-//     block build it once and everyone else waits on it.
+//     with in-flight dedup, so concurrent lookups of one block build it
+//     once and everyone else waits on it (stats.wait_ns).  A full sweep
+//     claims whole blocks (BatchVerifier), so its own slots never want the
+//     same block; the dedup serves verifiers that share an atlas and the
+//     dirty re-sweep, whose chunks follow the dirty list, not blocks.
 //
 // The atlas is deliberately verdict-invisible: it returns geometry equal to
 // what a fresh BallBuilder would produce, so every engine stays bit-identical
@@ -77,6 +80,11 @@ struct AtlasStats {
   std::uint64_t evictions = 0;
   std::uint64_t bypassed = 0;     ///< built but not admitted
   std::uint64_t sketch_rejects = 0;  ///< bypasses where TinyLFU said no
+  std::uint64_t build_ns = 0;  ///< wall time spent building blocks
+  /// Wall time lookups spent blocked on ANOTHER thread's in-flight build of
+  /// the block they wanted — the convoy gauge: slots that waited here were
+  /// busy without building anything.
+  std::uint64_t wait_ns = 0;
   std::size_t bytes_in_use = 0;
   std::size_t peak_bytes = 0;
 
@@ -107,6 +115,8 @@ struct AtlasStats {
     out.evictions -= earlier.evictions;
     out.bypassed -= earlier.bypassed;
     out.sketch_rejects -= earlier.sketch_rejects;
+    out.build_ns -= earlier.build_ns;
+    out.wait_ns -= earlier.wait_ns;
     return out;
   }
 };

@@ -124,13 +124,20 @@ void BatchVerifier::sweep(const core::Labeling& labeling,
     for (const std::uint64_t busy : stats.worker_busy_ns)
       metrics_.worker_busy->record(busy);
   };
-  // The token rides into the claim loop: an expired request abandons its
-  // sweep at the next chunk boundary instead of finishing a labeling nobody
-  // is waiting for.
+  // A ball scheme's full sweep claims exactly one atlas block per chunk, so
+  // concurrent slots build distinct cold blocks instead of queueing behind
+  // one builder.  The dirty re-sweep and plain 1-round schemes keep the
+  // pool's chunk heuristic.  The token rides into the claim loop: an
+  // expired request abandons its sweep at the next chunk boundary instead
+  // of finishing a labeling nobody is waiting for.
+  const util::RangeOptions range{
+      .chunk = ball_scheme_ != nullptr && centers.empty()
+                   ? atlas_->options().block_centers
+                   : 0,
+      .cancel = cancel_};
   try {
     pool_->for_range(centers.empty() ? cfg_.n() : centers.size(),
-                     sweep_fn(labeling, centers),
-                     util::RangeOptions{.cancel = cancel_});
+                     sweep_fn(labeling, centers), range);
   } catch (...) {
     record();  // the pool assembles RangeStats before it rethrows
     throw;

@@ -16,7 +16,10 @@
 //   3. SWEEP     — per-center verify_ball over geometry bound to the
 //                  labeling, fanned out over util::ThreadPool's chunked
 //                  work-stealing split (skewed ball sizes rebalance across
-//                  slots).
+//                  slots).  A full sweep's claim unit is one atlas block
+//                  (AtlasOptions::block_centers centers, one lookup each),
+//                  so concurrent slots build distinct cold blocks in
+//                  parallel and none waits on another's build.
 //
 // BatchVerifier is bound to one (scheme, configuration, t) and verifies any
 // number of labelings against it, one run_one call each: parse/link, then one
@@ -161,9 +164,11 @@ class BatchVerifier {
   /// The one stage-3 per-center verify body, shared by the full sweep and
   /// the dirty re-sweep: slot i of the returned range job verifies center
   /// centers[i] (or center i itself when `centers` is empty — the full
-  /// sweep) and writes that center's `accept_` byte.  The captured
-  /// references must outlive the job's execution, and `accept_` must
-  /// already have its final size.
+  /// sweep) and writes that center's `accept_` byte.  A chunk looks a block
+  /// up again only where its centers leave the one it holds; since sweep()
+  /// cuts a ball scheme's full sweep into one atlas block per chunk, that
+  /// is one lookup per chunk there.  The captured references must outlive
+  /// the job's execution, and `accept_` must already have its final size.
   util::ThreadPool::RangeFn sweep_fn(const core::Labeling& labeling,
                                      std::span<const graph::NodeIndex> centers);
   /// Runs the stage-3 sweep over the pool and blocks until it completes:

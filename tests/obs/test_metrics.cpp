@@ -160,6 +160,8 @@ TEST(Absorb, AtlasStatsExportPerRadiusResidencyGauges) {
   stats.hits = 5;
   stats.misses = 3;
   stats.sketch_rejects = 2;
+  stats.build_ns = 7000;
+  stats.wait_ns = 900;
   stats.bytes_in_use = 300;
   stats.peak_bytes = 400;
   stats.by_radius[2] = {100, 150};
@@ -169,6 +171,8 @@ TEST(Absorb, AtlasStatsExportPerRadiusResidencyGauges) {
   absorb(registry, stats);
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.gauges.at("atlas.sketch_rejects"), 2.0);
+  EXPECT_EQ(snap.gauges.at("atlas.build_ns"), 7000.0);
+  EXPECT_EQ(snap.gauges.at("atlas.wait_ns"), 900.0);
   EXPECT_EQ(snap.gauges.at("atlas.bytes_in_use"), 300.0);
   // The per-radius attribution rides the same export door with a stable
   // ".r<t>" suffix per built radius.

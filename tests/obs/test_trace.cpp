@@ -1,7 +1,8 @@
 // TraceRecorder: span nesting, the disabled path recording nothing, the
 // chrome-trace export shape — and a full run's stage structure: on the
 // calling thread, the "parse.link" span ends before the "sweep.window" span
-// opens, and every claimed chunk shows up as a span.
+// opens, and every claimed chunk (one atlas block per sweep chunk) shows up
+// as a span.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -160,8 +161,13 @@ TEST(TraceRecorder, StealingSweepShowsClaimedChunkSpans) {
   const local::Configuration cfg = language.make_tree(g, 0);
   const core::Labeling lab = scheme.mark(cfg);
 
+  // A full sweep claims one atlas block per chunk; 4-center blocks leave
+  // the 2 slots many sweep chunks to share.
+  constexpr std::uint32_t kBlock = 4;
   radius::BatchOptions options;
   options.threads = 2;
+  options.atlas = std::make_shared<radius::GeometryAtlas>(
+      radius::AtlasOptions{.block_centers = kBlock});
   radius::BatchVerifier verifier(scheme, cfg, 2, options);
 
   TraceRecorder::enable();
@@ -175,12 +181,13 @@ TEST(TraceRecorder, StealingSweepShowsClaimedChunkSpans) {
     if (std::string("pool.chunk") == e.name) ++chunk_spans;
     if (std::string("sweep.slot") == e.name) ++slot_spans;
   }
-  // 36 centers, 2 slots, default chunk = max(1, 36/32) = 1: one claimed
-  // chunk per node for the parallel parse, then one claimed
-  // chunk (and one verify-body span) per center for the sweep, however
-  // they land.
-  EXPECT_EQ(chunk_spans, 2 * cfg.n());
-  EXPECT_EQ(slot_spans, cfg.n());
+  // 36 centers, 2 slots.  The parallel parse keeps the pool's default
+  // chunk = max(1, 36/32) = 1: one claimed chunk per node.  The sweep
+  // claims one chunk (and opens one verify-body span) per 4-center block,
+  // however they land.
+  const std::size_t sweep_chunks = (cfg.n() + kBlock - 1) / kBlock;
+  EXPECT_EQ(chunk_spans, cfg.n() + sweep_chunks);
+  EXPECT_EQ(slot_spans, sweep_chunks);
 }
 
 #endif  // PROOFLAB_NO_TRACE

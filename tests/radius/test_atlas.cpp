@@ -350,6 +350,8 @@ TEST(GeometryAtlas, SnapshotDiffReportsOnePhaseOverAWarmAtlas) {
   const AtlasStats warm = atlas.stats();
   EXPECT_GT(warm.misses, 0u);
   EXPECT_GT(warm.bytes_in_use, 0u);
+  EXPECT_GT(warm.build_ns, 0u);
+  EXPECT_EQ(warm.wait_ns, 0u);  // one thread never waits on another's build
 
   // A snapshot diffed against itself is the empty phase.
   const AtlasStats empty = warm.since(warm);
@@ -357,6 +359,8 @@ TEST(GeometryAtlas, SnapshotDiffReportsOnePhaseOverAWarmAtlas) {
   EXPECT_EQ(empty.misses, 0u);
   EXPECT_EQ(empty.evictions, 0u);
   EXPECT_EQ(empty.bypassed, 0u);
+  EXPECT_EQ(empty.build_ns, 0u);
+  EXPECT_EQ(empty.wait_ns, 0u);
   EXPECT_EQ(empty.bytes_in_use, warm.bytes_in_use);
   EXPECT_EQ(empty.hit_rate(), 0.0);
 
@@ -367,6 +371,7 @@ TEST(GeometryAtlas, SnapshotDiffReportsOnePhaseOverAWarmAtlas) {
   EXPECT_EQ(phase.misses, 0u);
   EXPECT_GT(phase.hits, 0u);
   EXPECT_EQ(phase.hit_rate(), 1.0);
+  EXPECT_EQ(phase.build_ns, 0u);  // hits read no clock and build nothing
   EXPECT_EQ(phase.bytes_in_use, warm.bytes_in_use);
   EXPECT_EQ(atlas.stats().misses, warm.misses);
 }

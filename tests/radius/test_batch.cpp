@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "radius/fragment_spread.hpp"
@@ -59,8 +60,7 @@ void expect_batch_equals_baselines(const core::Scheme& scheme,
     oracle.push_back(run_verifier_t_baseline(scheme, cfg, lab, t));
 
   for (const unsigned threads : {1u, 2u, util::ThreadPool::hardware_threads()}) {
-    BatchOptions options;
-    options.threads = threads;
+    const BatchOptions options = pls::testing::split_sweep_options(threads);
     BatchVerifier batch(scheme, cfg, t, options);
     const std::vector<Verdict> got = run_each(batch, labs);
     ASSERT_EQ(got.size(), labs.size());
@@ -276,8 +276,7 @@ TEST(BatchVerifier, SkewedInstanceIdenticalAcrossThreads) {
 
   for (const unsigned threads :
        {1u, 2u, util::ThreadPool::hardware_threads()}) {
-    BatchOptions options;
-    options.threads = threads;
+    const BatchOptions options = pls::testing::split_sweep_options(threads);
     BatchVerifier batch(spread, cfg, 4, options);
     const std::vector<Verdict> got = run_each(batch, labs);
     ASSERT_EQ(got.size(), labs.size());
@@ -375,14 +374,89 @@ TEST(BatchVerifier, ParallelParseIsNotCountedAsASweep) {
 
   obs::MetricsRegistry registry;
   BatchOptions options;
-  options.threads = 1;  // default chunk = 64 / 16 = 4: 16 chunks per job
+  options.threads = 1;  // the parse's default chunk = 64 / 16 = 4: 16 chunks
   options.metrics = &registry;
   BatchVerifier verifier(spread, cfg, 2, options);
   EXPECT_TRUE(verifier.run_one(spread.mark(cfg)).all_accept());
 
+  // The sweep claims one chunk per atlas block: ceil(64 / 64) = 1.
+  const std::size_t block = verifier.atlas().options().block_centers;
   const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("verify.sweep_chunks"), 16u);
+  EXPECT_EQ(snap.counters.at("verify.sweep_chunks"),
+            (cfg.n() + block - 1) / block);
   EXPECT_EQ(snap.histograms.at("verify.worker_busy_ns").count, 1u);
+}
+
+// A full sweep claims one atlas block per chunk and looks each block up
+// exactly once, at every thread count and block size — including a block
+// size that leaves a ragged tail block (7 does not divide 50) and one
+// larger than the graph.  A cold run therefore builds every block and hits
+// none (no slot ever waits on another's build of the same block); a warm
+// rerun hits every block once.
+TEST(BatchVerifier, ColdFullSweepLooksUpEachBlockOnce) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 2);
+  util::Rng rng(50910);
+  auto g = share(graph::random_connected(50, 30, rng));
+  const local::Configuration cfg = language.sample_legal(g, rng);
+  const Labeling honest = spread.mark(cfg);
+  Labeling tampered = honest;
+  tampered.certs[17] = local::random_state(40, rng);
+  const Verdict honest_oracle = run_verifier_t_baseline(spread, cfg, honest, 2);
+  const Verdict tampered_oracle =
+      run_verifier_t_baseline(spread, cfg, tampered, 2);
+
+  const std::size_t n = cfg.n();
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{64}, n + 5}) {
+      const std::size_t blocks = (n + block - 1) / block;
+      BatchOptions options;
+      options.threads = threads;
+      options.atlas = std::make_shared<GeometryAtlas>(AtlasOptions{
+          .block_centers = static_cast<std::uint32_t>(block)});
+      BatchVerifier verifier(spread, cfg, 2, options);
+      const std::string label = "threads " + std::to_string(threads) +
+                                " block " + std::to_string(block);
+
+      EXPECT_EQ(verifier.run_one(honest).accept(), honest_oracle.accept())
+          << label;
+      const AtlasStats cold = verifier.atlas().stats();
+      EXPECT_EQ(cold.misses, blocks) << label;
+      EXPECT_EQ(cold.hits, 0u) << label;
+
+      EXPECT_EQ(verifier.run_one(tampered).accept(), tampered_oracle.accept())
+          << label;
+      const AtlasStats warm = verifier.atlas().stats().since(cold);
+      EXPECT_EQ(warm.hits, blocks) << label;
+      EXPECT_EQ(warm.misses, 0u) << label;
+    }
+  }
+}
+
+// The convoy gauge without a trace: a single verifier's cold 4-slot full
+// sweep builds distinct blocks on every slot, so its lookups spend no time
+// blocked on another slot's build while the builds themselves took time.
+TEST(BatchVerifier, ColdFullSweepNeverWaitsOnAnotherSlotsBuild) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 4);
+  util::Rng rng(50911);
+  auto g = share(graph::random_connected(96, 60, rng));
+  const local::Configuration cfg = language.sample_legal(g, rng);
+
+  BatchOptions options;
+  options.threads = 4;
+  options.atlas = std::make_shared<GeometryAtlas>(
+      AtlasOptions{.block_centers = 4});  // 24 blocks for 4 slots
+  BatchVerifier verifier(spread, cfg, 4, options);
+  EXPECT_TRUE(verifier.run_one(spread.mark(cfg)).all_accept());
+
+  const AtlasStats stats = verifier.atlas().stats();
+  EXPECT_EQ(stats.misses, 24u);
+  EXPECT_EQ(stats.wait_ns, 0u);
+  EXPECT_GT(stats.build_ns, 0u);
 }
 
 // verify.e2e_ns times the whole full run: stage 2 and the sweep window are
@@ -462,8 +536,7 @@ TEST(BatchVerifier, AliasedLabelingsMatchOwnedAndOutliveTheProducer) {
       run_verifier_t_baseline(spread, cfg, delta_next, 2);
 
   for (const unsigned threads : {1u, 2u}) {
-    BatchOptions options;
-    options.threads = threads;
+    const BatchOptions options = pls::testing::split_sweep_options(threads);
     BatchVerifier batch(spread, cfg, 2, options);
     {
       std::vector<AliasedCopy> aliased;

@@ -154,10 +154,10 @@ void expect_delta_matches_full(const core::Scheme& scheme,
                                const std::vector<LabelingDelta>& deltas) {
   ASSERT_EQ(stream.size(), deltas.size());
   for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-    BatchOptions options;
-    options.threads = threads;
-    BatchVerifier delta_verifier(scheme, cfg, t, options);
-    BatchVerifier full_verifier(scheme, cfg, t, options);
+    BatchVerifier delta_verifier(scheme, cfg, t,
+                                 pls::testing::split_sweep_options(threads));
+    BatchVerifier full_verifier(scheme, cfg, t,
+                                pls::testing::split_sweep_options(threads));
     ASSERT_EQ(delta_verifier.run_one(start).accept(),
               full_verifier.run_one(start).accept());
     for (std::size_t i = 0; i < stream.size(); ++i) {

@@ -322,8 +322,7 @@ TEST(FragmentSpread, FlippedTagInMstMarkingRejected) {
     core::Labeling lab = honest;
     lab.certs[v] = detail::encode_fragment_wire(wire);
     for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-      BatchOptions options;
-      options.threads = threads;
+      const BatchOptions options = pls::testing::split_sweep_options(threads);
       BatchVerifier verifier(spread, cfg, 4, options);
       EXPECT_GE(verifier.run_one(lab).rejections(), 1u)
           << "node " << v << " threads=" << verifier.threads();

@@ -72,8 +72,7 @@ void expect_engines_agree(const core::Scheme& scheme,
   const core::Verdict oracle =
       run_verifier_t_baseline(scheme, cfg, labeling, t);
   for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-    BatchOptions options;
-    options.threads = threads;
+    const BatchOptions options = pls::testing::split_sweep_options(threads);
     BatchVerifier verifier(scheme, cfg, t, options);
     const core::Verdict got = verifier.run_one(labeling);
     ASSERT_EQ(oracle.accept(), got.accept())
@@ -169,8 +168,7 @@ TEST(FuzzDifferential, BatchedMutationTrailsMatchPerLabelingBaseline) {
       for (const core::Labeling& lab : trail)
         oracle.push_back(run_verifier_t_baseline(*entry.scheme, cfg, lab, 2));
       for (const unsigned threads : {1u, 2u, 0u}) {
-        BatchOptions options;
-        options.threads = threads;
+        const BatchOptions options = pls::testing::split_sweep_options(threads);
         BatchVerifier delta_verifier(*entry.scheme, cfg, 2, options);
         ASSERT_EQ(oracle[0].accept(),
                   delta_verifier.run_one(trail[0]).accept());
@@ -218,16 +216,16 @@ TEST(FuzzDifferential, BatchedMutationTrailsMatchPerLabelingBaseline) {
         oracle.push_back(run_verifier_t_baseline(spread, cfg, lab, t));
 
       for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-        BatchOptions options;
-        options.threads = threads;
-        BatchVerifier batch(spread, cfg, t, options);
+        BatchVerifier batch(spread, cfg, t,
+                            pls::testing::split_sweep_options(threads));
         for (std::size_t i = 0; i < trail.size(); ++i)
           ASSERT_EQ(oracle[i].accept(), batch.run_one(trail[i]).accept())
               << entry.label << " trail step " << i << " threads "
               << batch.threads();
 
         // The same trail as a delta stream over a fresh verifier.
-        BatchVerifier delta_verifier(spread, cfg, t, options);
+        BatchVerifier delta_verifier(
+            spread, cfg, t, pls::testing::split_sweep_options(threads));
         ASSERT_EQ(oracle[0].accept(),
                   delta_verifier.run_one(trail[0]).accept());
         for (std::size_t i = 1; i < trail.size(); ++i)

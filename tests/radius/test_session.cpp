@@ -53,8 +53,7 @@ void expect_engines_agree(const core::Scheme& scheme,
                       label + "/sequential");
   for (const unsigned threads :
        {2u, util::ThreadPool::hardware_threads()}) {
-    BatchOptions options;
-    options.threads = threads;
+    const BatchOptions options = pls::testing::split_sweep_options(threads);
     BatchVerifier verifier(scheme, cfg, t, options);
     expect_same_verdict(reference, verifier.run_one(lab),
                         label + "/threads=" + std::to_string(threads));

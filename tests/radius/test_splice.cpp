@@ -37,8 +37,7 @@ void expect_splices_rejected(const FragmentSpreadScheme& spread,
   ASSERT_FALSE(attacks.empty());
   for (const SpliceAttack& attack : attacks) {
     for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-      BatchOptions options;
-      options.threads = threads;
+      const BatchOptions options = pls::testing::split_sweep_options(threads);
       BatchVerifier verifier(spread, cfg, spread.radius(), options);
       EXPECT_GE(verifier.run_one(attack.labeling).rejections(), 1u)
           << spread.name() << " accepted splice '" << attack.name
@@ -241,8 +240,7 @@ TEST(Splice, FragmentRosterAndRegionRotationOnLegalMst) {
        fragment_splice_attacks(spread, cfg, rerun_rng)) {
     if (attack.name != "region-id-rotate") continue;
     for (const unsigned threads : {1u, 2u, 0u}) {
-      BatchOptions options;
-      options.threads = threads;
+      const BatchOptions options = pls::testing::split_sweep_options(threads);
       BatchVerifier verifier(spread, cfg, 4, options);
       EXPECT_GE(verifier.run_one(attack.labeling).rejections(), 1u)
           << "threads=" << verifier.threads();

@@ -104,6 +104,58 @@ TEST_F(Chaos, AtlasBuildFaultWakesEveryWaiterAndStaysRebuildable) {
   EXPECT_NE(atlas.block(*g, 1, 0), nullptr);
 }
 
+TEST_F(Chaos, ColdBlockSweepFaultRetriesExact) {
+  // A cold 4-slot full sweep claims one atlas block per chunk, so the one
+  // injected build fault fails exactly one slot's block: the run throws and
+  // drops its resident state, while the blocks the other claims built stay
+  // admitted.  The retry on the same verifier (and so the same pool) is
+  // verdict-exact and builds only what the faulted sweep never admitted.
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  auto grid = share(graph::grid(8, 8));
+  const local::Configuration grid_cfg = language.sample_legal(grid, rng);
+  const Labeling lab = spread.mark(grid_cfg);
+  const core::Verdict oracle =
+      radius::run_verifier_t_baseline(spread, grid_cfg, lab, 2);
+  constexpr std::uint32_t kBlock = 4;
+  const std::uint64_t blocks = (grid_cfg.n() + kBlock - 1) / kBlock;
+
+  obs::MetricsRegistry metrics;
+  radius::BatchOptions options;
+  options.threads = 4;
+  options.metrics = &metrics;
+  options.atlas = std::make_shared<radius::GeometryAtlas>(
+      radius::AtlasOptions{.block_centers = kBlock});
+  radius::BatchVerifier verifier(spread, grid_cfg, 2, options);
+
+  failpoint::arm("radius.atlas.build",
+                 failpoint::Plan{.action = failpoint::Action::kBadAlloc,
+                                 .probability = 1.0,
+                                 .seed = 11,
+                                 .max_fires = 1});
+  EXPECT_THROW((void)verifier.run_one(lab), std::bad_alloc);
+  EXPECT_FALSE(verifier.has_resident());
+  EXPECT_EQ(failpoint::fires("radius.atlas.build"), 1u);
+
+  // Every successful build was admitted (the default budget holds them
+  // all); the faulted build counted a miss but left no entry.
+  const radius::AtlasStats before = verifier.atlas().stats();
+  EXPECT_EQ(before.bypassed, 0u);
+  EXPECT_EQ(before.evictions, 0u);
+  const std::uint64_t resident =
+      before.misses - failpoint::fires("radius.atlas.build");
+  const std::uint64_t chunks_before =
+      metrics.snapshot().counters.at("verify.sweep_chunks");
+
+  EXPECT_EQ(verifier.run_one(lab).accept(), oracle.accept());
+  EXPECT_TRUE(verifier.has_resident());
+  const radius::AtlasStats retry = verifier.atlas().stats().since(before);
+  EXPECT_EQ(retry.misses, blocks - resident);
+  EXPECT_EQ(retry.hits, resident);
+  EXPECT_EQ(metrics.snapshot().counters.at("verify.sweep_chunks") -
+                chunks_before,
+            blocks);
+}
+
 TEST_F(Chaos, InjectedFaultFailsTheRequestNotTheServer) {
   // A t = 2 ball scheme: only ball schemes consult the atlas, so this is
   // the tenant whose sweep the injected build fault can reach (a plain

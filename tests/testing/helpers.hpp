@@ -11,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "pls/adversary.hpp"
 #include "pls/engine.hpp"
+#include "radius/batch.hpp"
 
 namespace pls::testing {
 
@@ -51,6 +52,19 @@ inline std::vector<std::shared_ptr<const graph::Graph>> weighted_family(
   out.push_back(
       share(graph::reweight_random(graph::random_connected(25, 20, rng), rng)));
   return out;
+}
+
+/// BatchOptions for the small-graph thread-identity checks: `threads` slots
+/// over a private atlas of 3-center blocks.  A ball scheme's full sweep
+/// claims one atlas block per chunk, so under the default 64-center blocks
+/// a graph this small would be one chunk on one slot; 3-center blocks keep
+/// the sweep split across slots, ragged tail block included.
+inline radius::BatchOptions split_sweep_options(unsigned threads) {
+  radius::BatchOptions options;
+  options.threads = threads;
+  options.atlas = std::make_shared<radius::GeometryAtlas>(
+      radius::AtlasOptions{.block_centers = 3});
+  return options;
 }
 
 /// Asserts the scheme's full contract on a legal configuration:
