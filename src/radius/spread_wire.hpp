@@ -105,10 +105,15 @@ inline std::optional<util::BitString> reassemble_chunks(
   for (const util::BitString* c : chunks) total += c->bit_size();
   for (std::size_t j = 0; j < k; ++j)
     if (chunks[j]->bit_size() != chunk_size(total, k, j)) return std::nullopt;
-  util::BitWriter w;
-  for (std::size_t i = 0; i < total; ++i)
-    w.write_bit(bit_at(*chunks[i % k], i / k));
-  return util::BitString::from_writer(std::move(w));
+  // Bit b of chunk j is bit b*k + j of X; OR each set bit into place.
+  std::vector<std::uint8_t> bytes((total + 7) / 8);
+  for (std::size_t j = 0; j < k; ++j) {
+    const util::BitString& c = *chunks[j];
+    for (std::size_t b = 0, i = j; b < c.bit_size(); ++b, i += k)
+      if (bit_at(c, b))
+        bytes[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+  return util::BitString(std::move(bytes), total);
 }
 
 /// One parsed spread certificate.

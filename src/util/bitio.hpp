@@ -7,6 +7,17 @@
 // total: reads past the end fail softly by returning std::nullopt, because a
 // verifier must treat a malformed (adversarial) certificate as "reject", not
 // as a crash.
+//
+// The kernels are byte-granular: write_uint ORs up to 8 bits per step into a
+// buffer it sizes once per call, write_bits appends whole bytes (a plain
+// append when the writer is byte-aligned, a shift-merge otherwise), and
+// read_uint extracts up to 8 bits per step.  Their contract:
+//   * writer output's padding bits (past bit_size() in the last byte) are 0
+//     — BitString ==/hash and the wire's canonical zero pad rely on it;
+//   * a kernel never reads a source byte at or past ceil(nbits/8), and
+//     write_bits masks the source's trailing partial byte, because wire
+//     certificates alias the request frame (their padding may be anything);
+//   * reads fail as described on BitReader below.
 #pragma once
 
 #include <cstddef>

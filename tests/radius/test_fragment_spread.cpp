@@ -15,6 +15,7 @@
 #include "schemes/registry.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
+#include "util/rng.hpp"
 
 namespace pls::radius {
 namespace {
@@ -379,6 +380,65 @@ TEST(FragmentSpread, ProofSizeBoundCoversRegistryAtAllRadii) {
           << cfg.graph().describe();
     }
   }
+}
+
+util::BitString random_bits(util::Rng& rng, std::size_t nbits) {
+  util::BitWriter w;
+  for (std::size_t left = nbits; left > 0;) {
+    const auto take = static_cast<unsigned>(std::min<std::size_t>(left, 64));
+    w.write_uint(rng.bits(), take);
+    left -= take;
+  }
+  return util::BitString::from_writer(std::move(w));
+}
+
+std::vector<const util::BitString*> pointers(
+    const std::vector<util::BitString>& chunks) {
+  std::vector<const util::BitString*> ptrs;
+  for (const util::BitString& c : chunks) ptrs.push_back(&c);
+  return ptrs;
+}
+
+TEST(FragmentSpread, ShardAndReassembleRoundTrip) {
+  util::Rng rng(0x5A4D);
+  for (std::size_t k = 1; k <= 32; ++k)
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const util::BitString x = random_bits(rng, len);
+      const std::vector<util::BitString> chunks = detail::shard_chunks(x, k);
+      ASSERT_EQ(chunks.size(), k);
+      const auto back = detail::reassemble_chunks(pointers(chunks));
+      ASSERT_TRUE(back.has_value()) << "k " << k << " len " << len;
+      ASSERT_EQ(*back, x) << "k " << k << " len " << len;
+    }
+}
+
+TEST(FragmentSpread, ReassembleRejectsAChunkOneBitTooLong) {
+  // Lengthening chunk j by one bit keeps the lengths consistent only when
+  // j is the chunk the next prefix bit would go to (j == len % k): that is
+  // the honest shard of a one-bit-longer prefix.  Any other j is a splice.
+  util::Rng rng(0x10B6);
+  for (std::size_t k = 1; k <= 32; k += 3)
+    for (std::size_t len = 0; len <= 100; len += 7) {
+      const util::BitString x = random_bits(rng, len);
+      for (std::size_t j = 0; j < k; ++j) {
+        std::vector<util::BitString> chunks = detail::shard_chunks(x, k);
+        const bool extra = rng.chance(0.5);
+        util::BitWriter w;
+        w.write_bits(chunks[j].bytes(), chunks[j].bit_size());
+        w.write_bit(extra);
+        chunks[j] = util::BitString::from_writer(std::move(w));
+        const auto back = detail::reassemble_chunks(pointers(chunks));
+        if (j != len % k) {
+          EXPECT_FALSE(back.has_value()) << "k " << k << " len " << len;
+          continue;
+        }
+        util::BitWriter longer;
+        longer.write_bits(x.bytes(), x.bit_size());
+        longer.write_bit(extra);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(*back, util::BitString::from_writer(std::move(longer)));
+      }
+    }
 }
 
 }  // namespace

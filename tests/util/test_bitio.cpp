@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "util/bitstring.hpp"
+#include "util/rng.hpp"
+
 namespace pls::util {
 namespace {
 
@@ -256,6 +263,289 @@ TEST(BitIo, TruncatedVarintRestoresThePosition) {
   EXPECT_EQ(r.read_varint(), std::nullopt);
   EXPECT_TRUE(r.failed());
   EXPECT_EQ(r.position(), 8u);  // rewound to where the varint began
+}
+
+// --- Differential tests: the byte-granular kernels against a bitwise model.
+//
+// The model moves one bit per step, exactly as the original kernels did; it
+// is the oracle for bit order, zero padding and every failure rule.
+
+class ModelWriter {
+ public:
+  void write_uint(std::uint64_t value, unsigned width) {
+    for (unsigned i = 0; i < width; ++i) push(((value >> i) & 1u) != 0);
+  }
+  void write_bit(bool bit) { push(bit); }
+  void write_varint(std::uint64_t value) {
+    do {
+      const std::uint64_t group = value & 0x7Fu;
+      value >>= 7;
+      write_uint(group, 7);
+      push(value != 0);
+    } while (value != 0);
+  }
+  void write_bits(const std::uint8_t* bytes, std::size_t nbits) {
+    for (std::size_t i = 0; i < nbits; ++i)
+      push(((bytes[i / 8] >> (i % 8)) & 1u) != 0);
+  }
+
+  std::size_t bit_size() const { return nbits_; }
+  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  void push(bool bit) {
+    if (nbits_ % 8 == 0) bytes_.push_back(0);
+    if (bit) bytes_.back() |= static_cast<std::uint8_t>(1u << (nbits_ % 8));
+    ++nbits_;
+  }
+
+  std::vector<std::uint8_t> bytes_;
+  std::size_t nbits_ = 0;
+};
+
+class ModelReader {
+ public:
+  ModelReader(const std::uint8_t* data, std::size_t nbits)
+      : data_(data), nbits_(nbits) {}
+
+  std::optional<std::uint64_t> read_uint(unsigned width) {
+    if (failed_ || width > 64 || nbits_ - pos_ < width) {
+      failed_ = true;
+      return std::nullopt;
+    }
+    std::uint64_t value = 0;
+    for (unsigned i = 0; i < width; ++i, ++pos_)
+      if ((data_[pos_ / 8] >> (pos_ % 8)) & 1u) value |= std::uint64_t{1} << i;
+    return value;
+  }
+
+  std::optional<std::uint64_t> read_varint() {
+    const std::size_t start = pos_;
+    std::uint64_t value = 0;
+    unsigned shift = 0;
+    for (;;) {
+      const auto group = read_uint(7);
+      const auto cont = read_uint(1);
+      if (!group || !cont || shift >= 64 ||
+          (shift > 57 && (*group >> (64 - shift)) != 0) ||
+          (*cont == 0 && shift > 0 && *group == 0)) {
+        pos_ = start;
+        failed_ = true;
+        return std::nullopt;
+      }
+      value |= *group << shift;
+      if (*cont == 0) return value;
+      shift += 7;
+    }
+  }
+
+  std::size_t position() const { return pos_; }
+  bool failed() const { return failed_; }
+
+ private:
+  const std::uint8_t* data_;
+  std::size_t nbits_;
+  std::size_t pos_ = 0;
+  bool failed_ = false;
+};
+
+/// The kernel and the model agree on the bits, the zero padding, and the
+/// BitString value (==, hash) of what was written.
+void expect_same_output(const BitWriter& w, const ModelWriter& m) {
+  ASSERT_EQ(w.bit_size(), m.bit_size());
+  ASSERT_EQ(w.bytes(), m.bytes());
+  const BitString a(w.bytes(), w.bit_size());
+  const BitString b(m.bytes(), m.bit_size());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.hash(), b.hash());
+}
+
+/// `nbits` random bits whose padding bits (past nbits in the last byte) are
+/// all 1s, in a buffer of exactly ceil(nbits/8) bytes, so a kernel that
+/// reads past it or forgets to mask trips the sanitizers or the model.
+std::vector<std::uint8_t> dirty_source(Rng& rng, std::size_t nbits) {
+  std::vector<std::uint8_t> bytes((nbits + 7) / 8);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.bits());
+  if (nbits % 8 != 0)
+    bytes.back() |= static_cast<std::uint8_t>(0xFFu << (nbits % 8));
+  return bytes;
+}
+
+TEST(BitIoDifferential, WriteUintMatchesModelAtEveryOffset) {
+  Rng rng(0xB17105);
+  for (unsigned start = 0; start < 8; ++start)
+    for (unsigned width = 0; width <= 64; ++width)
+      for (int rep = 0; rep < 8; ++rep) {
+        BitWriter w;
+        ModelWriter m;
+        const std::uint64_t lead = rng.bits();
+        w.write_uint(lead, start);
+        m.write_uint(lead, start);
+        // Bits above `width` are set on purpose: they must not land.
+        const std::uint64_t value = rng.bits();
+        w.write_uint(value, width);
+        m.write_uint(value, width);
+        expect_same_output(w, m);
+        // A follow-up write must merge into the same partial byte.
+        w.write_uint(value, 3);
+        m.write_uint(value, 3);
+        expect_same_output(w, m);
+      }
+}
+
+TEST(BitIoDifferential, WriteBitsMasksDirtyPaddingAtEveryOffset) {
+  Rng rng(0xB175);
+  for (unsigned start = 0; start < 8; ++start)
+    for (std::size_t len = 0; len <= 200; ++len) {
+      const std::vector<std::uint8_t> ones(
+          (len + 7) / 8, static_cast<std::uint8_t>(0xFF));
+      const std::vector<std::uint8_t> noise = dirty_source(rng, len);
+      for (const std::vector<std::uint8_t>* src : {&ones, &noise}) {
+        const BitString s = BitString::aliasing(src->data(), len);
+        BitWriter w;
+        ModelWriter m;
+        const std::uint64_t lead = rng.bits();
+        w.write_uint(lead, start);
+        m.write_uint(lead, start);
+        w.write_bits(s.data(), s.bit_size());
+        m.write_bits(s.data(), s.bit_size());
+        expect_same_output(w, m);
+        w.write_bit(true);
+        m.write_bit(true);
+        expect_same_output(w, m);
+      }
+    }
+}
+
+TEST(BitIoDifferential, RandomOpSequencesMatchModel) {
+  Rng rng(0x5E0);
+  for (int seq = 0; seq < 300; ++seq) {
+    BitWriter w;
+    ModelWriter m;
+    const int ops = static_cast<int>(rng.between(1, 40));
+    for (int op = 0; op < ops; ++op) {
+      switch (rng.below(4)) {
+        case 0: {
+          const auto width = static_cast<unsigned>(rng.below(65));
+          const std::uint64_t value = rng.bits();
+          w.write_uint(value, width);
+          m.write_uint(value, width);
+          break;
+        }
+        case 1: {
+          const bool bit = rng.chance(0.5);
+          w.write_bit(bit);
+          m.write_bit(bit);
+          break;
+        }
+        case 2: {
+          const std::uint64_t value = rng.bits() >> rng.below(64);
+          w.write_varint(value);
+          m.write_varint(value);
+          break;
+        }
+        default: {
+          const std::size_t len = rng.below(201);
+          const std::vector<std::uint8_t> src = dirty_source(rng, len);
+          w.write_bits(src.data(), len);
+          m.write_bits(src.data(), len);
+          break;
+        }
+      }
+      expect_same_output(w, m);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(BitIoDifferential, WriteVarintMatchesModel) {
+  Rng rng(0x7A1);
+  for (unsigned start = 0; start < 8; ++start)
+    for (unsigned bits = 0; bits <= 64; ++bits) {
+      BitWriter w;
+      ModelWriter m;
+      w.write_uint(0, start);
+      m.write_uint(0, start);
+      const std::uint64_t value = bits == 0 ? 0 : rng.bits() >> (64 - bits);
+      w.write_varint(value);
+      m.write_varint(value);
+      expect_same_output(w, m);
+    }
+}
+
+/// A fresh kernel reader and model reader over the same `nbits`, both
+/// advanced to `pos` (pos <= nbits).
+std::pair<BitReader, ModelReader> readers_at(const std::uint8_t* data,
+                                             std::size_t nbits,
+                                             std::size_t pos) {
+  BitReader r(data, nbits);
+  ModelReader m(data, nbits);
+  for (std::size_t left = pos; left > 0;) {
+    const auto take = static_cast<unsigned>(std::min<std::size_t>(left, 64));
+    EXPECT_TRUE(r.read_uint(take).has_value());
+    EXPECT_TRUE(m.read_uint(take).has_value());
+    left -= take;
+  }
+  return {r, m};
+}
+
+/// After a read, kernel and model agree on position and failure; a failed
+/// read left the position where it was and stays failed.
+void expect_same_state(BitReader& r, const ModelReader& m,
+                       std::size_t before) {
+  EXPECT_EQ(r.position(), m.position());
+  EXPECT_EQ(r.failed(), m.failed());
+  if (r.failed()) {
+    EXPECT_EQ(r.position(), before);
+    EXPECT_EQ(r.read_uint(0), std::nullopt);  // sticky, even for 0 bits
+    EXPECT_EQ(r.position(), before);
+  }
+}
+
+TEST(BitIoDifferential, ReadUintMatchesModelAtEveryOffsetAndTruncation) {
+  Rng rng(0x4EAD);
+  const std::vector<std::uint8_t> stream = dirty_source(rng, 136);
+  for (std::size_t nbits = 0; nbits <= 136; ++nbits) {
+    // Exactly ceil(nbits/8) bytes: the kernel may not touch more.
+    const std::vector<std::uint8_t> data(stream.begin(),
+                                         stream.begin() + (nbits + 7) / 8);
+    for (std::size_t pos = 0; pos <= nbits; ++pos)
+      for (unsigned width = 0; width <= 65; ++width) {
+        auto [r, m] = readers_at(data.data(), nbits, pos);
+        EXPECT_EQ(r.read_uint(width), m.read_uint(width))
+            << "nbits " << nbits << " pos " << pos << " width " << width;
+        expect_same_state(r, m, pos);
+        if (::testing::Test::HasFailure()) return;
+      }
+  }
+}
+
+TEST(BitIoDifferential, ReadVarintMatchesModelAtEveryOffsetAndTruncation) {
+  Rng rng(0x7A2);
+  // Random bytes give short multi-group encodings (and every rejection
+  // shape); written varints of every size give the long canonical ones.
+  std::vector<std::vector<std::uint8_t>> streams;
+  streams.push_back(dirty_source(rng, 160));
+  for (int s = 0; s < 4; ++s) {
+    BitWriter w;
+    w.write_uint(rng.bits(), static_cast<unsigned>(rng.below(8)));
+    while (w.bit_size() < 240) w.write_varint(rng.bits() >> rng.below(64));
+    streams.push_back(w.take_bytes());
+  }
+  for (const std::vector<std::uint8_t>& stream : streams) {
+    const std::size_t total = std::min<std::size_t>(stream.size() * 8, 240);
+    for (std::size_t nbits = 0; nbits <= total; nbits += 3) {
+      const std::vector<std::uint8_t> data(stream.begin(),
+                                           stream.begin() + (nbits + 7) / 8);
+      for (std::size_t pos = 0; pos <= nbits; ++pos) {
+        auto [r, m] = readers_at(data.data(), nbits, pos);
+        EXPECT_EQ(r.read_varint(), m.read_varint())
+            << "nbits " << nbits << " pos " << pos;
+        expect_same_state(r, m, pos);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace
