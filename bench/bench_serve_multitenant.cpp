@@ -36,7 +36,8 @@
 //   --smoke               shorter streams (CI-friendly)
 //   --out FILE            write the JSON artifact there instead of stdout
 //   --seed S              base RNG seed (echoed into the JSON)
-//   --threads T           sweep threads per tenant verifier (default: hw)
+//   --threads T           slots of the server's one sweep pool, shared by
+//                         every tenant (default: hw)
 //   --deltas D            delta requests per tenant (default 256; 96 smoke)
 //   --atlas-mb MB         shared atlas budget in MiB (default 256)
 //   --arrival-rate A      aggregate offered rate, requests/sec (default:

@@ -14,15 +14,19 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
       ball_scheme_(dynamic_cast<const BallScheme*>(&scheme)),
       cfg_(cfg),
       t_(t),
-      threads_(options.threads == 0 ? util::ThreadPool::hardware_threads()
-                                    : options.threads),
       atlas_(options.atlas != nullptr
                  ? std::move(options.atlas)
                  : std::make_shared<GeometryAtlas>()) {
   PLS_REQUIRE(t >= 1);
   if (ball_scheme_ != nullptr) PLS_REQUIRE(t >= ball_scheme_->radius());
-  pool_ = std::make_unique<util::ThreadPool>(threads_);
-  slots_.resize(threads_);
+  pool_ = options.pool != nullptr
+              ? std::move(options.pool)
+              : std::make_shared<util::ThreadPool>(
+                    options.threads == 0 ? util::ThreadPool::hardware_threads()
+                                         : options.threads);
+  PLS_REQUIRE(options.threads == 0 ||
+              options.threads == pool_->thread_count());
+  slots_.resize(pool_->thread_count());
   if (options.metrics != nullptr) {
     obs::MetricsRegistry& m = *options.metrics;
     metrics_.labelings = &m.counter("verify.labelings");

@@ -25,7 +25,10 @@
 // number of labelings against it, one run_one call each: parse/link, then one
 // blocking sweep, then verdict assembly.  What persists across calls is the
 // geometry atlas, the thread pool and the buffers' capacity, so a loop of
-// run_one calls reuses every ball it has built.  Verdicts are bit-identical
+// run_one calls reuses every ball it has built.  The atlas and the pool may
+// be shared: verifiers bound to different (scheme, cfg, t) can sweep on one
+// pool as long as one thread drives them all (serve::Server's tenants do),
+// while each keeps its own per-slot scratch.  Verdicts are bit-identical
 // to run_verifier_t_baseline at every thread count — parse results are
 // per-node and scheduling-independent, the link phase is deterministic, and
 // the sweep's writes are per-center disjoint.  threads = 1 runs strictly
@@ -71,9 +74,15 @@
 namespace pls::radius {
 
 struct BatchOptions {
-  /// Execution slots; 0 means util::ThreadPool::hardware_threads().
-  /// 1 runs strictly sequentially on the calling thread (no worker threads).
+  /// Execution slots; 0 means util::ThreadPool::hardware_threads(), or the
+  /// given pool's size.  1 runs strictly sequentially on the calling thread
+  /// (no worker threads).  With a pool it must be 0 or pool->thread_count().
   unsigned threads = 0;
+  /// Thread pool to sweep on; null creates a private pool of `threads`
+  /// slots.  Share one pool across verifiers to run them all on the same
+  /// workers: it runs one job at a time, so the verifiers sharing it must
+  /// be driven from one thread (an overlapping run throws std::logic_error).
+  std::shared_ptr<util::ThreadPool> pool;
   /// Geometry atlas to read/populate; null creates a private atlas with
   /// default AtlasOptions.  Share one atlas across verifiers to share
   /// geometry (it is thread-safe and keyed by graph epoch).
@@ -132,7 +141,7 @@ class BatchVerifier {
   const DeltaStats& delta_stats() const noexcept { return delta_stats_; }
 
   unsigned radius() const noexcept { return t_; }
-  unsigned threads() const noexcept { return threads_; }
+  unsigned threads() const noexcept { return pool_->thread_count(); }
   const GeometryAtlas& atlas() const noexcept { return *atlas_; }
   const std::shared_ptr<GeometryAtlas>& atlas_ptr() const noexcept {
     return atlas_;
@@ -149,7 +158,8 @@ class BatchVerifier {
   // the labeling, and write disjoint bytes of `accept_`.  ThreadPool's job
   // hand-off (its annotated mutex, util/thread_pool.hpp) is the
   // happens-before edge in both directions.  The shared GeometryAtlas *is*
-  // internally locked and annotated (atlas.hpp); everything else here must
+  // internally locked and annotated (atlas.hpp); a shared pool is driven by
+  // the same one thread as every verifier on it; everything else here must
   // stay caller-thread-only.
 
   /// Stage-2 output for one labeling: the per-node parse-once cache.
@@ -187,9 +197,8 @@ class BatchVerifier {
   const BallScheme* ball_scheme_;  // nullptr for plain 1-round schemes
   const local::Configuration& cfg_;
   unsigned t_;
-  unsigned threads_;
   std::shared_ptr<GeometryAtlas> atlas_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::shared_ptr<util::ThreadPool> pool_;
 
   struct Slot {
     BallView view;

@@ -30,7 +30,10 @@ Server::Server(ServerOptions options)
     : options_(std::move(options)),
       atlas_(options_.atlas != nullptr
                  ? options_.atlas
-                 : std::make_shared<radius::GeometryAtlas>()) {
+                 : std::make_shared<radius::GeometryAtlas>()),
+      pool_(std::make_shared<util::ThreadPool>(
+          options_.threads == 0 ? util::ThreadPool::hardware_threads()
+                                : options_.threads)) {
   // A zero quantum could never cover any request's cost (>= 1), so the DRR
   // loop in serve_next would cycle tenants forever without serving.
   PLS_REQUIRE(options_.quantum >= 1);
@@ -56,29 +59,22 @@ std::uint64_t Server::now_ns() noexcept {
 
 std::uint32_t Server::add_tenant(std::string name, const core::Scheme& scheme,
                                  const local::Configuration& cfg, unsigned t) {
-  PLS_REQUIRE(t >= 1);
+  // The verifier checks (scheme, cfg, t) before anything is registered, so a
+  // tenant it refuses never gets an id or a queue.
+  radius::BatchOptions opts;
+  opts.atlas = atlas_;
+  opts.pool = pool_;
+  opts.metrics = options_.metrics;
   Tenant tenant;
+  tenant.verifier =
+      std::make_unique<radius::BatchVerifier>(scheme, cfg, t, std::move(opts));
   tenant.name = std::move(name);
-  tenant.scheme = &scheme;
   tenant.cfg = &cfg;
-  tenant.t = t;
   if (options_.metrics != nullptr)
     tenant.latency =
         &options_.metrics->histogram("serve.latency_ns." + tenant.name);
   tenants_.push_back(std::move(tenant));
   return static_cast<std::uint32_t>(tenants_.size() - 1);
-}
-
-radius::BatchVerifier& Server::verifier_for(Tenant& tenant) {
-  if (tenant.verifier == nullptr) {
-    radius::BatchOptions opts;
-    opts.threads = options_.threads;
-    opts.atlas = atlas_;
-    opts.metrics = options_.metrics;
-    tenant.verifier = std::make_unique<radius::BatchVerifier>(
-        *tenant.scheme, *tenant.cfg, tenant.t, std::move(opts));
-  }
-  return *tenant.verifier;
 }
 
 void Server::submit(Frame frame, std::uint64_t arrival_ns) {
@@ -142,7 +138,7 @@ void Server::submit(Frame frame, std::uint64_t arrival_ns) {
     reject_now(id, "graph_epoch does not match tenant graph");
     return;
   }
-  if (view->t() != tenant.t) {
+  if (view->t() != tenant.verifier->radius()) {
     reject_now(id, "radius t does not match tenant");
     return;
   }
@@ -281,7 +277,7 @@ Server::Response Server::dispatch(Tenant& tenant, Request request) {
   response.tenant_id = request.view.tenant_id();
   response.seq = request.seq;
 
-  radius::BatchVerifier& verifier = verifier_for(tenant);
+  radius::BatchVerifier& verifier = *tenant.verifier;
   // Arm the deadline for cooperative cancellation: the verifier polls the
   // token at labeling boundaries and the stealing sweep at chunk claims.
   // Deadline 0 never fires.  The token is reset per request, so one member

@@ -4,8 +4,10 @@
 // the pipeline already verifies against.  The Server owns ONE GeometryAtlas
 // shared by every tenant (many (scheme, cfg, t) configurations genuinely
 // contend for one geometry budget; AtlasStats::by_radius attributes the
-// pressure) and one lazily built BatchVerifier per tenant, created on the
-// tenant's first request so an idle tenant costs nothing but its queue.
+// pressure), ONE util::ThreadPool every tenant's sweeps run on (the
+// dispatcher runs one sweep at a time, so T tenants cost threads - 1
+// workers, not T times that), and one BatchVerifier per tenant, built at
+// add_tenant so a tenant the verifier refuses is refused at registration.
 //
 // Scheduling is deficit round-robin over per-tenant FIFO queues: each
 // tenant's turn adds `quantum` cost units to its deficit, and it serves
@@ -34,9 +36,10 @@
 //
 // Thread contract: like BatchVerifier, the Server is externally
 // synchronized — one dispatcher thread calls submit()/serve_next()/drain().
-// Parallelism lives inside each verifier's sweep (ServerOptions::threads),
-// and the shared atlas is internally locked.  Verdicts are bit-identical to
-// the in-memory run/run_delta path at every thread count: the aliased
+// Parallelism lives inside the one sweep in flight, on the server's pool
+// (ServerOptions::threads slots, the dispatcher being slot 0), and the
+// shared atlas is internally locked.  Verdicts are bit-identical to the
+// in-memory run_one/run_delta path at every thread count: the aliased
 // certificates are bit-equal to their owned counterparts, and everything
 // downstream of parse is the unmodified pipeline.
 //
@@ -110,7 +113,8 @@ struct Rejection {
 };
 
 struct ServerOptions {
-  /// Sweep threads per tenant verifier; 0 = hardware concurrency.
+  /// Slots of the server's one sweep pool, shared by every tenant (the
+  /// dispatcher included); 0 = hardware concurrency.
   unsigned threads = 0;
   /// The shared geometry budget; null creates a private default atlas.
   std::shared_ptr<radius::GeometryAtlas> atlas;
@@ -138,9 +142,12 @@ class Server {
   explicit Server(ServerOptions options = {});
   ~Server();
 
-  /// Registers a tenant; returns the tenant id requests must carry.  The
-  /// scheme and configuration must outlive the server.  `name` keys the
-  /// tenant's metrics (serve.latency_ns.<name>).
+  /// Registers a tenant and builds its verifier on the server's pool;
+  /// returns the tenant id requests must carry.  The scheme and
+  /// configuration must outlive the server.  `name` keys the tenant's
+  /// metrics (serve.latency_ns.<name>).  Requires what BatchVerifier
+  /// requires — t >= 1, and t >= scheme.radius() for a ball scheme — and
+  /// registers nothing when it throws.
   std::uint32_t add_tenant(std::string name, const core::Scheme& scheme,
                            const local::Configuration& cfg, unsigned t);
 
@@ -191,10 +198,8 @@ class Server {
 
   struct Tenant {
     std::string name;
-    const core::Scheme* scheme = nullptr;
     const local::Configuration* cfg = nullptr;
-    unsigned t = 0;
-    std::unique_ptr<radius::BatchVerifier> verifier;  ///< lazy
+    std::unique_ptr<radius::BatchVerifier> verifier;  ///< bound to (cfg, t)
     std::deque<Request> queue;
     std::uint64_t deficit = 0;
     /// Sum of queued request costs — what max_queued_cost bounds.
@@ -220,7 +225,6 @@ class Server {
     Rejection rejection;  ///< kMalformed, kOverloaded, or kExpired
   };
 
-  radius::BatchVerifier& verifier_for(Tenant& tenant);
   Response dispatch(Tenant& tenant, Request request);
   /// Drops the tenant's delta base after an abandoned or faulted run (the
   /// run may have half-applied a delta to `current`, so nothing about it is
@@ -236,6 +240,7 @@ class Server {
 
   ServerOptions options_;
   std::shared_ptr<radius::GeometryAtlas> atlas_;
+  std::shared_ptr<util::ThreadPool> pool_;  ///< every tenant's sweeps
   std::vector<Tenant> tenants_;
   std::deque<Rejected> rejected_;  ///< FIFO, served ahead of the DRR rounds
   std::size_t rr_cursor_ = 0;      ///< tenant whose DRR turn is current/next

@@ -114,6 +114,12 @@ void ThreadPool::worker_loop(unsigned worker) {
 
 void ThreadPool::for_range(std::size_t n, const RangeFn& fn,
                            RangeOptions options) {
+  const bool overlapping = in_job_.exchange(true, std::memory_order_seq_cst);
+  PLS_REQUIRE(!overlapping);
+  struct Release {
+    std::atomic<bool>& flag;
+    ~Release() { flag.store(false, std::memory_order_seq_cst); }
+  } release{in_job_};
   const Job job = make_job(&fn, n, options);
   start(job);
   join(job);

@@ -20,10 +20,11 @@
 // exception; the remaining chunks drain to its peers.
 // Locking discipline is compiler-checked: every cross-thread member is
 // GUARDED_BY(mu_) and Clang's thread-safety analysis (util/thread_annotations
-// .hpp, the CI `analysis` job) rejects unlocked access paths; the one
-// intentionally unguarded shared member is the chunk cursor, an explicit
+// .hpp, the CI `analysis` job) rejects unlocked access paths; the
+// intentionally unguarded shared members are the chunk cursor, an explicit
 // relaxed atomic (uniqueness of the claimed index is all it must provide —
-// the job hand-off mutex supplies every happens-before edge).
+// the job hand-off mutex supplies every happens-before edge), and the
+// one-job-at-a-time flag for_range sets on entry.
 #pragma once
 
 #include <atomic>
@@ -86,7 +87,10 @@ class ThreadPool {
   /// [0, thread_count()) the executing slot (stable across calls — index
   /// per-worker scratch with it) and [begin, end) that chunk of [0, n).
   /// Empty ranges invoke nothing.  Blocks until the whole range is covered
-  /// (or abandoned, see RangeOptions::cancel).
+  /// (or abandoned, see RangeOptions::cancel).  The pool runs one job at a
+  /// time: a for_range that starts while another is in flight — from a
+  /// chunk of that job, or from a second thread driving the same pool —
+  /// throws std::logic_error before it touches any job state.
   using RangeFn = std::function<void(unsigned worker, std::size_t begin,
                                      std::size_t end)>;
   void for_range(std::size_t n, const RangeFn& fn, RangeOptions options = {});
@@ -162,6 +166,12 @@ class ThreadPool {
   // the reset early because they re-read the job only after the
   // generation_ bump behind the same mutex.
   std::atomic<std::size_t> next_chunk_{0};
+  // Set for the whole of a for_range call, cleared on every exit.  A second
+  // job would reset the cursor under the first one's claimants (silently
+  // skipping its chunks) or wait on workers it is itself occupying, so an
+  // entry that finds it set is refused.  Read and written by whichever
+  // thread calls for_range; the exchange makes the refusal race-free.
+  std::atomic<bool> in_job_{false};
   RangeStats last_stats_;  // calling-thread-only, assembled at job end
 };
 

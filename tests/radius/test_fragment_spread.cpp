@@ -20,6 +20,7 @@
 namespace pls::radius {
 namespace {
 
+using pls::testing::expect_complete_t;
 using pls::testing::share;
 
 std::vector<detail::FragmentWire> parse_all(const core::Labeling& lab) {
@@ -53,21 +54,6 @@ void expect_named_iff_boundary(const graph::Graph& g,
     bordered.insert(b.region);
   }
   EXPECT_EQ(named, bordered);
-}
-
-void expect_complete_t(const FragmentSpreadScheme& scheme,
-                       const local::Configuration& cfg) {
-  ASSERT_TRUE(scheme.language().contains(cfg));
-  const core::Labeling lab = scheme.mark(cfg);
-  const core::Verdict verdict =
-      run_verifier_t(scheme, cfg, lab, scheme.radius());
-  EXPECT_TRUE(verdict.all_accept())
-      << scheme.name() << " rejected a legal configuration at "
-      << verdict.rejections() << " nodes on " << cfg.graph().describe();
-  EXPECT_LE(lab.max_bits(),
-            scheme.proof_size_bound(cfg.n(), cfg.max_state_bits()))
-      << scheme.name() << " exceeded its proof-size bound on "
-      << cfg.graph().describe();
 }
 
 TEST(FragmentSpread, MstCompletenessSweep) {
@@ -335,7 +321,9 @@ TEST(FragmentSpread, FlippedTagInMstMarkingRejected) {
 // Registry-wide proof-size bound property: every marked fragment-spread
 // certificate fits the bound at every radius, with the per-region factor
 // header (k, residue, region id, suffix length) measured independently by
-// parsing the wire rather than restating the production formula.
+// parsing the wire rather than restating the production formula; the bound
+// stays below the old residue-at-its-ceiling formula; and the transform is
+// complete across the whole registry.
 TEST(FragmentSpread, ProofSizeBoundCoversRegistryAtAllRadii) {
   util::Rng rng(383);
   for (const schemes::SchemeEntry& entry : schemes::standard_catalog()) {
@@ -372,6 +360,16 @@ TEST(FragmentSpread, ProofSizeBoundCoversRegistryAtAllRadii) {
                                             wire->chunk.bit_size();
         EXPECT_LE(measured_header, header_budget) << spread.name();
       }
+
+      // Tightness regression: the residue field is sized by k <= t/2 + 1,
+      // so for t <= 8 the bound must be strictly below the old formula that
+      // budgeted the residue at the 6-bit header's ceiling (the region id
+      // budget is the same on both sides).
+      EXPECT_LT(bound, base_bound + detail::kHeaderBits +
+                           util::bit_width_for(62) +
+                           detail::varint_bits(16 * cfg.n() * cfg.n() + 1) +
+                           detail::varint_bits(base_bound))
+          << spread.name();
 
       // And the transform is complete across the whole registry.
       const core::Verdict verdict = run_verifier_t(spread, cfg, lab, t);

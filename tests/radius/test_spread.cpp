@@ -1,37 +1,22 @@
 // The spread transform (FragmentSpreadScheme) on globally redundant
 // languages: completeness and soundness of the mechanical 1-round -> t-PLS
-// transform, plus the proof-size/t tradeoff it exists to demonstrate.
+// transform, plus the proof-size/t tradeoff it exists to demonstrate.  The
+// registry-wide proof-size bound and the per-component checks are in
+// test_fragment_spread.cpp.
 #include "radius/fragment_spread.hpp"
 
 #include <gtest/gtest.h>
 
-#include "radius/spread_wire.hpp"
-#include "schemes/agree.hpp"
 #include "schemes/common.hpp"
 #include "schemes/mst.hpp"
-#include "schemes/registry.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
 
 namespace pls::radius {
 namespace {
 
+using pls::testing::expect_complete_t;
 using pls::testing::share;
-
-void expect_complete_t(const FragmentSpreadScheme& scheme,
-                       const local::Configuration& cfg) {
-  ASSERT_TRUE(scheme.language().contains(cfg));
-  const core::Labeling lab = scheme.mark(cfg);
-  const core::Verdict verdict =
-      run_verifier_t(scheme, cfg, lab, scheme.radius());
-  EXPECT_TRUE(verdict.all_accept())
-      << scheme.name() << " rejected a legal configuration at "
-      << verdict.rejections() << " nodes on " << cfg.graph().describe();
-  EXPECT_LE(lab.max_bits(),
-            scheme.proof_size_bound(cfg.n(), cfg.max_state_bits()))
-      << scheme.name() << " exceeded its proof-size bound on "
-      << cfg.graph().describe();
-}
 
 TEST(Spread, StpCompletenessSweep) {
   const schemes::StpLanguage language;
@@ -143,29 +128,6 @@ TEST(Spread, RadiusBeyondDiameterStillComplete) {
   expect_complete_t(spread, language.make_tree(g, 2));
 }
 
-// Spreading works per component: certificates-only visibility, two
-// components, landmark BFS and chunk classes confined to each.
-TEST(Spread, DisconnectedAgreeComponents) {
-  const schemes::AgreeLanguage language(48);
-  const schemes::AgreeScheme base(language);
-  const FragmentSpreadScheme spread(base, 4);
-  graph::Graph::Builder b;
-  for (graph::RawId id = 1; id <= 7; ++id) b.add_node(id);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);  // path 0-1-2-3
-  b.add_edge(4, 5);
-  b.add_edge(5, 6);  // path 4-5-6
-  auto g = share(std::move(b).build());
-  ASSERT_FALSE(g->is_connected());
-  std::vector<local::State> states(
-      g->n(), language.encode_value(0xBEEF'CAFE'1234ull));
-  const local::Configuration cfg(g, states);
-  ASSERT_TRUE(language.contains(cfg));
-  const core::Labeling lab = spread.mark(cfg);
-  EXPECT_TRUE(run_verifier_t(spread, cfg, lab, 4).all_accept());
-}
-
 TEST(Spread, InvalidRadiiRejected) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -206,62 +168,6 @@ TEST(Spread, MaxBitsDecreaseWithRadius) {
     const std::size_t bits = spread.mark(cfg).max_bits();
     EXPECT_LT(bits, prev) << "t=" << t;
     prev = bits;
-  }
-}
-
-// The spread header's residue field is sized by the actual chunk-count cap
-// k <= t/2 + 1, not by the worst case of the k field: the bound must still
-// dominate every marker output across the registry, and shrink as the old
-// hardcoded bit_width(62) residue bound is replaced.
-TEST(Spread, ProofSizeBoundCoversRegistryAtAllRadii) {
-  util::Rng rng(941);
-  for (const schemes::SchemeEntry& entry : schemes::standard_catalog()) {
-    std::shared_ptr<const graph::Graph> g;
-    if (entry.needs_weighted) {
-      g = share(graph::reweight_random(graph::random_connected(14, 10, rng),
-                                       rng));
-    } else if (entry.needs_bipartite) {
-      g = share(graph::grid(2, 7));
-    } else {
-      g = share(graph::random_connected(14, 10, rng));
-    }
-    const local::Configuration cfg = entry.language->sample_legal(g, rng);
-    for (const unsigned t : {1u, 2u, 4u, 8u}) {
-      const FragmentSpreadScheme spread(*entry.scheme, t);
-      const core::Labeling lab = spread.mark(cfg);
-      const std::size_t bound =
-          spread.proof_size_bound(cfg.n(), cfg.max_state_bits());
-      EXPECT_GE(bound, lab.max_bits())
-          << spread.name() << " bound below an actual certificate on "
-          << cfg.graph().describe();
-
-      // Independent header check: measure the real header of every marked
-      // certificate by parsing it (header = total - suffix - chunk) and
-      // assert the bound's header budget covers it.  This catches a residue
-      // field undercount without restating the production formula.
-      const std::size_t base_bound =
-          entry.scheme->proof_size_bound(cfg.n(), cfg.max_state_bits());
-      ASSERT_GE(bound, base_bound);
-      const std::size_t header_budget = bound - base_bound;
-      for (const local::Certificate& cert : lab.certs) {
-        const auto wire = detail::parse_fragment_wire(cert);
-        ASSERT_TRUE(wire.has_value()) << spread.name();
-        const std::size_t measured_header = cert.bit_size() -
-                                            wire->suffix.bit_size() -
-                                            wire->chunk.bit_size();
-        EXPECT_LE(measured_header, header_budget) << spread.name();
-      }
-
-      // Tightness regression: the residue field is sized by k <= t/2 + 1,
-      // so for t <= 8 the bound must be strictly below the old formula that
-      // budgeted the residue at the 6-bit header's ceiling (the region id
-      // budget is the same on both sides).
-      EXPECT_LT(bound, base_bound + detail::kHeaderBits +
-                           util::bit_width_for(62) +
-                           detail::varint_bits(16 * cfg.n() * cfg.n() + 1) +
-                           detail::varint_bits(base_bound))
-          << spread.name();
-    }
   }
 }
 

@@ -452,6 +452,86 @@ TEST_F(Chaos, SweepCompletingPastDeadlineIsNotServed) {
             0u);
 }
 
+// One pool per server: a faulted and a cancelled sweep of tenant A stop on
+// the pool every tenant shares.  Each fails only A's request; tenant B's
+// delta base survives, and B's next full on the same server is exact.
+TEST_F(Chaos, OneTenantsFaultAndCancellationLeaveTheSharedPoolUsable) {
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  // Tenant A: a 256-node grid over 4-center blocks, so a full sweep is 64
+  // chunks and a 1 ms stall per chunk outlasts a 5 ms TTL at every thread
+  // count.  Tenant B: the fixture's 16-node grid.
+  auto big = share(graph::grid(16, 16));
+  const local::Configuration a_cfg = language.sample_legal(big, rng);
+  const Labeling a_honest = spread.mark(a_cfg);
+  const std::uint64_t a_epoch = a_cfg.graph().epoch();
+  const Labeling b_honest = spread.mark(cfg);
+  Labeling b_tampered = b_honest;
+  b_tampered.certs[5] = local::random_state(40, rng);
+  Labeling b_next = b_honest;
+  b_next.certs[3] = local::random_state(24, rng);
+  const std::vector<graph::NodeIndex> touched = {3};
+  const auto n = static_cast<std::uint32_t>(cfg.n());
+  const auto baseline = [&](const Labeling& lab) {
+    return radius::run_verifier_t_baseline(spread, cfg, lab, 2).accept();
+  };
+
+  for (const unsigned threads :
+       {1u, 2u, util::ThreadPool::hardware_threads()}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ServerOptions options;
+    options.threads = threads;
+    options.atlas = std::make_shared<radius::GeometryAtlas>(
+        radius::AtlasOptions{.block_centers = 4});
+    Server server(options);
+    const std::uint32_t a = server.add_tenant("a", spread, a_cfg, 2);
+    const std::uint32_t b = server.add_tenant("b", spread, cfg, 2);
+    const auto serve = [&](std::vector<std::uint8_t> bytes) {
+      server.submit(frame_of(std::move(bytes)), Server::now_ns());
+      std::optional<Server::Response> r = server.serve_next();
+      EXPECT_TRUE(r.has_value());
+      return r.value_or(Server::Response{});
+    };
+    const auto expect_b_exact = [&](const Labeling& lab) {
+      const Server::Response r = serve(encode_full(b, epoch, 2, lab));
+      ASSERT_TRUE(r.wire_ok) << r.error;
+      EXPECT_EQ(r.verdict.accept(), baseline(lab));
+    };
+    expect_b_exact(b_honest);
+
+    // A's first full builds its geometry; one build faults.
+    failpoint::arm("radius.atlas.build",
+                   failpoint::Plan{.action = failpoint::Action::kError,
+                                   .probability = 1.0,
+                                   .seed = 3,
+                                   .max_fires = 1});
+    const Server::Response faulted = serve(encode_full(a, a_epoch, 2, a_honest));
+    EXPECT_EQ(failpoint::fires("radius.atlas.build"), 1u);
+    failpoint::disarm("radius.atlas.build");
+    EXPECT_EQ(faulted.rejection.kind, RejectKind::kFaulted);
+    // B's base survived A's fault.
+    const Server::Response delta =
+        serve(encode_delta(b, epoch, 2, n, touched, b_next));
+    ASSERT_TRUE(delta.wire_ok) << delta.error;
+    EXPECT_EQ(delta.verdict.accept(), baseline(b_next));
+    expect_b_exact(b_tampered);
+
+    // Warm A, then let its next full's deadline fire mid-sweep.
+    ASSERT_TRUE(serve(encode_full(a, a_epoch, 2, a_honest)).wire_ok);
+    failpoint::arm("pool.chunk",
+                   failpoint::Plan{.action = failpoint::Action::kDelay,
+                                   .probability = 1.0,
+                                   .seed = 11,
+                                   .max_fires = 0,
+                                   .delay_ns = 1'000'000});
+    const Server::Response expired =
+        serve(encode_full(a, a_epoch, 2, a_honest, 5'000'000));
+    failpoint::disarm("pool.chunk");
+    EXPECT_STREQ(expired.error, "deadline expired during verification");
+    EXPECT_EQ(expired.rejection.kind, RejectKind::kExpired);
+    expect_b_exact(b_honest);
+  }
+}
+
 /// Runs a fixed trail of full-labeling requests — some doomed by injected
 /// wire faults — and returns the responses.  Arms the same seeds each call.
 std::vector<Server::Response> run_faulted_trail(

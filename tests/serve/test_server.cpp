@@ -1,14 +1,17 @@
 // Server: the wire path (encode → submit → DRR → zero-copy dispatch) must
-// be bit-identical to the in-memory BatchVerifier::run/run_delta path for
-// every registry scheme at every thread count; the DRR schedule must be
+// be bit-identical to the in-memory BatchVerifier::run_one/run_delta path
+// for every registry scheme at every thread count; the DRR schedule must be
 // starvation-free; malformed or mismatched frames must surface as named
-// rejections without billing a tenant; and request frames must be held
-// exactly as long as the zero-copy aliases need them, then released.
+// rejections without billing a tenant; request frames must be held exactly
+// as long as the zero-copy aliases need them, then released; and every
+// tenant sweeps on the server's one pool, whose verifiers are built (and
+// refused) at registration.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <filesystem>
 
 #include "radius/fragment_spread.hpp"
 #include "schemes/registry.hpp"
@@ -56,8 +59,9 @@ struct Script {
 };
 
 // The acceptance criterion: wire-path verdicts are bit-identical to the
-// in-memory BatchVerifier::run/run_delta path, registry-wide (plain t=1 and
-// fragment-spread t=2 per entry), at threads {1, 2, hardware}.
+// in-memory BatchVerifier::run_one/run_delta path, registry-wide (plain t=1
+// and fragment-spread t=2 per entry), at threads {1, 2, hardware}, with all
+// of the ~30 tenants sweeping on the server's one pool.
 TEST(Server, RegistryWireVerdictsMatchInMemoryAtAllThreadCounts) {
   util::Rng rng(60901);
   // The catalog must outlive the scripts: they point at its schemes.
@@ -425,6 +429,86 @@ TEST(Server, ProducerMayMutateAFrameOnceItIsReleased) {
   radius::LabelingDelta delta;
   delta.touched = touched;
   EXPECT_EQ(r->verdict.accept(), oracle.run_delta(next, delta).accept());
+}
+
+// A tenant the verifier refuses is refused at registration: add_tenant
+// throws, registers nothing, and the server keeps serving — no request can
+// reach a tenant whose verifier does not exist.
+TEST(Server, TenantBelowSchemeRadiusIsRejectedAtRegistration) {
+  const schemes::StpLanguage language;
+  const schemes::StpScheme stp(language);
+  const radius::FragmentSpreadScheme spread(stp, 8);
+  util::Rng rng(60907);
+  auto g = share(graph::random_connected(12, 6, rng));
+  const local::Configuration cfg = language.sample_legal(g, rng);
+  const Labeling honest = spread.mark(cfg);
+
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  EXPECT_THROW((void)server.add_tenant("short", spread, cfg, 4),
+               std::logic_error);
+  const std::uint32_t id = server.add_tenant("spread", spread, cfg, 8);
+  EXPECT_EQ(id, 0u);
+
+  server.submit(frame_of(encode_full(id, cfg.graph().epoch(), 8, honest)),
+                Server::now_ns());
+  EXPECT_EQ(server.queued(), 1u);
+  const std::optional<Server::Response> r = server.serve_next();
+  ASSERT_TRUE(r.has_value());
+  ASSERT_TRUE(r->wire_ok) << r->error;
+  EXPECT_EQ(r->verdict.accept(),
+            radius::run_verifier_t_baseline(spread, cfg, honest, 8).accept());
+  EXPECT_EQ(server.queued(), 0u);
+}
+
+// One pool per server: the process's thread count while a server is alive
+// does not grow with its tenant count.  Each tenant's full is served, so
+// every verifier has swept at least once.
+TEST(Server, WorkerCountIsIndependentOfTenantCount) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  std::error_code error;
+  if (!std::filesystem::is_directory(tasks, error))
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  const auto thread_count = [&] {
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator(tasks))
+      ++count;
+    return count;
+  };
+
+  const schemes::StpLanguage language;
+  const schemes::StpScheme stp(language);
+  const radius::FragmentSpreadScheme spread(stp, 2);
+  util::Rng rng(60908);
+  auto g = share(graph::grid(8, 8));
+  const local::Configuration cfg = language.sample_legal(g, rng);
+  const Labeling honest = spread.mark(cfg);
+  const Verdict expected =
+      radius::run_verifier_t_baseline(spread, cfg, honest, 2);
+
+  constexpr unsigned kThreads = 4;
+  const std::size_t before = thread_count();
+  for (const std::uint32_t tenants : {1u, 3u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << tenants << " tenants");
+    ServerOptions options;
+    options.threads = kThreads;
+    Server server(options);
+    for (std::uint32_t i = 0; i < tenants; ++i) {
+      ASSERT_EQ(server.add_tenant("tenant" + std::to_string(i), spread, cfg, 2),
+                i);
+      server.submit(frame_of(encode_full(i, cfg.graph().epoch(), 2, honest)),
+                    Server::now_ns());
+    }
+    const std::vector<Server::Response> responses = server.drain();
+    ASSERT_EQ(responses.size(), tenants);
+    for (const Server::Response& r : responses) {
+      ASSERT_TRUE(r.wire_ok) << r.error;
+      EXPECT_EQ(r.verdict.accept(), expected.accept());
+    }
+    EXPECT_EQ(thread_count(), before + kThreads - 1);
+  }
 }
 
 }  // namespace

@@ -83,6 +83,23 @@ inline void expect_complete(const core::Scheme& scheme,
       << cfg.graph().describe();
 }
 
+/// The radius-t counterpart of expect_complete: marker certificates verify
+/// everywhere at the scheme's own radius and respect the size bound.
+inline void expect_complete_t(const radius::BallScheme& scheme,
+                              const local::Configuration& cfg) {
+  ASSERT_TRUE(scheme.language().contains(cfg));
+  const core::Labeling lab = scheme.mark(cfg);
+  const core::Verdict verdict =
+      radius::run_verifier_t(scheme, cfg, lab, scheme.radius());
+  EXPECT_TRUE(verdict.all_accept())
+      << scheme.name() << " rejected a legal configuration at "
+      << verdict.rejections() << " nodes on " << cfg.graph().describe();
+  EXPECT_LE(lab.max_bits(),
+            scheme.proof_size_bound(cfg.n(), cfg.max_state_bits()))
+      << scheme.name() << " exceeded its proof-size bound on "
+      << cfg.graph().describe();
+}
+
 /// Asserts soundness against the adversary suite on an illegal configuration.
 inline void expect_sound(const core::Scheme& scheme,
                          const local::Configuration& cfg, std::uint64_t seed,

@@ -1,6 +1,6 @@
 // ThreadPool: exact range coverage under chunked work stealing, steal
 // accounting, in-order sequential fallback, exception propagation,
-// cooperative cancellation, reuse across jobs.
+// cooperative cancellation, one job at a time, reuse across jobs.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -134,6 +134,36 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
       total.fetch_add(static_cast<int>(end - begin));
     });
     EXPECT_EQ(total.load(), 100);
+  }
+}
+
+TEST(ThreadPool, OverlappingJobIsRejected) {
+  // A chunk that starts a second job on its own pool: the nested call is
+  // refused, the refusal surfaces from the outer call, and the pool then
+  // covers a fresh range exactly once.  Run, the nested job would reset the
+  // shared cursor under the outer one (a 1-slot pool then skips the outer
+  // job's chunks) or wait on the workers it occupies (a multi-slot pool
+  // deadlocks).
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ThreadPool pool(threads);
+    EXPECT_THROW(pool.for_range(
+                     10,
+                     [&](unsigned, std::size_t begin, std::size_t) {
+                       if (begin == 0)
+                         pool.for_range(4, [](unsigned, std::size_t,
+                                              std::size_t) {});
+                     },
+                     {.chunk = 1}),
+                 std::logic_error);
+    std::vector<std::atomic<int>> hits(10);
+    pool.for_range(
+        hits.size(),
+        [&](unsigned, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        },
+        {.chunk = 1});
+    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
   }
 }
 
