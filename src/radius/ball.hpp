@@ -259,14 +259,16 @@ class RadiusContext {
                 const local::State& center_state,
                 const local::Certificate& center_cert, local::Visibility mode,
                 std::size_t network_size,
-                std::span<const ParsedCert* const> parsed_by_node = {})
+                std::span<const ParsedCert* const> parsed_by_node = {},
+                bool memoized = false)
       : ball_(&ball),
         id_(center_id),
         state_(&center_state),
         cert_(&center_cert),
         mode_(mode),
         network_size_(network_size),
-        parsed_(parsed_by_node) {}
+        parsed_(parsed_by_node),
+        memoized_(memoized) {}
 
   const BallView& ball() const noexcept { return *ball_; }
 
@@ -290,6 +292,12 @@ class RadiusContext {
     return parsed_[v];
   }
 
+  /// True when the cached parses carry this labeling's stage-2 memo
+  /// (BallScheme::memoize): a full run's sweep.  The delta re-sweep reads
+  /// resident parses whose memos may describe an earlier labeling, so it
+  /// runs with the memo off.
+  bool memoized() const noexcept { return memoized_; }
+
  private:
   const BallView* ball_;
   graph::RawId id_;
@@ -298,6 +306,7 @@ class RadiusContext {
   local::Visibility mode_;
   std::size_t network_size_;
   std::span<const ParsedCert* const> parsed_;
+  bool memoized_;
 };
 
 }  // namespace pls::radius

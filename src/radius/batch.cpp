@@ -45,23 +45,34 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
 
 void BatchVerifier::parse_link(const core::Labeling& labeling) {
   const std::size_t n = cfg_.n();
-  parsed_.storage.clear();
+  // Each entry is overwritten inside the parallel parse, which frees the
+  // previous labeling's parse there instead of in one serial clear().  An
+  // abandoned parse leaves old and new entries mixed, each still paired
+  // with its own view; no resident state survives it.
   parsed_.storage.resize(n);
-  parsed_.view.assign(n, nullptr);
+  parsed_.view.resize(n);
   // A range job like the sweep's, but not a sweep: sweep() records the
-  // RangeStats of its own job only.
-  pool_->for_range(n, [&](unsigned, std::size_t begin, std::size_t end) {
-    for (std::size_t v = begin; v < end; ++v) {
-      PLS_FAILPOINT("radius.parse");
-      parsed_.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
-      parsed_.view[v] = parsed_.storage[v].get();
-    }
-  });
+  // RangeStats of its own job only.  An expired request stops at the next
+  // parse chunk, as it does in the sweep.
+  pool_->for_range(
+      n,
+      [&](unsigned, std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+          PLS_FAILPOINT("radius.parse");
+          parsed_.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
+          parsed_.view[v] = parsed_.storage[v].get();
+        }
+      },
+      util::RangeOptions{.cancel = cancel_});
   // Link phase: intern the parses' link keys into small dense ids;
   // single-threaded, the sweep workers only read the linked parses.  The
   // table persists in the verifier, so ANY full run leaves one a later
   // run_delta can relink against.
   link_.link(parsed_.storage);
+  // Memo phase: the scheme's per-labeling facts, read by this run's full
+  // sweep only (run_delta's re-sweep runs with the memo off).
+  PLS_TRACE_SPAN("parse.memo", n);
+  ball_scheme_->memoize(parsed_.storage);
 }
 
 util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
@@ -91,9 +102,11 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
   }
 
   const std::span<const ParsedCert* const> cache = parsed_.view;
+  // Only a full sweep's parses all carry its own labeling's memo.
+  const bool memoized = centers.empty();
   const unsigned radius = ball_scheme_->radius();
   const local::Visibility mode = scheme_.visibility();
-  return [this, &labeling, center_of, accept, cache, radius, mode](
+  return [this, &labeling, center_of, accept, cache, memoized, radius, mode](
              unsigned worker, std::size_t begin, std::size_t end) {
     PLS_TRACE_SPAN("sweep.slot", worker);
     const graph::Graph& g = cfg_.graph();
@@ -107,7 +120,8 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
         block = atlas_->block(g, radius, v);
       slot.view.bind(block->ball(v, radius), cfg_, labeling, mode);
       const RadiusContext ctx(slot.view, g.id(v), cfg_.state(v),
-                              labeling.certs[v], mode, cfg_.n(), cache);
+                              labeling.certs[v], mode, cfg_.n(), cache,
+                              memoized);
       accept[v] = ball_scheme_->verify_ball(ctx);
     }
   };

@@ -9,10 +9,16 @@
 //   2. PARSE/LINK — labeling-dependent, center-independent: each node's
 //                  certificate parsed exactly once per labeling
 //                  (BallScheme::parse_cert, fanned out over the pool), then
-//                  the single-threaded link phase interns the parses' link
-//                  keys into dense class ids (detail::LinkTable,
-//                  parse_link.hpp — owned here, the one link contract for
-//                  every scheme).
+//                  the link phase interns the parses' link keys into dense
+//                  class ids (detail::LinkTable, parse_link.hpp — owned
+//                  here, the one link contract for every scheme), then the
+//                  memo pass (BallScheme::memoize) records per-labeling
+//                  facts every center would otherwise re-derive — for the
+//                  fragment spread, each uniform region's prefix and its
+//                  members' base certificates.  Link and memo run on the
+//                  calling thread, each a pass over the n parses.  Only the
+//                  full sweep reads the memo: run_delta turns it off, and
+//                  the next full run rebuilds it.
 //   3. SWEEP     — per-center verify_ball over geometry bound to the
 //                  labeling, fanned out over util::ThreadPool's chunked
 //                  work-stealing split (skewed ball sizes rebalance across
@@ -124,8 +130,9 @@ class BatchVerifier {
   bool has_resident() const noexcept { return resident_valid_; }
 
   /// Cooperative cancellation: while set, every run checks the token on
-  /// entry and at every chunk-claim boundary inside the sweep (ThreadPool's
-  /// RangeOptions::cancel), and abandons the run with util::CancelledError.
+  /// entry and at every chunk-claim boundary inside the full run's parallel
+  /// parse and the sweep (ThreadPool's RangeOptions::cancel), and abandons
+  /// the run with util::CancelledError.
   /// A run refused on entry has touched nothing: the resident state it
   /// found is still there for run_delta.  A run abandoned later leaves the
   /// verifier exactly like any other throwing run: no resident state
@@ -168,8 +175,9 @@ class BatchVerifier {
     std::vector<const ParsedCert*> view;
   };
 
-  /// Stage 2 into `parsed_`: parses every certificate over the pool, then
-  /// links the parses single-threaded.
+  /// Stage 2 into `parsed_`: parses every certificate over the pool (the
+  /// cancel token polled at every chunk claim), then links and memoizes the
+  /// parses on the calling thread.
   void parse_link(const core::Labeling& labeling);
   /// The one stage-3 per-center verify body, shared by the full sweep and
   /// the dirty re-sweep: slot i of the returned range job verifies center

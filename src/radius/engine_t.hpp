@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,16 @@ class BallScheme : public core::Scheme {
   /// buffer (possibly a request frame) is released.
   virtual std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const = 0;
+
+  /// Stage 2's memo pass, run once per full labeling right after the link:
+  /// records in the linked parses (`parsed`, null = malformed) facts that
+  /// every center would otherwise re-derive from its own ball.  verify_ball
+  /// may read them only while RadiusContext::memoized() holds, and only
+  /// where they provably equal what its own ball would give, so a memo never
+  /// changes a verdict.  Runs on the verifier's one caller thread.  Default:
+  /// nothing to memoize.
+  virtual void memoize(
+      std::span<const std::unique_ptr<ParsedCert>> /*parsed*/) const {}
 
   /// Scheme-aware adversarial labelings for the attack suite: labelings
   /// that target the scheme's own structural invariants, beyond what the

@@ -21,15 +21,15 @@ constexpr std::uint32_t kNoMember = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kUnassigned =
     std::numeric_limits<std::uint32_t>::max();
 
-/// The verifier's cached parse of one fragment-spread certificate.
-struct FragmentParsed final : ParsedCert {
-  explicit FragmentParsed(FragmentWire w) : wire(std::move(w)) {}
-  /// The chunk payload: link_class is its interned class.
-  const util::BitString* link_key() const noexcept override {
-    return &wire.chunk;
-  }
-  FragmentWire wire;
-};
+/// A base certificate put back together: its region's prefix, then its
+/// own suffix.
+local::Certificate base_certificate(const util::BitString& prefix,
+                                    const util::BitString& suffix) {
+  util::BitWriter w;
+  w.write_bits(prefix.bytes(), prefix.bit_size());
+  w.write_bits(suffix.bytes(), suffix.bit_size());
+  return local::Certificate::from_writer(std::move(w));
+}
 
 /// One region decomposition, fully resolved: dense region index per node,
 /// landmark / in-region BFS distance / landmark eccentricity / certificate
@@ -219,8 +219,10 @@ struct VerifyScratch {
   std::vector<std::uint32_t> rep_of;        ///< per slot: member index
   std::vector<std::uint8_t> required;       ///< per group
   std::vector<const util::BitString*> chunk_of;
-  std::vector<util::BitString> prefix_of;   ///< per group (required only)
-  std::vector<local::Certificate> neighbor_certs;
+  std::vector<util::BitString> prefix_of;   ///< per group (rebuilt only)
+  std::vector<const local::Certificate*> memo_of;  ///< per 1-hop member
+  std::vector<local::Certificate> rebuilt;
+  std::vector<const local::Certificate*> certs;    ///< per 1-hop member
   std::vector<local::NeighborView> views;
 };
 
@@ -239,6 +241,83 @@ std::unique_ptr<ParsedCert> FragmentSpreadScheme::parse_cert(
   auto wire = detail::parse_fragment_wire(cert);
   if (!wire) return nullptr;
   return std::make_unique<FragmentParsed>(std::move(*wire));
+}
+
+void FragmentSpreadScheme::memoize(
+    std::span<const std::unique_ptr<ParsedCert>> parsed) const {
+  // verify_ball's grouping over the whole labeling — by region id, every
+  // unnamed parse in one group — with group ids dense in node order.  Each
+  // group keeps the first parse seen at every residue; a later parse of
+  // another k (U1) or another class at a seen residue (U2) makes the group
+  // non-uniform (the header's conditions).
+  struct Group {
+    std::uint64_t k = 0;
+    std::vector<const FragmentParsed*> rep;  ///< per residue
+    bool uniform = true;
+    util::BitString prefix;
+  };
+  std::vector<Group> groups;
+  std::unordered_map<std::uint64_t, std::uint32_t> group_index;
+  std::uint32_t unnamed_group = kUnassigned;
+  std::vector<std::uint32_t> group_of(parsed.size(), kUnassigned);
+  for (std::size_t v = 0; v < parsed.size(); ++v) {
+    auto* p = static_cast<FragmentParsed*>(parsed[v].get());
+    if (p == nullptr) continue;  // malformed: every ball holding it rejects
+    p->base.reset();
+    const FragmentWire& w = p->wire;
+    const auto next = static_cast<std::uint32_t>(groups.size());
+    std::uint32_t group;
+    if (w.named) {
+      group = group_index.try_emplace(w.region, next).first->second;
+    } else {
+      if (unnamed_group == kUnassigned) unnamed_group = next;
+      group = unnamed_group;
+    }
+    if (group == next) {
+      groups.emplace_back();
+      groups.back().k = w.k;
+      groups.back().rep.assign(w.k, nullptr);
+    }
+    group_of[v] = group;
+    Group& gr = groups[group];
+    if (!gr.uniform) continue;
+    if (w.k != gr.k || p->link_class == ParsedCert::kUnlinked) {
+      gr.uniform = false;
+      continue;
+    }
+    const FragmentParsed*& rep = gr.rep[w.residue];
+    if (rep == nullptr) {
+      rep = p;
+    } else if (rep->link_class != p->link_class) {
+      gr.uniform = false;
+    }
+  }
+
+  // Every residue present (U3) and the chunks reassemble (U4): the group's
+  // prefix, once.
+  std::vector<const util::BitString*> chunks;
+  for (Group& gr : groups) {
+    if (!gr.uniform) continue;
+    chunks.clear();
+    for (const FragmentParsed* rep : gr.rep) {
+      if (rep == nullptr) break;
+      chunks.push_back(&rep->wire.chunk);
+    }
+    std::optional<util::BitString> prefix;
+    if (chunks.size() == gr.k) prefix = detail::reassemble_chunks(chunks);
+    if (!prefix) {
+      gr.uniform = false;
+      continue;
+    }
+    gr.prefix = std::move(*prefix);
+  }
+
+  // Each member's base certificate, once.
+  for (std::size_t v = 0; v < parsed.size(); ++v) {
+    if (group_of[v] == kUnassigned || !groups[group_of[v]].uniform) continue;
+    auto& p = static_cast<FragmentParsed&>(*parsed[v]);
+    p.base = base_certificate(groups[group_of[v]].prefix, p.wire.suffix);
+  }
 }
 
 std::vector<SchemeAttack> FragmentSpreadScheme::adversarial_labelings(
@@ -368,12 +447,19 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
 
   static thread_local VerifyScratch scratch;
 
+  // Members are in BFS order: the center, then layer 1 from index 1.
+  const std::span<const BallMember> layer1 = ball.layer(1);
+  const std::size_t hop1 = 1 + layer1.size();
+
   // Certificates of the ball, parsed at most once per node; the cache path
-  // carries the interned chunk-class ids.
+  // carries the interned chunk-class ids and, on a full sweep, the 1-hop
+  // members' memoized base certificates.
   std::vector<const FragmentWire*>& parsed = scratch.parsed;
   std::vector<std::uint32_t>& chunk_class = scratch.chunk_class;
+  std::vector<const local::Certificate*>& memo_of = scratch.memo_of;
   parsed.assign(members.size(), nullptr);
   chunk_class.assign(members.size(), ParsedCert::kUnlinked);
+  memo_of.assign(hop1, nullptr);
   if (ctx.has_parse_cache()) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       const auto* p =
@@ -381,6 +467,7 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       if (p == nullptr) return false;  // malformed certificate in the ball
       parsed[i] = &p->wire;
       chunk_class[i] = p->link_class;
+      if (i < hop1 && ctx.memoized() && p->base) memo_of[i] = &*p->base;
     }
   } else {
     std::vector<FragmentWire>& local_parses = scratch.local_parses;
@@ -476,15 +563,19 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       if (diff != 0 && diff != 1 && diff != k - 1) return false;
     }
 
-  // Reassemble the prefix of every *required* region — the center's own and
-  // each 1-hop neighbor's (their coverage is guaranteed, see the header).
-  // Other regions grazed by the outer ball get the consistency checks above
-  // but need not be coverable.
+  // Check the coverage of every *required* region — the center's own and
+  // each 1-hop neighbor's (guaranteed for honest labelings, see the header)
+  // — and reassemble its prefix unless all its 1-hop members carry the
+  // stage-2 memo, which coverage has just made exact (the header's
+  // exactness argument).  Other regions grazed by the outer ball get the
+  // consistency checks above but need not be coverable.
+  constexpr std::uint8_t kRequired = 1;
+  constexpr std::uint8_t kRebuild = 2;
   std::vector<std::uint8_t>& required = scratch.required;
   required.assign(group_k.size(), 0);
-  required[group_of[0]] = 1;
-  const std::span<const BallMember> layer1 = ball.layer(1);
-  for (std::size_t i = 0; i < layer1.size(); ++i) required[group_of[1 + i]] = 1;
+  for (std::size_t i = 0; i < hop1; ++i)
+    required[group_of[i]] |=
+        memo_of[i] != nullptr ? kRequired : kRequired | kRebuild;
 
   std::vector<util::BitString>& prefix_of = scratch.prefix_of;
   prefix_of.assign(group_k.size(), util::BitString());
@@ -498,35 +589,36 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       if (rep == kNoMember) return false;  // a chunk class is missing
       chunk_of[j] = &parsed[rep]->chunk;
     }
+    if (!(required[gi] & kRebuild)) continue;
     auto prefix = detail::reassemble_chunks(chunk_of);
     if (!prefix) return false;  // chunk lengths must interleave consistently
     prefix_of[gi] = std::move(*prefix);
   }
 
-  // Reconstruct the base certificates of the 1-hop neighborhood — each from
-  // its *own* region's prefix — and run the base decoder.
-  auto reconstruct = [&](std::size_t member_index) {
-    const util::BitString& prefix = prefix_of[group_of[member_index]];
-    const FragmentWire& p = *parsed[member_index];
-    util::BitWriter w;
-    w.write_bits(prefix.bytes(), prefix.bit_size());
-    w.write_bits(p.suffix.bytes(), p.suffix.bit_size());
-    return local::Certificate::from_writer(std::move(w));
-  };
-  const local::Certificate own_cert = reconstruct(0);
-  std::vector<local::Certificate>& neighbor_certs = scratch.neighbor_certs;
-  neighbor_certs.clear();
-  neighbor_certs.reserve(layer1.size());
-  // Members are in BFS order: layer 1 starts at member index 1.
-  for (std::size_t i = 0; i < layer1.size(); ++i)
-    neighbor_certs.push_back(reconstruct(1 + i));
+  // The base certificates of the 1-hop neighborhood, center first: each
+  // member's memo, or rebuilt from its *own* region's prefix.  Then the
+  // base decoder.
+  std::vector<local::Certificate>& rebuilt = scratch.rebuilt;
+  std::vector<const local::Certificate*>& certs = scratch.certs;
+  rebuilt.clear();
+  rebuilt.reserve(hop1);  // no reallocation: certs points into it
+  certs.assign(hop1, nullptr);
+  for (std::size_t i = 0; i < hop1; ++i) {
+    if (memo_of[i] != nullptr) {
+      certs[i] = memo_of[i];
+      continue;
+    }
+    rebuilt.push_back(
+        base_certificate(prefix_of[group_of[i]], parsed[i]->suffix));
+    certs[i] = &rebuilt.back();
+  }
 
   std::vector<local::NeighborView>& views = scratch.views;
   views.clear();
   views.reserve(layer1.size());
   for (std::size_t i = 0; i < layer1.size(); ++i) {
     local::NeighborView nv;
-    nv.cert = &neighbor_certs[i];
+    nv.cert = certs[1 + i];
     nv.edge_weight = layer1[i].edge_weight;
     if (ctx.mode() == local::Visibility::kExtended) {
       nv.state = layer1[i].state;
@@ -535,7 +627,7 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
     }
     views.push_back(nv);
   }
-  const local::VerifierContext base_ctx(ctx.id(), ctx.state(), own_cert,
+  const local::VerifierContext base_ctx(ctx.id(), ctx.state(), *certs[0],
                                         views, ctx.mode(),
                                         ctx.network_size());
   return base_.verify(base_ctx);

@@ -50,13 +50,61 @@
 // per node — the size–time tradeoff of the t-PLS literature;
 // bench_radius_tradeoff measures the spanning-tree and MST curves.  The wire
 // format is in spread_wire.hpp.
+//
+// The stage-2 memo.  Reassembling a region's prefix and rebuilding a base
+// certificate are per-labeling facts, yet the per-center decoder above
+// repeats them at every center: the prefix once per center that requires the
+// region, each node's base certificate deg+1 times.  memoize() computes them
+// once per full labeling, after the link, for every *globally uniform* group
+// G — the whole labeling's parses grouped exactly as verify_ball groups a
+// ball (by region id, all unnamed parses in one group) — meaning:
+//   (U1) every parse in G carries the same k;
+//   (U2) every residue j < k carries exactly one link class c_j in G;
+//   (U3) all k residues occur in G;
+//   (U4) the chunks of c_0..c_{k-1} reassemble.
+// It reassembles G's prefix X_G once and stores each member's base
+// certificate X_G ++ suffix in its parse (FragmentParsed::base); members of
+// a non-uniform group, and malformed parses, get none.
+//
+// Exactness.  verify_ball consults a member's memo only after its ball has
+// passed every check it runs without the memo — k agreement, id binding,
+// chunk-class agreement, residue adjacency — and the coverage check of the
+// member's group g ("a chunk class is missing").  g's members are exactly
+// the ball's parses of the one global group G with the same key, and the
+// memo exists only if G is uniform.  Coverage gives, for each residue j < k,
+// a ball representative of g at residue j, which is a member of G, so by
+// (U1)/(U2) it carries class c_j of the memo's k; equal link classes mean
+// bit-identical chunks, so the ball's own reassembly would stitch exactly
+// the chunks the memo stitched — succeeding by (U4) — into X_G, and the
+// member's rebuilt certificate would be X_G ++ suffix, its memo.  The base
+// decoder therefore reads the same bits either way, and the verdict is
+// unchanged.  Balls that fail a check reject before any memo is read.
+// The memo is read only on the verifier's full sweep (RadiusContext::
+// memoized()), whose parses all come from the labeling memoize() saw; the
+// delta re-sweep and the cache-less reference engine keep the local path.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "radius/engine_t.hpp"
+#include "radius/spread_wire.hpp"
 
 namespace pls::radius {
+
+/// The verifier's cached parse of one fragment-spread certificate.
+struct FragmentParsed final : ParsedCert {
+  explicit FragmentParsed(detail::FragmentWire w) : wire(std::move(w)) {}
+  /// The chunk payload: link_class is its interned class.
+  const util::BitString* link_key() const noexcept override {
+    return &wire.chunk;
+  }
+  detail::FragmentWire wire;
+  /// The stage-2 memo (FragmentSpreadScheme::memoize): this node's base
+  /// certificate, its group's prefix ++ its suffix, when its group is
+  /// globally uniform; empty otherwise.
+  std::optional<local::Certificate> base;
+};
 
 class FragmentSpreadScheme final : public BallScheme {
  public:
@@ -84,6 +132,11 @@ class FragmentSpreadScheme final : public BallScheme {
   /// sweep hot path compares interned ids, not BitStrings.
   std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const override;
+
+  /// The stage-2 memo described above: fills FragmentParsed::base for every
+  /// member of a globally uniform group.  `parsed` must be linked.
+  void memoize(
+      std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
 
   /// The splice suite (splice.hpp): two instances' markings stitched
   /// together, rotated residues and region ids, crossed chunk payloads,

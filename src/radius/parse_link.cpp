@@ -16,8 +16,10 @@ void LinkTable::intern(ParsedCert* parsed) {
   // verifier must never turn into a wrong verdict.  The re-seed bound keeps
   // real streams far below this; the check makes the contract explicit.
   PLS_ASSERT(classes_.size() <= std::numeric_limits<std::uint32_t>::max());
+  // try_emplace copies the key only when it is new; emplace would build
+  // (and copy into) a node for every lookup.
   const auto [it, inserted] =
-      classes_.emplace(*key, static_cast<std::uint32_t>(classes_.size()));
+      classes_.try_emplace(*key, static_cast<std::uint32_t>(classes_.size()));
   parsed->link_class = it->second;
 }
 

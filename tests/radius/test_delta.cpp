@@ -411,8 +411,8 @@ TEST(BatchVerifierDelta, FragmentSpreadDeltasMatchFullRuns) {
 // that keeps inventing payloads is the worst case: without the re-seed it
 // grows one entry per step forever.  These tests drive exactly that stream.
 
-/// Minimal stand-in for a keyed parse: the real FragmentParsed is
-/// translation-unit-local to its scheme.
+/// Minimal keyed parse: the link key alone, without the fragment wire a
+/// FragmentParsed carries around it.
 struct FakeParsed final : ParsedCert {
   explicit FakeParsed(util::BitString c) : chunk(std::move(c)) {}
   const util::BitString* link_key() const noexcept override { return &chunk; }

@@ -439,5 +439,195 @@ TEST(FragmentSpread, ReassembleRejectsAChunkOneBitTooLong) {
     }
 }
 
+// --- The stage-2 memo (FragmentSpreadScheme::memoize) ----------------------
+
+/// Stage 2 by hand, as BatchVerifier runs it: parse, link, memoize.
+std::vector<std::unique_ptr<ParsedCert>> memoized_parses(
+    const FragmentSpreadScheme& spread, const core::Labeling& lab) {
+  std::vector<std::unique_ptr<ParsedCert>> parsed;
+  for (const local::Certificate& c : lab.certs)
+    parsed.push_back(spread.parse_cert(c));
+  detail::LinkTable link;
+  link.link(parsed);
+  spread.memoize(parsed);
+  return parsed;
+}
+
+const std::optional<local::Certificate>& memo_of(
+    const std::vector<std::unique_ptr<ParsedCert>>& parsed,
+    graph::NodeIndex v) {
+  return static_cast<const FragmentParsed&>(*parsed[v]).base;
+}
+
+/// A spanning tree of path(n) rooted at its last node: node i points at
+/// node i+1.
+local::Configuration path_rooted_at_end(std::size_t n) {
+  auto g = share(graph::path(n));
+  std::vector<local::State> states;
+  for (graph::NodeIndex v = 0; v + 1 < n; ++v)
+    states.push_back(schemes::encode_pointer(g->id(v + 1)));
+  states.push_back(schemes::encode_pointer(std::nullopt));
+  return local::Configuration(g, std::move(states));
+}
+
+/// `lab` with the residue-`residue` chunk of every node in [begin, end)
+/// flipped at bit 0 (same length, another class); the flipped nodes are
+/// appended to `touched`.
+core::Labeling flip_residue_chunks(const core::Labeling& lab,
+                                   std::uint64_t residue,
+                                   graph::NodeIndex begin,
+                                   graph::NodeIndex end,
+                                   std::vector<graph::NodeIndex>& touched) {
+  core::Labeling out = lab;
+  for (graph::NodeIndex v = begin; v < end; ++v) {
+    auto wire = detail::parse_fragment_wire(out.certs[v]);
+    EXPECT_TRUE(wire.has_value());
+    if (!wire || wire->residue != residue || wire->chunk.bit_size() == 0)
+      continue;
+    std::vector<std::uint8_t> bytes = wire->chunk.bytes();
+    bytes[0] ^= 1u;
+    wire->chunk = util::BitString(std::move(bytes), wire->chunk.bit_size());
+    out.certs[v] = detail::encode_fragment_wire(*wire);
+    touched.push_back(v);
+  }
+  return out;
+}
+
+TEST(FragmentSpread, MemoHoldsEveryHonestBaseCertificate) {
+  const auto check = [](const core::Scheme& base,
+                        const local::Configuration& cfg, unsigned t) {
+    SCOPED_TRACE(::testing::Message()
+                 << base.name() << " t " << t << " n " << cfg.n());
+    const FragmentSpreadScheme spread(base, t);
+    const core::Labeling base_lab = base.mark(cfg);
+    const auto parsed = memoized_parses(spread, spread.mark(cfg));
+    for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
+      const std::optional<local::Certificate>& memo = memo_of(parsed, v);
+      ASSERT_TRUE(memo.has_value()) << "node " << v;
+      EXPECT_EQ(*memo, base_lab.certs[v]) << "node " << v;
+    }
+  };
+  const schemes::StpLanguage stp_language;
+  const schemes::StpScheme stp(stp_language);
+  const schemes::MstLanguage mst_language;
+  const schemes::MstScheme mst(mst_language);
+  for (const unsigned t : {2u, 4u, 8u}) {
+    util::Rng rng(331);
+    for (auto& g : pls::testing::unweighted_family(337))
+      check(stp, stp_language.sample_legal(g, rng), t);
+    for (auto& g : pls::testing::weighted_family(347))
+      check(mst, mst_language.sample_legal(g, rng), t);
+  }
+}
+
+TEST(FragmentSpread, MemoSkipsAResidueWithTwoChunkClasses) {
+  // One region (path(24) is connected, so stp leaves it unnamed), k = 2.
+  // The upper half's residue-0 chunks carry a second class, so the root
+  // (node 23) reassembles a prefix naming another root and rejects, while
+  // the lower half's balls see only the honest class.  The group is not
+  // uniform: no memo, and every verdict is the local one.
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 2);
+  const local::Configuration cfg = path_rooted_at_end(24);
+  std::vector<graph::NodeIndex> touched;
+  const core::Labeling split =
+      flip_residue_chunks(spread.mark(cfg), 0, 12, 24, touched);
+  ASSERT_FALSE(touched.empty());
+
+  const auto parsed = memoized_parses(spread, split);
+  for (graph::NodeIndex v = 0; v < cfg.n(); ++v)
+    EXPECT_FALSE(memo_of(parsed, v).has_value()) << "node " << v;
+
+  const core::Verdict oracle = run_verifier_t_baseline(spread, cfg, split, 2);
+  EXPECT_FALSE(oracle.accept()[23]);
+  EXPECT_TRUE(oracle.accept()[0]);
+  for (const unsigned threads :
+       {1u, 2u, util::ThreadPool::hardware_threads()}) {
+    BatchVerifier verifier(spread, cfg, 2,
+                           pls::testing::split_sweep_options(threads));
+    EXPECT_EQ(verifier.run_one(split).accept(), oracle.accept())
+        << "threads " << threads;
+  }
+}
+
+TEST(FragmentSpread, MemoWaitsForTheBallsCoverageCheck) {
+  // k = 3 on path(24).  Nodes 0..20 claim residue 0 with the honest
+  // residue-0 chunk; nodes 21..23 keep their honest residues 0, 1, 2.  The
+  // group stays uniform, so it is memoized, yet a ball without residues 1
+  // and 2 must still reject: the memo is read only after coverage.
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 4);
+  const local::Configuration cfg = path_rooted_at_end(24);
+  core::Labeling flat = spread.mark(cfg);
+  const auto residue0 = detail::parse_fragment_wire(flat.certs[0]);
+  ASSERT_TRUE(residue0.has_value());
+  ASSERT_EQ(residue0->k, 3u);
+  ASSERT_EQ(residue0->residue, 0u);
+  for (graph::NodeIndex v = 1; v <= 20; ++v) {
+    auto wire = detail::parse_fragment_wire(flat.certs[v]);
+    ASSERT_TRUE(wire.has_value());
+    wire->residue = 0;
+    wire->chunk = residue0->chunk;
+    flat.certs[v] = detail::encode_fragment_wire(*wire);
+  }
+  EXPECT_TRUE(memo_of(memoized_parses(spread, flat), 0).has_value());
+
+  const core::Verdict oracle = run_verifier_t_baseline(spread, cfg, flat, 4);
+  EXPECT_FALSE(oracle.accept()[0]);
+  EXPECT_TRUE(oracle.accept()[23]);
+  for (const unsigned threads :
+       {1u, 2u, util::ThreadPool::hardware_threads()}) {
+    BatchVerifier verifier(spread, cfg, 4,
+                           pls::testing::split_sweep_options(threads));
+    EXPECT_EQ(verifier.run_one(flat).accept(), oracle.accept())
+        << "threads " << threads;
+  }
+}
+
+TEST(FragmentSpread, DeltaBreakingUniformityMatchesFullRuns) {
+  // A full run memoizes the honest region; a delta then gives the upper
+  // half's residue-0 chunks a second class (no longer uniform), and a
+  // second delta flips the lower half too (uniform again, another
+  // prefix).  Each re-sweep must equal a from-scratch run: the resident
+  // parses' memos describe the honest labeling, not these.
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 2);
+  const local::Configuration cfg = path_rooted_at_end(24);
+  const core::Labeling honest = spread.mark(cfg);
+  LabelingDelta broken_delta;
+  const core::Labeling broken =
+      flip_residue_chunks(honest, 0, 12, 24, broken_delta.touched);
+  LabelingDelta flipped_delta;
+  const core::Labeling flipped =
+      flip_residue_chunks(broken, 0, 0, 12, flipped_delta.touched);
+
+  for (const unsigned threads :
+       {1u, 2u, util::ThreadPool::hardware_threads()}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const auto full = [&](const core::Labeling& lab) {
+      BatchVerifier fresh(spread, cfg, 2,
+                          pls::testing::split_sweep_options(threads));
+      const core::Verdict verdict = fresh.run_one(lab);
+      EXPECT_EQ(verdict.accept(),
+                run_verifier_t_baseline(spread, cfg, lab, 2).accept());
+      return verdict.accept();
+    };
+    BatchVerifier verifier(spread, cfg, 2,
+                           pls::testing::split_sweep_options(threads));
+    EXPECT_TRUE(verifier.run_one(honest).all_accept());
+    const core::Verdict after_break = verifier.run_delta(broken, broken_delta);
+    EXPECT_FALSE(after_break.all_accept());
+    EXPECT_EQ(after_break.accept(), full(broken));
+    EXPECT_EQ(verifier.run_delta(flipped, flipped_delta).accept(),
+              full(flipped));
+    // The next full run memoizes again.
+    EXPECT_EQ(verifier.run_one(flipped).accept(), full(flipped));
+    EXPECT_TRUE(verifier.run_one(honest).all_accept());
+  }
+}
+
 }  // namespace
 }  // namespace pls::radius

@@ -383,6 +383,77 @@ TEST_F(Chaos, DeadlineExpiresMidSweepThenTenantRecovers) {
   EXPECT_GE(snap.counters.at("serve.expired"), 1u);
 }
 
+TEST_F(Chaos, DeadlineExpiresDuringStageTwoParse) {
+  // Stall every pool chunk 1 ms: at one slot a full parse of the 256-node
+  // grid's certificates runs as 16 chunks, so a 5 ms TTL fires inside stage
+  // 2.  The parse polls the token at its chunk claims, as the sweep does:
+  // the run stops there, with certificates left unparsed and no sweep chunk
+  // run.
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  auto big = share(graph::grid(16, 16));
+  const local::Configuration big_cfg = language.sample_legal(big, rng);
+  const Labeling big_honest = spread.mark(big_cfg);
+  const std::uint64_t big_epoch = big_cfg.graph().epoch();
+  const auto n = static_cast<std::uint32_t>(big_cfg.n());
+
+  obs::MetricsRegistry metrics;
+  ServerOptions options;
+  options.threads = 1;
+  options.metrics = &metrics;
+  Server server(options);
+  const std::uint32_t id = server.add_tenant("solo", spread, big_cfg, 2);
+  const auto serve = [&](std::vector<std::uint8_t> bytes) {
+    server.submit(frame_of(std::move(bytes)), Server::now_ns());
+    std::optional<Server::Response> r = server.serve_next();
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(Server::Response{});
+  };
+  const auto sweep_chunks = [&] {
+    return metrics.snapshot().counters.at("verify.sweep_chunks");
+  };
+
+  // Warm the atlas and install a delta base.
+  ASSERT_TRUE(serve(encode_full(id, big_epoch, 2, big_honest)).wire_ok);
+  const std::uint64_t chunks_before = sweep_chunks();
+
+  failpoint::arm("pool.chunk",
+                 failpoint::Plan{.action = failpoint::Action::kDelay,
+                                 .probability = 1.0,
+                                 .seed = 11,
+                                 .max_fires = 0,
+                                 .delay_ns = 1'000'000});
+  // Never fires: counts the certificates the abandoned run parsed.
+  failpoint::arm("radius.parse",
+                 failpoint::Plan{.action = failpoint::Action::kDelay,
+                                 .probability = 0.0,
+                                 .seed = 12});
+  const Server::Response expired =
+      serve(encode_full(id, big_epoch, 2, big_honest, 5'000'000));
+  const std::uint64_t parsed = failpoint::hits("radius.parse");
+  failpoint::disarm_all();
+  EXPECT_STREQ(expired.error, "deadline expired during verification");
+  EXPECT_EQ(expired.rejection.kind, RejectKind::kExpired);
+  EXPECT_LT(parsed, n);
+  EXPECT_EQ(sweep_chunks(), chunks_before);
+
+  // The base died with the abandoned run: the next delta fails fast...
+  Labeling next = big_honest;
+  next.certs[3] = local::random_state(24, rng);
+  const std::vector<graph::NodeIndex> touched = {3};
+  const Server::Response orphan =
+      serve(encode_delta(id, big_epoch, 2, n, touched, next));
+  EXPECT_STREQ(orphan.error, "no delta base resident");
+  EXPECT_EQ(orphan.rejection.kind, RejectKind::kCancelled);
+
+  // ...and the next full equals the reference engine.
+  const Server::Response recovered =
+      serve(encode_full(id, big_epoch, 2, big_honest));
+  ASSERT_TRUE(recovered.wire_ok) << recovered.error;
+  EXPECT_EQ(
+      recovered.verdict.accept(),
+      radius::run_verifier_t_baseline(spread, big_cfg, big_honest, 2).accept());
+}
+
 TEST_F(Chaos, SweepCompletingPastDeadlineIsNotServed) {
   // The post-run deadline checkpoint: when every chunk is claimed before
   // the token trips, the sweep completes instead of unwinding — the late

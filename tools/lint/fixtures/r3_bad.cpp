@@ -1,6 +1,6 @@
-// R3 golden fixture (bad): a verdict-producing function and a class-id
-// linker each iterating an unordered container — hash order would feed the
-// verdict, or the ids the verdict compares.
+// R3 golden fixture (bad): a verdict-producing function, a class-id linker
+// and a stage-2 memo builder each iterating an unordered container — hash
+// order would feed the verdict, or the ids the verdict compares.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -21,4 +21,12 @@ void relink(const std::unordered_map<std::uint64_t, std::uint32_t>& payloads,
             std::vector<std::uint32_t>& class_of) {
   std::uint32_t next = 0;
   for (const auto& [payload, node] : payloads) class_of[node] = next++;
+}
+
+// Mints group ids in hash order: which group a region's members join (and
+// so which memo they read) depends on the table's layout.
+void memoize(const std::unordered_map<std::uint64_t, std::uint32_t>& regions,
+             std::vector<std::uint32_t>& group_of) {
+  std::uint32_t next = 0;
+  for (const auto& [region, node] : regions) group_of[node] = next++;
 }

@@ -1,6 +1,7 @@
 // R3 golden fixture (good): the verdict path iterates a node-id-ordered
-// vector, the linker walks nodes in id order and only looks payloads up in
-// its hash table; a non-verdict exporter may iterate hash containers.
+// vector, the linker and the memo builder walk nodes in id order and only
+// look keys up in their hash tables; a non-verdict exporter may iterate hash
+// containers.
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +25,18 @@ void relink(const std::vector<std::uint64_t>& payload_by_node,
   for (const std::uint64_t payload : payload_by_node) {
     const auto next = static_cast<std::uint32_t>(ids.size());
     class_of.push_back(ids.try_emplace(payload, next).first->second);
+  }
+}
+
+// Group ids dense from 0 in node order: the memo builder looks regions up
+// in its hash table but walks the nodes.
+void memoize(const std::vector<std::uint64_t>& region_by_node,
+             std::vector<std::uint32_t>& group_of) {
+  std::unordered_map<std::uint64_t, std::uint32_t> groups;
+  group_of.clear();
+  for (const std::uint64_t region : region_by_node) {
+    const auto next = static_cast<std::uint32_t>(groups.size());
+    group_of.push_back(groups.try_emplace(region, next).first->second);
   }
 }
 

@@ -421,9 +421,10 @@ def run_r2(fl):
 
 # A function is verdict-producing (R5; decoder set) when its unqualified name
 # starts with verify/decode or is parse_cert; R3 additionally covers the
-# class-id interning/link functions, whose outputs feed verdict comparisons.
+# class-id interning/link functions and the stage-2 memo builders (memo*),
+# whose outputs — class ids, group ids — feed verdict comparisons.
 DECODER_NAME_RE = re.compile(r"(?:^|::)(verify\w*|decode\w*|parse_cert)$")
-LINKER_NAME_RE = re.compile(r"(?:^|::)(intern\w*|(?:re)?link\w*)$")
+LINKER_NAME_RE = re.compile(r"(?:^|::)(intern\w*|(?:re)?link\w*|memo\w*)$")
 # Lazy template body: a greedy one would run past the container's closing
 # '>' to a later parameter's and name that parameter instead.
 UNORDERED_DECL_RE = re.compile(

@@ -26,7 +26,7 @@ CASES = [
     ("r1_good.cpp", "R1", 0),
     ("r2_bad.cpp", "R2", 3),
     ("r2_good.cpp", "R2", 0),
-    ("r3_bad.cpp", "R3", 2),
+    ("r3_bad.cpp", "R3", 3),
     ("r3_good.cpp", "R3", 0),
     # The intern table is a member declared in the sibling header.
     ("r3_member_bad.cpp", "R3", 1),
