@@ -14,11 +14,11 @@
 //                  here, the one link contract for every scheme), then the
 //                  memo pass (BallScheme::memoize) records per-labeling
 //                  facts every center would otherwise re-derive — for the
-//                  fragment spread, each uniform region's prefix and its
-//                  members' base certificates.  Link and memo run on the
-//                  calling thread, each a pass over the n parses.  Only the
-//                  full sweep reads the memo: run_delta turns it off, and
-//                  the next full run rebuilds it.
+//                  fragment spread, each region's prefix and its members'
+//                  base certificates.  Link and memo run on the calling
+//                  thread, each a pass over the n parses.  Only the full
+//                  sweep reads the memo: run_delta turns it off, and the
+//                  next full run rebuilds it.
 //   3. SWEEP     — per-center verify_ball over geometry bound to the
 //                  labeling, fanned out over util::ThreadPool's chunked
 //                  work-stealing split (skewed ball sizes rebalance across

@@ -21,6 +21,35 @@ constexpr std::uint32_t kNoMember = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kUnassigned =
     std::numeric_limits<std::uint32_t>::max();
 
+/// Dense group ids for fragment wires in first-seen order, as verify_ball
+/// groups a ball and memoize() a labeling: by region id, with every unnamed
+/// wire in one group of its own (no hash lookup) — an unnamed group acts
+/// exactly like a region named by an id below every member id.
+class RegionGroups {
+ public:
+  void clear() {
+    index_.clear();
+    unnamed_ = kUnassigned;
+    size_ = 0;
+  }
+  /// `w`'s group; a new group's id is the size() before the call.
+  std::uint32_t of(const FragmentWire& w) {
+    if (w.named) {
+      const auto [it, inserted] = index_.try_emplace(w.region, size_);
+      if (inserted) ++size_;
+      return it->second;
+    }
+    if (unnamed_ == kUnassigned) unnamed_ = size_++;
+    return unnamed_;
+  }
+  std::uint32_t size() const noexcept { return size_; }
+
+ private:
+  std::unordered_map<std::uint64_t, std::uint32_t> index_;
+  std::uint32_t unnamed_ = kUnassigned;
+  std::uint32_t size_ = 0;
+};
+
 /// A base certificate put back together: its region's prefix, then its
 /// own suffix.
 local::Certificate base_certificate(const util::BitString& prefix,
@@ -212,15 +241,17 @@ struct VerifyScratch {
   std::vector<const FragmentWire*> parsed;
   std::vector<std::uint32_t> chunk_class;
   std::vector<FragmentWire> local_parses;
-  std::unordered_map<std::uint64_t, std::uint32_t> group_index;
+  RegionGroups groups;
   std::vector<std::uint32_t> group_of;      ///< per member
   std::vector<std::uint64_t> group_k;       ///< per group
   std::vector<std::uint32_t> group_offset;  ///< per group: slot base
   std::vector<std::uint32_t> rep_of;        ///< per slot: member index
   std::vector<std::uint8_t> required;       ///< per group
   std::vector<const util::BitString*> chunk_of;
-  std::vector<util::BitString> prefix_of;   ///< per group (rebuilt only)
-  std::vector<const local::Certificate*> memo_of;  ///< per 1-hop member
+  std::vector<const FragmentParsed*> hop1_parse;  ///< per 1-hop member
+  std::vector<const RegionMemo*> memo_of;   ///< per group
+  std::vector<util::BitString> reassembled; ///< per group (no memo only)
+  std::vector<const util::BitString*> prefix_of;  ///< per group
   std::vector<local::Certificate> rebuilt;
   std::vector<const local::Certificate*> certs;    ///< per 1-hop member
   std::vector<local::NeighborView> views;
@@ -245,78 +276,104 @@ std::unique_ptr<ParsedCert> FragmentSpreadScheme::parse_cert(
 
 void FragmentSpreadScheme::memoize(
     std::span<const std::unique_ptr<ParsedCert>> parsed) const {
-  // verify_ball's grouping over the whole labeling — by region id, every
-  // unnamed parse in one group — with group ids dense in node order.  Each
-  // group keeps the first parse seen at every residue; a later parse of
-  // another k (U1) or another class at a seen residue (U2) makes the group
-  // non-uniform (the header's conditions).
-  struct Group {
+  // The header's votes, each a Boyer-Moore majority vote (one pass, O(1)
+  // state; it finds the majority whenever one exists): first each group's
+  // k, then, among the parses carrying it, the link class at each residue
+  // with one parse holding it.
+  struct Vote {
     std::uint64_t k = 0;
+    std::size_t k_lead = 0;
     std::vector<const FragmentParsed*> rep;  ///< per residue
-    bool uniform = true;
-    util::BitString prefix;
+    std::vector<std::size_t> lead;           ///< per residue
+    std::shared_ptr<RegionMemo> memo;
+    util::BitWriter bases;
   };
-  std::vector<Group> groups;
-  std::unordered_map<std::uint64_t, std::uint32_t> group_index;
-  std::uint32_t unnamed_group = kUnassigned;
+  std::vector<Vote> votes;
+  RegionGroups groups;
   std::vector<std::uint32_t> group_of(parsed.size(), kUnassigned);
   for (std::size_t v = 0; v < parsed.size(); ++v) {
     auto* p = static_cast<FragmentParsed*>(parsed[v].get());
     if (p == nullptr) continue;  // malformed: every ball holding it rejects
-    p->base.reset();
-    const FragmentWire& w = p->wire;
-    const auto next = static_cast<std::uint32_t>(groups.size());
-    std::uint32_t group;
-    if (w.named) {
-      group = group_index.try_emplace(w.region, next).first->second;
+    p->base.reset();  // aliases p->memo's storage: release it first
+    p->memo.reset();
+    group_of[v] = groups.of(p->wire);
+    if (group_of[v] == votes.size()) votes.emplace_back();
+    Vote& vote = votes[group_of[v]];
+    if (vote.k_lead == 0) vote.k = p->wire.k;
+    if (vote.k == p->wire.k) {
+      ++vote.k_lead;
     } else {
-      if (unnamed_group == kUnassigned) unnamed_group = next;
-      group = unnamed_group;
+      --vote.k_lead;
     }
-    if (group == next) {
-      groups.emplace_back();
-      groups.back().k = w.k;
-      groups.back().rep.assign(w.k, nullptr);
-    }
-    group_of[v] = group;
-    Group& gr = groups[group];
-    if (!gr.uniform) continue;
-    if (w.k != gr.k || p->link_class == ParsedCert::kUnlinked) {
-      gr.uniform = false;
+  }
+  for (Vote& vote : votes) {
+    vote.rep.assign(vote.k, nullptr);
+    vote.lead.assign(vote.k, 0);
+  }
+  for (std::size_t v = 0; v < parsed.size(); ++v) {
+    if (group_of[v] == kUnassigned) continue;
+    const auto* p = static_cast<const FragmentParsed*>(parsed[v].get());
+    Vote& vote = votes[group_of[v]];
+    if (p->wire.k != vote.k || p->link_class == ParsedCert::kUnlinked)
       continue;
-    }
-    const FragmentParsed*& rep = gr.rep[w.residue];
-    if (rep == nullptr) {
-      rep = p;
-    } else if (rep->link_class != p->link_class) {
-      gr.uniform = false;
+    const FragmentParsed*& rep = vote.rep[p->wire.residue];
+    std::size_t& lead = vote.lead[p->wire.residue];
+    if (lead == 0) rep = p;
+    if (rep->link_class == p->link_class) {
+      ++lead;
+    } else {
+      --lead;
     }
   }
 
-  // Every residue present (U3) and the chunks reassemble (U4): the group's
-  // prefix, once.
+  // Each group's prefix, once: when every residue has a class and the
+  // chunks reassemble.
   std::vector<const util::BitString*> chunks;
-  for (Group& gr : groups) {
-    if (!gr.uniform) continue;
+  for (Vote& vote : votes) {
+    auto memo = std::make_shared<RegionMemo>();
     chunks.clear();
-    for (const FragmentParsed* rep : gr.rep) {
+    for (const FragmentParsed* rep : vote.rep) {
       if (rep == nullptr) break;
+      memo->classes.push_back(rep->link_class);
       chunks.push_back(&rep->wire.chunk);
     }
-    std::optional<util::BitString> prefix;
-    if (chunks.size() == gr.k) prefix = detail::reassemble_chunks(chunks);
-    if (!prefix) {
-      gr.uniform = false;
-      continue;
-    }
-    gr.prefix = std::move(*prefix);
+    if (chunks.size() != vote.k) continue;
+    auto prefix = detail::reassemble_chunks(chunks);
+    if (!prefix) continue;
+    memo->prefix = std::move(*prefix);
+    vote.memo = std::move(memo);
   }
 
-  // Each member's base certificate, once.
+  // Each member's base certificate, once, written byte-aligned into its
+  // group's arena (one buffer per group, not one allocation per node);
+  // FragmentParsed::base then aliases its bytes.
+  std::vector<std::size_t> at(parsed.size(), 0);  ///< byte offset in arena
+  const auto member = [&](std::size_t v) -> FragmentParsed* {
+    if (group_of[v] == kUnassigned) return nullptr;
+    const Vote& vote = votes[group_of[v]];
+    auto* p = static_cast<FragmentParsed*>(parsed[v].get());
+    return vote.memo != nullptr && p->wire.k == vote.k ? p : nullptr;
+  };
   for (std::size_t v = 0; v < parsed.size(); ++v) {
-    if (group_of[v] == kUnassigned || !groups[group_of[v]].uniform) continue;
-    auto& p = static_cast<FragmentParsed&>(*parsed[v]);
-    p.base = base_certificate(groups[group_of[v]].prefix, p.wire.suffix);
+    const FragmentParsed* p = member(v);
+    if (p == nullptr) continue;
+    Vote& vote = votes[group_of[v]];
+    const util::BitString& prefix = vote.memo->prefix;
+    at[v] = vote.bases.bit_size() / 8;
+    vote.bases.write_bits(prefix.data(), prefix.bit_size());
+    vote.bases.write_bits(p->wire.suffix.data(), p->wire.suffix.bit_size());
+    vote.bases.write_uint(0, static_cast<unsigned>(
+                                 (8 - vote.bases.bit_size() % 8) % 8));
+  }
+  for (Vote& vote : votes)
+    if (vote.memo != nullptr) vote.memo->bases = vote.bases.take_bytes();
+  for (std::size_t v = 0; v < parsed.size(); ++v) {
+    FragmentParsed* p = member(v);
+    if (p == nullptr) continue;
+    p->memo = votes[group_of[v]].memo;
+    p->base = util::BitString::aliasing(
+        p->memo->bases.data() + at[v],
+        p->memo->prefix.bit_size() + p->wire.suffix.bit_size());
   }
 }
 
@@ -453,13 +510,13 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
 
   // Certificates of the ball, parsed at most once per node; the cache path
   // carries the interned chunk-class ids and, on a full sweep, the 1-hop
-  // members' memoized base certificates.
+  // members' stage-2 memos.
   std::vector<const FragmentWire*>& parsed = scratch.parsed;
   std::vector<std::uint32_t>& chunk_class = scratch.chunk_class;
-  std::vector<const local::Certificate*>& memo_of = scratch.memo_of;
+  std::vector<const FragmentParsed*>& hop1_parse = scratch.hop1_parse;
   parsed.assign(members.size(), nullptr);
   chunk_class.assign(members.size(), ParsedCert::kUnlinked);
-  memo_of.assign(hop1, nullptr);
+  hop1_parse.assign(hop1, nullptr);
   if (ctx.has_parse_cache()) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       const auto* p =
@@ -467,7 +524,7 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       if (p == nullptr) return false;  // malformed certificate in the ball
       parsed[i] = &p->wire;
       chunk_class[i] = p->link_class;
-      if (i < hop1 && ctx.memoized() && p->base) memo_of[i] = &*p->base;
+      if (i < hop1 && ctx.memoized()) hop1_parse[i] = p;
     }
   } else {
     std::vector<FragmentWire>& local_parses = scratch.local_parses;
@@ -482,29 +539,18 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       parsed[i] = &local_parses[i];
   }
 
-  // Group the ball by region id — every unnamed member into one group of
-  // its own, without a hash lookup; every member of a group must agree on
-  // the chunk count.  An unnamed group acts exactly like a region named by
-  // an id below every member id.
-  std::unordered_map<std::uint64_t, std::uint32_t>& group_index =
-      scratch.group_index;
-  group_index.clear();
+  // Group the ball by region id; every member of a group must agree on the
+  // chunk count.
+  RegionGroups& groups = scratch.groups;
+  groups.clear();
   std::vector<std::uint32_t>& group_of = scratch.group_of;
   std::vector<std::uint64_t>& group_k = scratch.group_k;
   group_of.assign(members.size(), 0);
   group_k.clear();
-  std::uint32_t unnamed_group = kUnassigned;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    const auto next = static_cast<std::uint32_t>(group_k.size());
-    std::uint32_t group;
-    if (parsed[i]->named) {
-      group = group_index.try_emplace(parsed[i]->region, next).first->second;
-    } else {
-      if (unnamed_group == kUnassigned) unnamed_group = next;
-      group = unnamed_group;
-    }
+    const std::uint32_t group = groups.of(*parsed[i]);
     group_of[i] = group;
-    if (group == next) {
+    if (group == group_k.size()) {
       group_k.push_back(parsed[i]->k);
     } else if (group_k[group] != parsed[i]->k) {
       return false;
@@ -565,51 +611,65 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
 
   // Check the coverage of every *required* region — the center's own and
   // each 1-hop neighbor's (guaranteed for honest labelings, see the header)
-  // — and reassemble its prefix unless all its 1-hop members carry the
-  // stage-2 memo, which coverage has just made exact (the header's
-  // exactness argument).  Other regions grazed by the outer ball get the
+  // — then take its prefix from the stage-2 memo when the representatives
+  // carry exactly the memo's classes (the header's exactness argument), or
+  // reassemble it.  Other regions grazed by the outer ball get the
   // consistency checks above but need not be coverable.
-  constexpr std::uint8_t kRequired = 1;
-  constexpr std::uint8_t kRebuild = 2;
   std::vector<std::uint8_t>& required = scratch.required;
+  std::vector<const RegionMemo*>& memo_of = scratch.memo_of;
   required.assign(group_k.size(), 0);
-  for (std::size_t i = 0; i < hop1; ++i)
-    required[group_of[i]] |=
-        memo_of[i] != nullptr ? kRequired : kRequired | kRebuild;
+  memo_of.assign(group_k.size(), nullptr);
+  for (std::size_t i = 0; i < hop1; ++i) {
+    required[group_of[i]] = 1;
+    if (hop1_parse[i] != nullptr && hop1_parse[i]->memo != nullptr)
+      memo_of[group_of[i]] = hop1_parse[i]->memo.get();
+  }
 
-  std::vector<util::BitString>& prefix_of = scratch.prefix_of;
-  prefix_of.assign(group_k.size(), util::BitString());
+  std::vector<util::BitString>& reassembled = scratch.reassembled;
+  std::vector<const util::BitString*>& prefix_of = scratch.prefix_of;
+  reassembled.assign(group_k.size(), util::BitString());
+  prefix_of.assign(group_k.size(), nullptr);
   std::vector<const util::BitString*>& chunk_of = scratch.chunk_of;
   for (std::size_t gi = 0; gi < group_k.size(); ++gi) {
     if (!required[gi]) continue;
     const std::uint64_t k = group_k[gi];
+    // A memo is the group's only if a member carrying it has the group's k
+    // (memoize() hands it to no other parse), so it holds k classes.
+    const RegionMemo*& memo = memo_of[gi];
     chunk_of.assign(k, nullptr);
     for (std::uint64_t j = 0; j < k; ++j) {
       const std::uint32_t rep = rep_of[group_offset[gi] + j];
       if (rep == kNoMember) return false;  // a chunk class is missing
       chunk_of[j] = &parsed[rep]->chunk;
+      if (memo != nullptr && memo->classes[j] != chunk_class[rep])
+        memo = nullptr;
     }
-    if (!(required[gi] & kRebuild)) continue;
+    if (memo != nullptr) {
+      prefix_of[gi] = &memo->prefix;
+      continue;
+    }
     auto prefix = detail::reassemble_chunks(chunk_of);
     if (!prefix) return false;  // chunk lengths must interleave consistently
-    prefix_of[gi] = std::move(*prefix);
+    reassembled[gi] = std::move(*prefix);
+    prefix_of[gi] = &reassembled[gi];
   }
 
-  // The base certificates of the 1-hop neighborhood, center first: each
-  // member's memo, or rebuilt from its *own* region's prefix.  Then the
-  // base decoder.
+  // The base certificates of the 1-hop neighborhood, center first: the
+  // memoized one where the member's group took the memo's prefix, else
+  // rebuilt from its *own* region's prefix.  Then the base decoder.
   std::vector<local::Certificate>& rebuilt = scratch.rebuilt;
   std::vector<const local::Certificate*>& certs = scratch.certs;
   rebuilt.clear();
   rebuilt.reserve(hop1);  // no reallocation: certs points into it
   certs.assign(hop1, nullptr);
   for (std::size_t i = 0; i < hop1; ++i) {
-    if (memo_of[i] != nullptr) {
-      certs[i] = memo_of[i];
+    const RegionMemo* memo = memo_of[group_of[i]];
+    if (memo != nullptr && hop1_parse[i]->memo.get() == memo) {
+      certs[i] = &*hop1_parse[i]->base;
       continue;
     }
     rebuilt.push_back(
-        base_certificate(prefix_of[group_of[i]], parsed[i]->suffix));
+        base_certificate(*prefix_of[group_of[i]], parsed[i]->suffix));
     certs[i] = &rebuilt.back();
   }
 

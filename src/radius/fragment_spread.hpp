@@ -55,42 +55,55 @@
 // certificate are per-labeling facts, yet the per-center decoder above
 // repeats them at every center: the prefix once per center that requires the
 // region, each node's base certificate deg+1 times.  memoize() computes them
-// once per full labeling, after the link, for every *globally uniform* group
-// G — the whole labeling's parses grouped exactly as verify_ball groups a
-// ball (by region id, all unnamed parses in one group) — meaning:
-//   (U1) every parse in G carries the same k;
-//   (U2) every residue j < k carries exactly one link class c_j in G;
-//   (U3) all k residues occur in G;
-//   (U4) the chunks of c_0..c_{k-1} reassemble.
-// It reassembles G's prefix X_G once and stores each member's base
-// certificate X_G ++ suffix in its parse (FragmentParsed::base); members of
-// a non-uniform group, and malformed parses, get none.
+// once per full labeling, after the link.  It groups the whole labeling's
+// parses as verify_ball groups a ball (by region id, all unnamed parses in
+// one group) and, per group G, votes: the chunk count k most of G's parses
+// carry, then at each residue j < k the link class c_j most of G's k-parses
+// carry.  When every residue has a class and c_0..c_{k-1} reassemble, G
+// gets a RegionMemo (the classes and the prefix X_G they spell), and each of
+// its k-parses gets it and its base certificate X_G ++ suffix.  A stray or
+// forged parse loses the vote without costing the rest of its group the
+// memo.
 //
-// Exactness.  verify_ball consults a member's memo only after its ball has
-// passed every check it runs without the memo — k agreement, id binding,
-// chunk-class agreement, residue adjacency — and the coverage check of the
-// member's group g ("a chunk class is missing").  g's members are exactly
-// the ball's parses of the one global group G with the same key, and the
-// memo exists only if G is uniform.  Coverage gives, for each residue j < k,
-// a ball representative of g at residue j, which is a member of G, so by
-// (U1)/(U2) it carries class c_j of the memo's k; equal link classes mean
-// bit-identical chunks, so the ball's own reassembly would stitch exactly
-// the chunks the memo stitched — succeeding by (U4) — into X_G, and the
-// member's rebuilt certificate would be X_G ++ suffix, its memo.  The base
-// decoder therefore reads the same bits either way, and the verdict is
-// unchanged.  Balls that fail a check reject before any memo is read.
-// The memo is read only on the verifier's full sweep (RadiusContext::
-// memoized()), whose parses all come from the labeling memoize() saw; the
-// delta re-sweep and the cache-less reference engine keep the local path.
+// Exactness.  verify_ball reads a memo only for a group g its ball requires,
+// only after the ball has passed every check it runs without the memo — k
+// agreement, id binding, chunk-class agreement, residue adjacency and g's
+// coverage check ("a chunk class is missing") — and only when g's
+// representative at every residue j carries the memo's class c_j.  Equal
+// link classes mean bit-identical chunks, so the ball's own reassembly would
+// stitch exactly the chunks the memo stitched into X_G, and each 1-hop
+// member's rebuilt certificate would be X_G ++ its suffix, its memo.  The
+// base decoder therefore reads the same bits either way, and the verdict is
+// unchanged; the vote decides only how often a memo applies.  Balls that
+// fail a check reject before any memo is read.  Class ids mean what they
+// mean only within the link that minted them — a delta's relink may re-seed
+// the table and renumber them — so the memo is read only on the verifier's
+// full sweep (RadiusContext::memoized()), whose parses were all linked and
+// memoized together; the delta re-sweep and the cache-less reference engine
+// keep the local path.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "radius/engine_t.hpp"
 #include "radius/spread_wire.hpp"
 
 namespace pls::radius {
+
+/// The stage-2 memo of one region group: the link class it reassembled at
+/// each residue, the prefix those chunks spell, and the storage of its
+/// members' base certificates.
+struct RegionMemo {
+  std::vector<std::uint32_t> classes;  ///< per residue
+  util::BitString prefix;
+  /// Each member's prefix ++ suffix, byte-aligned one after another;
+  /// FragmentParsed::base aliases its member's bytes.
+  std::vector<std::uint8_t> bases;
+};
 
 /// The verifier's cached parse of one fragment-spread certificate.
 struct FragmentParsed final : ParsedCert {
@@ -100,9 +113,11 @@ struct FragmentParsed final : ParsedCert {
     return &wire.chunk;
   }
   detail::FragmentWire wire;
-  /// The stage-2 memo (FragmentSpreadScheme::memoize): this node's base
-  /// certificate, its group's prefix ++ its suffix, when its group is
-  /// globally uniform; empty otherwise.
+  /// The stage-2 memo (FragmentSpreadScheme::memoize): this parse's
+  /// group's memo and this node's base certificate, memo->prefix ++ its
+  /// suffix (aliasing memo->bases, which the memo pointer keeps alive);
+  /// both empty when its group has none or this parse lost the k vote.
+  std::shared_ptr<const RegionMemo> memo;
   std::optional<local::Certificate> base;
 };
 
@@ -133,8 +148,8 @@ class FragmentSpreadScheme final : public BallScheme {
   std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const override;
 
-  /// The stage-2 memo described above: fills FragmentParsed::base for every
-  /// member of a globally uniform group.  `parsed` must be linked.
+  /// The stage-2 memo described above: fills FragmentParsed::memo and
+  /// ::base.  `parsed` must be linked.
   void memoize(
       std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
 

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 #include <span>
 #include <vector>
@@ -106,22 +105,13 @@ inline std::optional<util::BitString> reassemble_chunks(
   for (const util::BitString* c : chunks) total += c->bit_size();
   for (std::size_t j = 0; j < k; ++j)
     if (chunks[j]->bit_size() != chunk_size(total, k, j)) return std::nullopt;
-  // Bit b of chunk j is bit b*k + j of X; OR each set bit into place,
-  // visiting only the set bits of each chunk byte (the trailing partial
-  // byte masked).
+  // Bit b of chunk j is bit b*k + j of X; OR each set bit into place.
   std::vector<std::uint8_t> bytes((total + 7) / 8);
   for (std::size_t j = 0; j < k; ++j) {
     const util::BitString& c = *chunks[j];
-    const std::size_t nbits = c.bit_size();
-    for (std::size_t at = 0; at < nbits; at += 8) {
-      unsigned byte = c.data()[at / 8];
-      if (nbits - at < 8) byte &= (1u << (nbits - at)) - 1;
-      for (; byte != 0; byte &= byte - 1) {
-        const std::size_t i =
-            (at + static_cast<std::size_t>(std::countr_zero(byte))) * k + j;
+    for (std::size_t b = 0, i = j; b < c.bit_size(); ++b, i += k)
+      if (bit_at(c, b))
         bytes[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      }
-    }
   }
   return util::BitString(std::move(bytes), total);
 }

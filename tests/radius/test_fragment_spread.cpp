@@ -520,24 +520,30 @@ TEST(FragmentSpread, MemoHoldsEveryHonestBaseCertificate) {
   }
 }
 
-TEST(FragmentSpread, MemoSkipsAResidueWithTwoChunkClasses) {
+TEST(FragmentSpread, MemoIsReadOnlyWhereTheBallsClassesMatch) {
   // One region (path(24) is connected, so stp leaves it unnamed), k = 2.
-  // The upper half's residue-0 chunks carry a second class, so the root
-  // (node 23) reassembles a prefix naming another root and rejects, while
-  // the lower half's balls see only the honest class.  The group is not
-  // uniform: no memo, and every verdict is the local one.
+  // Four of the twelve residue-0 chunks, at nodes 16..22, carry a second
+  // class: the vote memoizes the honest class, and every node — flipped
+  // ones too — gets the honest base certificate.  The root's ball (node
+  // 23) holds only the second class at residue 0, so it must ignore the
+  // memo, reassemble a prefix naming another root and reject, while the
+  // lower half's balls see only the memo's classes.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);
   const local::Configuration cfg = path_rooted_at_end(24);
   std::vector<graph::NodeIndex> touched;
   const core::Labeling split =
-      flip_residue_chunks(spread.mark(cfg), 0, 12, 24, touched);
-  ASSERT_FALSE(touched.empty());
+      flip_residue_chunks(spread.mark(cfg), 0, 16, 24, touched);
+  ASSERT_EQ(touched.size(), 4u);
 
+  const core::Labeling base_lab = base.mark(cfg);
   const auto parsed = memoized_parses(spread, split);
-  for (graph::NodeIndex v = 0; v < cfg.n(); ++v)
-    EXPECT_FALSE(memo_of(parsed, v).has_value()) << "node " << v;
+  for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
+    const std::optional<local::Certificate>& memo = memo_of(parsed, v);
+    ASSERT_TRUE(memo.has_value()) << "node " << v;
+    EXPECT_EQ(*memo, base_lab.certs[v]) << "node " << v;
+  }
 
   const core::Verdict oracle = run_verifier_t_baseline(spread, cfg, split, 2);
   EXPECT_FALSE(oracle.accept()[23]);
@@ -553,9 +559,10 @@ TEST(FragmentSpread, MemoSkipsAResidueWithTwoChunkClasses) {
 
 TEST(FragmentSpread, MemoWaitsForTheBallsCoverageCheck) {
   // k = 3 on path(24).  Nodes 0..20 claim residue 0 with the honest
-  // residue-0 chunk; nodes 21..23 keep their honest residues 0, 1, 2.  The
-  // group stays uniform, so it is memoized, yet a ball without residues 1
-  // and 2 must still reject: the memo is read only after coverage.
+  // residue-0 chunk; nodes 21..23 keep their honest residues 0, 1, 2.  Every
+  // residue carries one class, so the group is memoized, yet a ball without
+  // residues 1 and 2 must still reject: the memo is read only after
+  // coverage.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 4);
@@ -586,12 +593,12 @@ TEST(FragmentSpread, MemoWaitsForTheBallsCoverageCheck) {
   }
 }
 
-TEST(FragmentSpread, DeltaBreakingUniformityMatchesFullRuns) {
+TEST(FragmentSpread, DeltaRecolouringAResidueMatchesFullRuns) {
   // A full run memoizes the honest region; a delta then gives the upper
-  // half's residue-0 chunks a second class (no longer uniform), and a
-  // second delta flips the lower half too (uniform again, another
-  // prefix).  Each re-sweep must equal a from-scratch run: the resident
-  // parses' memos describe the honest labeling, not these.
+  // half's residue-0 chunks a second class, and a second delta flips the
+  // lower half too (one class again, another prefix).  Each re-sweep must
+  // equal a from-scratch run: the resident parses' memos describe the
+  // honest labeling, not these.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);
@@ -626,6 +633,54 @@ TEST(FragmentSpread, DeltaBreakingUniformityMatchesFullRuns) {
     // The next full run memoizes again.
     EXPECT_EQ(verifier.run_one(flipped).accept(), full(flipped));
     EXPECT_TRUE(verifier.run_one(honest).all_accept());
+  }
+}
+
+TEST(FragmentSpread, DeltaAfterALinkReseedMatchesFullRuns) {
+  // Class ids are valid only within one link.  path(24), k = 2: the full
+  // run links the honest residue-0 chunk p0 as class 0 (node 0) and memoizes
+  // classes {0, 1}.  A delta flips every residue-0 chunk to q (the root now
+  // rejects); deltas then give node 22 novel chunks until the link table
+  // re-seeds, which renumbers q as class 0 (node 0 again); a last delta puts
+  // q back at node 22, next to the root.  The root's ball now shows classes
+  // {0, 1} — the memo's numbers for other chunks — and its root (node 23)
+  // still holds the full run's memo, so a re-sweep that read it would
+  // accept.  It must reject, as a from-scratch run does.
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  const FragmentSpreadScheme spread(base, 2);
+  const local::Configuration cfg = path_rooted_at_end(24);
+  const core::Labeling honest = spread.mark(cfg);
+  LabelingDelta flip;
+  const core::Labeling flipped =
+      flip_residue_chunks(honest, 0, 0, 24, flip.touched);
+  auto wire22 = detail::parse_fragment_wire(flipped.certs[22]);
+  ASSERT_TRUE(wire22.has_value());
+  ASSERT_EQ(wire22->residue, 0u);
+  const core::Verdict expected =
+      run_verifier_t_baseline(spread, cfg, flipped, 2);
+  ASSERT_FALSE(expected.accept()[23]);
+
+  for (const unsigned threads :
+       {1u, 2u, util::ThreadPool::hardware_threads()}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    BatchVerifier verifier(spread, cfg, 2,
+                           pls::testing::split_sweep_options(threads));
+    EXPECT_TRUE(verifier.run_one(honest).all_accept());
+    EXPECT_EQ(verifier.run_delta(flipped, flip).accept(), expected.accept());
+    LabelingDelta at22;
+    at22.touched = {22};
+    core::Labeling novel = flipped;
+    for (unsigned i = 0; verifier.delta_stats().link_reseeds == 0; ++i) {
+      ASSERT_LT(i, 1000u) << "the link table never re-seeded";
+      detail::FragmentWire w = *wire22;
+      util::BitWriter chunk;  // 32 bits: never an honest chunk's length
+      chunk.write_uint(i, 32);
+      w.chunk = util::BitString::from_writer(std::move(chunk));
+      novel.certs[22] = detail::encode_fragment_wire(w);
+      verifier.run_delta(novel, at22);
+    }
+    EXPECT_EQ(verifier.run_delta(flipped, at22).accept(), expected.accept());
   }
 }
 
