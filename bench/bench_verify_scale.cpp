@@ -1,6 +1,6 @@
 // Experiment R2 — staged verification at scale.
 //
-// Five scenarios over the spanning-tree spread:
+// Four scenarios over the spanning-tree spread:
 //
 // 1. Single labeling (the PR 2 experiment): the pre-pipeline reference
 //    engine (one ball at a time, every ball certificate re-parsed at every
@@ -37,17 +37,7 @@
 //    both throughputs, the delta work counters, and per-phase atlas hit
 //    rates (snapshot-diffed AtlasStats, AtlasStats::since).
 //
-// 4. Skewed sweep (the work-stealing case): a fragment-style instance —
-//    dense chorded-ring core on the low sixteenth of the index space,
-//    sparse chains over the rest — whose fat balls all sit in the first
-//    chunks' home slot.  Runs a run_one loop over a warm atlas and reports
-//    the steal counters and per-slot busy-time quantiles from the obs
-//    registry; verdicts are asserted identical across thread counts
-//    {1, 2, hw}.
-//    (Open-loop serving is bench_serve_multitenant's job, over the real
-//    serve::Server.)
-//
-// 5. Admission (the TinyLFU case): a delta stream whose touched nodes are
+// 4. Admission (the TinyLFU case): a delta stream whose touched nodes are
 //    zipf-popular (rank through a random permutation) on scenario 3's grid,
 //    replayed against an atlas whose budget holds a quarter of the
 //    geometry.  The hot nodes' radius-t balls concentrate the block
@@ -79,9 +69,8 @@
 //
 // Usage: bench_verify_scale [--smoke] [--out FILE] [--batch-out FILE]
 //                           [--incremental-out FILE] [--trace-out FILE]
-//                           [--serving-out FILE] [--admission-out FILE]
-//                           [--seed S] [--threads T] [--t T] [--labelings L]
-//                           [--require-speedup X] [--require-batch-speedup X]
+//                           [--admission-out FILE] [--seed S] [--threads T]
+//                           [--t T] [--labelings L] [--require-batch-speedup X]
 //                           [--require-cold-session-speedup R]
 //                           [--require-incremental-speedup X]
 //                           [--max-disabled-span-ns X] [--zipf-s S]
@@ -93,14 +82,12 @@
 //   --incremental-out FILE    additionally write the delta-scenario JSON
 //   --trace-out FILE          record the timed batch run; write chrome-trace
 //                             JSON there (load via chrome://tracing)
-//   --serving-out FILE        additionally write the skewed-sweep JSON
 //   --admission-out FILE      additionally write the admission-scenario JSON
 //   --seed S                  base RNG seed (echoed into every JSON)
 //   --threads T               thread count for the timed runs (default: hw)
 //   --t T                     batch/incremental radius (default 8)
 //   --labelings L             batch + stream size (default 100; 16 under
 //                             --smoke)
-//   --require-speedup X       fail if t = 8 sequential run_one speedup < X
 //   --require-batch-speedup X fail if batch+atlas throughput gain < X
 //   --require-cold-session-speedup R fail if the t = 8 row's cold run_one at
 //                             --threads slots is < R x its cold 1-slot run
@@ -143,7 +130,6 @@ constexpr graph::RawId kIdSpace = graph::RawId{1} << 56;
 constexpr std::uint64_t kDefaultSeed = 0xBA11'5CA1Eull;
 constexpr std::uint64_t kBatchSalt = kDefaultSeed ^ 0xA7'1A5ull;
 constexpr std::uint64_t kIncrementalSalt = 0xDE17A'BA11ull;
-constexpr std::uint64_t kServingSalt = 0x5E1F'57EA1ull;
 constexpr std::uint64_t kAdmissionSalt = 0xAD317'CAC3Eull;
 
 struct Row {
@@ -544,117 +530,9 @@ IncrementalResult measure_incremental(const core::Scheme& scheme,
   return r;
 }
 
-// ---- Scenario 4: the skewed sweep (work stealing) ------------------------
+// ---- Scenario 4: TinyLFU admission (zipf center popularity) -------------
 
-/// A deliberately skewed instance: a dense chorded ring on the lowest `core`
-/// indices — every core node's radius-t ball spans most of the core, so the
-/// first chunks carry balls an order of magnitude fatter than the chain
-/// interiors' — trailing sparse chains over the rest of [0, n).  The shape
-/// fragment-heavy workloads produce: a fixed contiguous split would leave
-/// one slot sweeping the whole core while the others finish their chain
-/// segments and idle; the chunked claim loop moves that load.
-graph::Graph skewed_core_chain_graph(std::size_t core, std::size_t chains,
-                                     std::size_t chain_len) {
-  graph::Graph::Builder b;
-  const std::size_t n = core + chains * chain_len;
-  for (std::size_t v = 0; v < n; ++v)
-    b.add_node(static_cast<graph::RawId>(v));
-  for (std::size_t v = 0; v < core; ++v)
-    b.add_edge(static_cast<graph::NodeIndex>(v),
-               static_cast<graph::NodeIndex>((v + 1) % core));
-  for (const std::size_t stride : {std::size_t{5}, std::size_t{11}}) {
-    for (std::size_t v = 0; v < core; ++v)
-      b.add_edge(static_cast<graph::NodeIndex>(v),
-                 static_cast<graph::NodeIndex>((v + stride) % core));
-  }
-  std::size_t next = core;
-  for (std::size_t c = 0; c < chains; ++c) {
-    auto prev = static_cast<graph::NodeIndex>(c % core);
-    for (std::size_t i = 0; i < chain_len; ++i) {
-      const auto v = static_cast<graph::NodeIndex>(next++);
-      b.add_edge(prev, v);
-      prev = v;
-    }
-  }
-  return std::move(b).build();
-}
-
-/// Scenario 4's result sheet: the work-stealing batch over the skewed
-/// instance, with the scheduler's own counters.
-struct ServingResult {
-  std::size_t n = 0;
-  std::size_t core = 0;
-  unsigned t = 0;
-  std::size_t labelings = 0;
-  unsigned threads = 1;
-  double stealing_ms = 0.0;
-  std::uint64_t sweep_chunks = 0;   ///< all sweeps of the timed batch
-  std::uint64_t sweep_steals = 0;   ///< chunks run off their home slot
-  double busy_p50_us = 0.0;         ///< per-slot claim-loop busy time
-  double busy_p99_us = 0.0;
-  bool verdicts_identical = false;
-};
-
-ServingResult measure_serving(const core::Scheme& scheme,
-                              const local::Configuration& cfg,
-                              std::size_t core, unsigned t, unsigned threads,
-                              std::span<const core::Labeling> labs,
-                              obs::MetricsRegistry& registry) {
-  ServingResult r;
-  r.n = cfg.n();
-  r.core = core;
-  r.t = t;
-  r.labelings = labs.size();
-  r.threads = threads;
-
-  // A shared warm atlas: geometry build cost is scenario 2's subject; here
-  // every run must sweep the same cached balls.
-  auto atlas = std::make_shared<radius::GeometryAtlas>();
-  const auto verifier_at = [&](unsigned slots, obs::MetricsRegistry* sink) {
-    radius::BatchOptions options;
-    options.threads = slots;
-    options.atlas = atlas;
-    options.metrics = sink;
-    return radius::BatchVerifier(scheme, cfg, t, options);
-  };
-  verifier_at(threads, nullptr).run_one(labs[0]);
-
-  std::vector<core::Verdict> timed;
-  {
-    radius::BatchVerifier verifier = verifier_at(threads, &registry);
-    const auto start = std::chrono::steady_clock::now();
-    timed = run_each(verifier, labs);
-    const auto stop = std::chrono::steady_clock::now();
-    r.stealing_ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-  }
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  r.sweep_chunks = snap.counters.at("verify.sweep_chunks");
-  r.sweep_steals = snap.counters.at("verify.sweep_steals");
-  const obs::HistogramSnapshot& busy =
-      snap.histograms.at("verify.worker_busy_ns");
-  r.busy_p50_us = static_cast<double>(busy.quantile(0.5)) / 1e3;
-  r.busy_p99_us = static_cast<double>(busy.quantile(0.99)) / 1e3;
-
-  // Across thread counts — threads = 1 drains the chunks in index order,
-  // the plain sequential loop — assignment nondeterminism must never reach
-  // the verdict bytes.
-  bool identical = timed.size() == labs.size();
-  for (const unsigned check_threads :
-       {1u, 2u, util::ThreadPool::hardware_threads()}) {
-    radius::BatchVerifier check = verifier_at(check_threads, nullptr);
-    const std::vector<core::Verdict> got = run_each(check, labs);
-    for (std::size_t i = 0; identical && i < got.size(); ++i)
-      identical = same_verdict(got[i], timed[i]);
-  }
-  r.verdicts_identical = identical;
-  PLS_ASSERT(identical);
-  return r;
-}
-
-// ---- Scenario 5: TinyLFU admission (zipf center popularity) -------------
-
-/// Scenario 5's result sheet: a zipf-skewed delta stream replayed against a
+/// Scenario 4's result sheet: a zipf-skewed delta stream replayed against a
 /// budget-constrained atlas.
 struct AdmissionResult {
   std::size_t n = 0;
@@ -864,35 +742,10 @@ void emit_batch(obs::JsonWriter& json, const BatchResult& b,
   json.end_object();
 }
 
-/// Writes the skewed-sweep object (docs/metrics-schema.md, "Serving
-/// artifact"): the work-stealing batch and its scheduler counters.
-void emit_serving(obs::JsonWriter& json, const ServingResult& r,
-                  const obs::MetricsSnapshot& metrics, std::uint64_t seed) {
-  json.begin_object();
-  json.kv("bench", "verify_serving");
-  json.kv("seed", seed);
-  json.kv("n", r.n);
-  json.kv("core", r.core);
-  json.kv("t", r.t);
-  json.kv("labelings", r.labelings);
-  json.kv("threads", r.threads);
-  json.kv("stealing_ms", r.stealing_ms);
-  json.kv("sweep_chunks", r.sweep_chunks);
-  json.kv("sweep_steals", r.sweep_steals);
-  json.kv("busy_p50_us", r.busy_p50_us);
-  json.kv("busy_p99_us", r.busy_p99_us);
-  json.kv("verdicts_identical", r.verdicts_identical);
-  json.key("metrics");
-  metrics.write_json(json);
-  json.end_object();
-}
-
 void emit(std::ostream& out, const std::vector<Row>& rows,
           const BatchResult& batch, const obs::MetricsSnapshot& batch_metrics,
           const IncrementalResult& incremental,
           const obs::MetricsSnapshot& incr_metrics,
-          const ServingResult& serving,
-          const obs::MetricsSnapshot& serving_metrics,
           const AdmissionResult& admission,
           double disabled_span_ns, std::uint64_t seed) {
   const double t8_speedup_seq = t8_speedup_sequential(rows);
@@ -931,8 +784,6 @@ void emit(std::ostream& out, const std::vector<Row>& rows,
   emit_batch(json, batch, batch_metrics, seed);
   json.key("incremental");
   emit_incremental(json, incremental, incr_metrics, seed);
-  json.key("serving");
-  emit_serving(json, serving, serving_metrics, seed);
   json.key("admission");
   emit_admission(json, admission, seed);
   json.end_object();
@@ -965,15 +816,12 @@ int main(int argc, char** argv) {
   const std::string incremental_out_path =
       args.take_value("incremental-out").value_or("");
   const std::string trace_out_path = args.take_value("trace-out").value_or("");
-  const std::string serving_out_path =
-      args.take_value("serving-out").value_or("");
   const std::uint64_t seed = args.take_seed(kDefaultSeed);
   const unsigned threads =
       args.take_unsigned("threads", util::ThreadPool::hardware_threads());
   const unsigned batch_t = args.take_unsigned("t", 8);
   const std::size_t labeling_count =
       args.take_size("labelings", smoke ? 16 : 100);
-  const double require_speedup = args.take_double("require-speedup", 0.0);
   const double require_batch_speedup =
       args.take_double("require-batch-speedup", 0.0);
   const double require_cold_session_speedup =
@@ -989,10 +837,9 @@ int main(int argc, char** argv) {
       args.take_double("require-admission-hit-rate", 0.0);
   if (!args.finish("bench_verify_scale [--smoke] [--out FILE] "
                    "[--batch-out FILE] [--incremental-out FILE] "
-                   "[--trace-out FILE] [--serving-out FILE] "
-                   "[--admission-out FILE] [--seed S] "
-                   "[--threads T] [--t T] [--labelings L] "
-                   "[--require-speedup X] [--require-batch-speedup X] "
+                   "[--trace-out FILE] [--admission-out FILE] "
+                   "[--seed S] [--threads T] [--t T] [--labelings L] "
+                   "[--require-batch-speedup X] "
                    "[--require-cold-session-speedup R] "
                    "[--require-incremental-speedup X] "
                    "[--max-disabled-span-ns X] [--zipf-s S] "
@@ -1118,40 +965,7 @@ int main(int argc, char** argv) {
   }
   const obs::MetricsSnapshot incr_metrics = incr_registry.snapshot();
 
-  // Scenario 4: the skewed sweep — a dense chorded-ring core on the low
-  // sixteenth of the index space (fat radius-t balls) plus sparse chains
-  // over the rest, so the steal counters show the claim loop moving the
-  // core's load.  Verdict identity across thread counts is asserted inside
-  // measure_serving.
-  ServingResult serving;
-  obs::MetricsRegistry serving_registry;
-  {
-    const std::size_t serving_core = n / 16;
-    const std::size_t serving_chains = 32;
-    const std::size_t chain_len = (n - serving_core) / serving_chains;
-    util::Rng serving_rng(seed ^ kServingSalt);
-    graph::Graph skewed_base =
-        skewed_core_chain_graph(serving_core, serving_chains, chain_len);
-    auto skewed_g = std::make_shared<const graph::Graph>(
-        graph::relabel_random(skewed_base, serving_rng, kIdSpace));
-    const local::Configuration skewed_cfg =
-        language.sample_legal(skewed_g, serving_rng);
-    const std::vector<core::Labeling> skewed_labs = candidate_labelings(
-        batch_scheme, skewed_cfg, labeling_count, serving_rng);
-    serving = measure_serving(batch_scheme, skewed_cfg, serving_core, batch_t,
-                              threads, skewed_labs, serving_registry);
-    std::cerr << "serving n=" << serving.n << " core=" << serving.core
-              << " t=" << serving.t << " labelings=" << serving.labelings
-              << " threads=" << serving.threads
-              << " stealing_ms=" << serving.stealing_ms
-              << " steals=" << serving.sweep_steals << "/"
-              << serving.sweep_chunks
-              << " busy_p50_us=" << serving.busy_p50_us
-              << " busy_p99_us=" << serving.busy_p99_us << "\n";
-  }
-  const obs::MetricsSnapshot serving_metrics = serving_registry.snapshot();
-
-  // Scenario 5: admission.  Same bounded-growth grid as scenario 3 (the
+  // Scenario 4: admission.  Same bounded-growth grid as scenario 3 (the
   // skew is over *blocks*, so the instance must have many distinct blocks
   // with local balls), a delta stream whose touched nodes are zipf-popular,
   // and an atlas budget holding a quarter of the geometry: the sketch vetoes
@@ -1192,15 +1006,15 @@ int main(int argc, char** argv) {
 
   if (out_path.empty()) {
     emit(std::cout, rows, batch, batch_metrics, incremental, incr_metrics,
-         serving, serving_metrics, admission, disabled_span_ns, seed);
+         admission, disabled_span_ns, seed);
   } else {
     std::ofstream out(out_path);
     if (!out) {
       std::cerr << "cannot open " << out_path << "\n";
       return 1;
     }
-    emit(out, rows, batch, batch_metrics, incremental, incr_metrics, serving,
-         serving_metrics, admission, disabled_span_ns, seed);
+    emit(out, rows, batch, batch_metrics, incremental, incr_metrics,
+         admission, disabled_span_ns, seed);
     std::cout << "wrote " << out_path << "\n";
   }
   if (!batch_out_path.empty()) {
@@ -1225,17 +1039,6 @@ int main(int argc, char** argv) {
     PLS_ASSERT(json.finished());
     std::cout << "wrote " << incremental_out_path << "\n";
   }
-  if (!serving_out_path.empty()) {
-    std::ofstream out(serving_out_path);
-    if (!out) {
-      std::cerr << "cannot open " << serving_out_path << "\n";
-      return 1;
-    }
-    obs::JsonWriter json(out);
-    emit_serving(json, serving, serving_metrics, seed);
-    PLS_ASSERT(json.finished());
-    std::cout << "wrote " << serving_out_path << "\n";
-  }
   if (!admission_out_path.empty()) {
     std::ofstream out(admission_out_path);
     if (!out) {
@@ -1248,16 +1051,6 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << admission_out_path << "\n";
   }
 
-  if (require_speedup > 0.0) {
-    const double speedup = t8_speedup_sequential(rows);
-    if (speedup < require_speedup) {
-      std::cerr << "FAIL: t=8 sequential speedup " << speedup << " < required "
-                << require_speedup << "\n";
-      return 1;
-    }
-    std::cerr << "t=8 sequential speedup " << speedup << " >= required "
-              << require_speedup << "\n";
-  }
   if (require_cold_session_speedup > 0.0) {
     // A fresh verifier per run, so both sides build every block cold: the
     // parallel side's slots must build distinct blocks concurrently.  The

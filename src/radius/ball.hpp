@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -259,16 +260,14 @@ class RadiusContext {
                 const local::State& center_state,
                 const local::Certificate& center_cert, local::Visibility mode,
                 std::size_t network_size,
-                std::span<const ParsedCert* const> parsed_by_node = {},
-                bool memoized = false)
+                std::span<const std::unique_ptr<ParsedCert>> parse_cache = {})
       : ball_(&ball),
         id_(center_id),
         state_(&center_state),
         cert_(&center_cert),
         mode_(mode),
         network_size_(network_size),
-        parsed_(parsed_by_node),
-        memoized_(memoized) {}
+        parsed_(parse_cache) {}
 
   const BallView& ball() const noexcept { return *ball_; }
 
@@ -289,14 +288,8 @@ class RadiusContext {
   /// ball's verdict).  Requires has_parse_cache().
   const ParsedCert* parsed(graph::NodeIndex v) const {
     PLS_REQUIRE(v < parsed_.size());
-    return parsed_[v];
+    return parsed_[v].get();
   }
-
-  /// True when the cached parses carry this labeling's stage-2 memo
-  /// (BallScheme::memoize): a full run's sweep.  The delta re-sweep reads
-  /// resident parses whose memos may describe an earlier labeling, so it
-  /// runs with the memo off.
-  bool memoized() const noexcept { return memoized_; }
 
  private:
   const BallView* ball_;
@@ -305,8 +298,7 @@ class RadiusContext {
   const local::Certificate* cert_;
   local::Visibility mode_;
   std::size_t network_size_;
-  std::span<const ParsedCert* const> parsed_;
-  bool memoized_;
+  std::span<const std::unique_ptr<ParsedCert>> parsed_;
 };
 
 }  // namespace pls::radius

@@ -47,10 +47,9 @@ void BatchVerifier::parse_link(const core::Labeling& labeling) {
   const std::size_t n = cfg_.n();
   // Each entry is overwritten inside the parallel parse, which frees the
   // previous labeling's parse there instead of in one serial clear().  An
-  // abandoned parse leaves old and new entries mixed, each still paired
-  // with its own view; no resident state survives it.
-  parsed_.storage.resize(n);
-  parsed_.view.resize(n);
+  // abandoned parse leaves old and new entries mixed; no resident state
+  // survives it.
+  parsed_.resize(n);
   // A range job like the sweep's, but not a sweep: sweep() records the
   // RangeStats of its own job only.  An expired request stops at the next
   // parse chunk, as it does in the sweep.
@@ -59,8 +58,7 @@ void BatchVerifier::parse_link(const core::Labeling& labeling) {
       [&](unsigned, std::size_t begin, std::size_t end) {
         for (std::size_t v = begin; v < end; ++v) {
           PLS_FAILPOINT("radius.parse");
-          parsed_.storage[v] = ball_scheme_->parse_cert(labeling.certs[v]);
-          parsed_.view[v] = parsed_.storage[v].get();
+          parsed_[v] = ball_scheme_->parse_cert(labeling.certs[v]);
         }
       },
       util::RangeOptions{.cancel = cancel_});
@@ -68,11 +66,11 @@ void BatchVerifier::parse_link(const core::Labeling& labeling) {
   // single-threaded, the sweep workers only read the linked parses.  The
   // table persists in the verifier, so ANY full run leaves one a later
   // run_delta can relink against.
-  link_.link(parsed_.storage);
-  // Memo phase: the scheme's per-labeling facts, read by this run's full
-  // sweep only (run_delta's re-sweep runs with the memo off).
+  link_.link(parsed_);
+  // Memo phase: the scheme's per-labeling facts, valid for this link epoch
+  // (until the next full link or re-seed, which memoizes again).
   PLS_TRACE_SPAN("parse.memo", n);
-  ball_scheme_->memoize(parsed_.storage);
+  ball_scheme_->memoize(parsed_);
 }
 
 util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
@@ -101,12 +99,9 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     };
   }
 
-  const std::span<const ParsedCert* const> cache = parsed_.view;
-  // Only a full sweep's parses all carry its own labeling's memo.
-  const bool memoized = centers.empty();
   const unsigned radius = ball_scheme_->radius();
   const local::Visibility mode = scheme_.visibility();
-  return [this, &labeling, center_of, accept, cache, memoized, radius, mode](
+  return [this, &labeling, center_of, accept, radius, mode](
              unsigned worker, std::size_t begin, std::size_t end) {
     PLS_TRACE_SPAN("sweep.slot", worker);
     const graph::Graph& g = cfg_.graph();
@@ -120,8 +115,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
         block = atlas_->block(g, radius, v);
       slot.view.bind(block->ball(v, radius), cfg_, labeling, mode);
       const RadiusContext ctx(slot.view, g.id(v), cfg_.state(v),
-                              labeling.certs[v], mode, cfg_.n(), cache,
-                              memoized);
+                              labeling.certs[v], mode, cfg_.n(), parsed_);
       accept[v] = ball_scheme_->verify_ball(ctx);
     }
   };
@@ -233,16 +227,21 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
   if (ball_scheme_ != nullptr) {
     PLS_TRACE_SPAN("delta.reparse", delta.touched.size());
     obs::ScopedTimer parse_timer(metrics_.delta_parse);
-    PLS_ASSERT(parsed_.storage.size() == n);
+    PLS_ASSERT(parsed_.size() == n);
     for (const graph::NodeIndex v : delta.touched) {
       PLS_FAILPOINT("radius.parse");
-      parsed_.storage[v] = ball_scheme_->parse_cert(next.certs[v]);
-      parsed_.view[v] = parsed_.storage[v].get();
+      parsed_[v] = ball_scheme_->parse_cert(next.certs[v]);
     }
     delta_stats_.certs_reparsed += delta.touched.size();
-    link_.relink(parsed_.storage, delta.touched);
+    const std::uint64_t reseeds = link_.reseeds();
+    link_.relink(parsed_, delta.touched);
     ++delta_stats_.links_incremental;
     delta_stats_.link_reseeds = link_.reseeds();
+    if (link_.reseeds() != reseeds) {
+      // The re-seed opened a new link epoch: memoize it, as a full run does.
+      PLS_TRACE_SPAN("parse.memo", n);
+      ball_scheme_->memoize(parsed_);
+    }
   }
 
   // Stage 3, dirty-center sweep: only centers whose decoding radius reaches

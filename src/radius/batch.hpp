@@ -16,9 +16,9 @@
 //                  facts every center would otherwise re-derive — for the
 //                  fragment spread, each region's prefix and its members'
 //                  base certificates.  Link and memo run on the calling
-//                  thread, each a pass over the n parses.  Only the full
-//                  sweep reads the memo: run_delta turns it off, and the
-//                  next full run rebuilds it.
+//                  thread, each a pass over the n parses.  A memo lives
+//                  for one link epoch: every sweep reads it, and run_delta
+//                  memoizes again whenever its relink re-seeds the table.
 //   3. SWEEP     — per-center verify_ball over geometry bound to the
 //                  labeling, fanned out over util::ThreadPool's chunked
 //                  work-stealing split (skewed ball sizes rebalance across
@@ -169,12 +169,6 @@ class BatchVerifier {
   // the same one thread as every verifier on it; everything else here must
   // stay caller-thread-only.
 
-  /// Stage-2 output for one labeling: the per-node parse-once cache.
-  struct ParsedLabeling {
-    std::vector<std::unique_ptr<ParsedCert>> storage;
-    std::vector<const ParsedCert*> view;
-  };
-
   /// Stage 2 into `parsed_`: parses every certificate over the pool (the
   /// cancel token polled at every chunk claim), then links and memoizes the
   /// parses on the calling thread.
@@ -220,7 +214,7 @@ class BatchVerifier {
   // candidate.  After a successful run they hold the *resident* state: the
   // carried-forward parses and verdicts the delta path splices from and
   // mutates in place.
-  ParsedLabeling parsed_;
+  std::vector<std::unique_ptr<ParsedCert>> parsed_;  ///< stage 2, per node
   std::vector<std::uint8_t> accept_;
   bool resident_valid_ = false;  ///< a resident labeling exists for deltas
 

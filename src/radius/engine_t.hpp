@@ -59,13 +59,14 @@ class BallScheme : public core::Scheme {
   virtual std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const = 0;
 
-  /// Stage 2's memo pass, run once per full labeling right after the link:
-  /// records in the linked parses (`parsed`, null = malformed) facts that
-  /// every center would otherwise re-derive from its own ball.  verify_ball
-  /// may read them only while RadiusContext::memoized() holds, and only
-  /// where they provably equal what its own ball would give, so a memo never
-  /// changes a verdict.  Runs on the verifier's one caller thread.  Default:
-  /// nothing to memoize.
+  /// Stage 2's memo pass, run once per link epoch (parse_link.hpp) right
+  /// after the full link or re-seed that opens it: records in the linked
+  /// parses (`parsed`, null = malformed) facts that every center would
+  /// otherwise re-derive from its own ball.  Later deltas in the epoch
+  /// replace touched parses with fresh, unmemoized ones and keep the rest,
+  /// so verify_ball may read a memo only where it provably equals what its
+  /// own ball would give; a memo never changes a verdict.  Runs on the
+  /// verifier's one caller thread.  Default: nothing to memoize.
   virtual void memoize(
       std::span<const std::unique_ptr<ParsedCert>> /*parsed*/) const {}
 

@@ -509,8 +509,8 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
   const std::size_t hop1 = 1 + layer1.size();
 
   // Certificates of the ball, parsed at most once per node; the cache path
-  // carries the interned chunk-class ids and, on a full sweep, the 1-hop
-  // members' stage-2 memos.
+  // carries the interned chunk-class ids and the 1-hop members' stage-2
+  // memos.
   std::vector<const FragmentWire*>& parsed = scratch.parsed;
   std::vector<std::uint32_t>& chunk_class = scratch.chunk_class;
   std::vector<const FragmentParsed*>& hop1_parse = scratch.hop1_parse;
@@ -524,7 +524,7 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       if (p == nullptr) return false;  // malformed certificate in the ball
       parsed[i] = &p->wire;
       chunk_class[i] = p->link_class;
-      if (i < hop1 && ctx.memoized()) hop1_parse[i] = p;
+      if (i < hop1) hop1_parse[i] = p;
     }
   } else {
     std::vector<FragmentWire>& local_parses = scratch.local_parses;

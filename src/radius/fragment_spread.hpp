@@ -55,7 +55,8 @@
 // certificate are per-labeling facts, yet the per-center decoder above
 // repeats them at every center: the prefix once per center that requires the
 // region, each node's base certificate deg+1 times.  memoize() computes them
-// once per full labeling, after the link.  It groups the whole labeling's
+// once per link epoch (parse_link.hpp): after every full link and after
+// every re-seed of a delta's relink.  It groups the whole labeling's
 // parses as verify_ball groups a ball (by region id, all unnamed parses in
 // one group) and, per group G, votes: the chunk count k most of G's parses
 // carry, then at each residue j < k the link class c_j most of G's k-parses
@@ -75,12 +76,15 @@
 // member's rebuilt certificate would be X_G ++ its suffix, its memo.  The
 // base decoder therefore reads the same bits either way, and the verdict is
 // unchanged; the vote decides only how often a memo applies.  Balls that
-// fail a check reject before any memo is read.  Class ids mean what they
-// mean only within the link that minted them — a delta's relink may re-seed
-// the table and renumber them — so the memo is read only on the verifier's
-// full sweep (RadiusContext::memoized()), whose parses were all linked and
-// memoized together; the delta re-sweep and the cache-less reference engine
-// keep the local path.
+// fail a check reject before any memo is read.  The delta re-sweep reads the
+// same memo under the same argument:
+//   * within an epoch the link table is append-only, so a resident memo's
+//     c_j still names the chunk bits it named when memoize() ran;
+//   * a touched node gets a fresh parse that carries no memo, so its base
+//     certificate is rebuilt from its own suffix;
+//   * every resident memo comes from the epoch's one memoize() call, so
+//     parses with equal region ids share one memo.
+// The cache-less reference engine keeps the local path.
 #pragma once
 
 #include <cstdint>

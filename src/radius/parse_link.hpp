@@ -26,7 +26,9 @@
 // runs the O(n) full link — once the table exceeds kReseedClassMultiple * n.
 // A full link is the stability contract's epoch boundary anyway: it resets
 // the table and re-interns every resident parse in one pass, so no
-// comparison ever mixes ids from both sides of the reset.
+// comparison ever mixes ids from both sides of the reset.  The span from one
+// full link or re-seed to the next is a *link epoch*; BatchVerifier runs the
+// scheme's memo pass (BallScheme::memoize) at the start of each.
 //
 // Thread contract: LinkTable carries no capability of its own.  It is
 // serialized by its owning BatchVerifier's single-caller contract and mutated

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -17,8 +18,10 @@
 #include "radius/batch.hpp"
 #include "radius/fragment_spread.hpp"
 #include "radius/parse_link.hpp"
+#include "schemes/mst.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
+#include "util/assert.hpp"
 
 namespace pls::radius {
 namespace {
@@ -145,29 +148,31 @@ TEST(BatchVerifierDelta, EmptyDeltaDoesNoWorkAndSplicesTheVerdict) {
   EXPECT_EQ(after.verdicts_carried, 0u);
 }
 
-/// One delta step checked against a from-scratch verifier, at every thread
-/// count, with the stats accounted against the brute-force dirty set.
-void expect_delta_matches_full(const core::Scheme& scheme,
-                               const local::Configuration& cfg, unsigned t,
-                               const Labeling& start,
-                               const std::vector<Labeling>& stream,
-                               const std::vector<LabelingDelta>& deltas) {
-  ASSERT_EQ(stream.size(), deltas.size());
-  for (const unsigned threads : {1u, 2u, 0u}) {  // 0 = hardware
-    BatchVerifier delta_verifier(scheme, cfg, t,
-                                 pls::testing::split_sweep_options(threads));
-    BatchVerifier full_verifier(scheme, cfg, t,
-                                pls::testing::split_sweep_options(threads));
-    ASSERT_EQ(delta_verifier.run_one(start).accept(),
-              full_verifier.run_one(start).accept());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      const Verdict expect = full_verifier.run_one(stream[i]);
-      const Verdict got = delta_verifier.run_delta(stream[i], deltas[i]);
-      ASSERT_EQ(expect.accept(), got.accept())
-          << scheme.name() << " step " << i << " threads "
-          << delta_verifier.threads();
-    }
+/// run_delta over `stream` at threads {1, 2, hw}, every step against the
+/// reference engine, which never reads a stage-2 memo.  Returns the fewest
+/// link re-seeds any of the three verifiers made.
+std::uint64_t expect_delta_matches_baseline(
+    const core::Scheme& scheme, const local::Configuration& cfg, unsigned t,
+    const Labeling& start, const std::vector<Labeling>& stream,
+    const std::vector<LabelingDelta>& deltas) {
+  PLS_REQUIRE(stream.size() == deltas.size());
+  std::vector<Verdict> expect;
+  for (const Labeling& lab : stream)
+    expect.push_back(run_verifier_t_baseline(scheme, cfg, lab, t));
+  std::uint64_t reseeds = std::numeric_limits<std::uint64_t>::max();
+  for (const unsigned threads :
+       {1u, 2u, util::ThreadPool::hardware_threads()}) {
+    BatchVerifier verifier(scheme, cfg, t,
+                           pls::testing::split_sweep_options(threads));
+    EXPECT_EQ(verifier.run_one(start).accept(),
+              run_verifier_t_baseline(scheme, cfg, start, t).accept());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      EXPECT_EQ(verifier.run_delta(stream[i], deltas[i]).accept(),
+                expect[i].accept())
+          << scheme.name() << " step " << i << " threads " << threads;
+    reseeds = std::min(reseeds, verifier.delta_stats().link_reseeds);
   }
+  return reseeds;
 }
 
 TEST(BatchVerifierDelta, SingleMutationsMatchFullRunsIncludingMutateBack) {
@@ -213,7 +218,7 @@ TEST(BatchVerifierDelta, SingleMutationsMatchFullRunsIncludingMutateBack) {
     cur.certs[3] = cur.certs[12];
     push(cur, {3, 3, 5});
 
-    expect_delta_matches_full(spread, cfg, t, honest, stream, deltas);
+    expect_delta_matches_baseline(spread, cfg, t, honest, stream, deltas);
   }
 }
 
@@ -382,7 +387,9 @@ TEST(BatchVerifierDelta, KeylessParsesRelinkExactly) {
 // The fragment spread's delta runs under region structure: mutations of
 // region-interior, landmark, and region-id-bearing certificates all replay
 // exactly (the fuzz harness covers this registry-wide; this is the directed
-// version on MST-like regional redundancy via the mechanical candidates).
+// version).  stp's spread is one unnamed group; the weighted MST's regions
+// are named Borůvka fragments, and its stream re-seeds the link table, so
+// its re-sweeps read memos from a full run's epoch and from a re-seed's.
 TEST(BatchVerifierDelta, FragmentSpreadDeltasMatchFullRuns) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -402,7 +409,70 @@ TEST(BatchVerifierDelta, FragmentSpreadDeltasMatchFullRuns) {
     stream.push_back(cur);
     deltas.push_back(LabelingDelta{{v}});
   }
-  expect_delta_matches_full(spread, cfg, 4, honest, stream, deltas);
+  expect_delta_matches_baseline(spread, cfg, 4, honest, stream, deltas);
+
+  const schemes::MstLanguage mst_language;
+  const schemes::MstScheme mst(mst_language);
+  const FragmentSpreadScheme mst_spread(mst, 2);
+  const local::Configuration mst_cfg = mst_language.sample_legal(
+      pls::testing::weighted_family(61011).back(), rng);
+  const std::size_t n = mst_cfg.n();
+  const Labeling mst_honest = mst_spread.mark(mst_cfg);
+  std::vector<detail::FragmentWire> wires;
+  std::vector<std::uint64_t> regions;
+  for (const local::Certificate& c : mst_honest.certs) {
+    auto w = detail::parse_fragment_wire(c);
+    ASSERT_TRUE(w.has_value());
+    if (w->named) regions.push_back(w->region);
+    wires.push_back(std::move(*w));
+  }
+  std::sort(regions.begin(), regions.end());
+  regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
+  ASSERT_GE(regions.size(), 2u);
+
+  // Three nodes take turns: a well-formed certificate with a novel chunk
+  // (same length where the chunk is long enough, so the ball still
+  // reassembles), another region's id, or their honest certificate back.
+  // The novel chunks outnumber the re-seed bound; the stream ends honest,
+  // so the last re-sweeps accept through memos.
+  std::vector<graph::NodeIndex> hot;
+  for (int i = 0; i < 3; ++i)
+    hot.push_back(static_cast<graph::NodeIndex>(rng.below(n)));
+  stream.clear();
+  deltas.clear();
+  cur = mst_honest;
+  const std::uint64_t novel_steps = detail::kReseedClassMultiple * n + 1;
+  ASSERT_LT(novel_steps, 256u);  // each novel chunk's mark fits one byte
+  for (std::uint64_t step = 0; step < 2 * novel_steps; ++step) {
+    const graph::NodeIndex v = hot[step % hot.size()];
+    detail::FragmentWire w = wires[v];
+    if (step % 2 == 0) {
+      const std::uint64_t mark = 1 + step / 2;
+      if (w.chunk.bit_size() >= 8) {
+        std::vector<std::uint8_t> bytes = w.chunk.bytes();
+        bytes[0] ^= static_cast<std::uint8_t>(mark);
+        w.chunk = util::BitString(std::move(bytes), w.chunk.bit_size());
+      } else {
+        w.chunk = util::BitString::of_uint(mark, 32);
+      }
+      cur.certs[v] = detail::encode_fragment_wire(w);
+    } else if (step % 6 == 1 && w.named) {
+      w.region = regions[step % regions.size()];
+      cur.certs[v] = detail::encode_fragment_wire(w);
+    } else {
+      cur.certs[v] = mst_honest.certs[v];
+    }
+    stream.push_back(cur);
+    deltas.push_back(LabelingDelta{{v}});
+  }
+  for (const graph::NodeIndex v : hot) {
+    cur.certs[v] = mst_honest.certs[v];
+    stream.push_back(cur);
+    deltas.push_back(LabelingDelta{{v}});
+  }
+  EXPECT_GE(expect_delta_matches_baseline(mst_spread, mst_cfg, 2, mst_honest,
+                                          stream, deltas),
+            1u);
 }
 
 // ---- Bounded link table ----------------------------------------------------

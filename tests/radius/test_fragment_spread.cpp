@@ -596,9 +596,10 @@ TEST(FragmentSpread, MemoWaitsForTheBallsCoverageCheck) {
 TEST(FragmentSpread, DeltaRecolouringAResidueMatchesFullRuns) {
   // A full run memoizes the honest region; a delta then gives the upper
   // half's residue-0 chunks a second class, and a second delta flips the
-  // lower half too (one class again, another prefix).  Each re-sweep must
-  // equal a from-scratch run: the resident parses' memos describe the
-  // honest labeling, not these.
+  // lower half too (one class again, another prefix).  Each re-sweep reads
+  // the resident memo, which describes the honest labeling, not these: it
+  // must use it only where a ball's classes match it, and equal a
+  // from-scratch run.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);
@@ -637,15 +638,17 @@ TEST(FragmentSpread, DeltaRecolouringAResidueMatchesFullRuns) {
 }
 
 TEST(FragmentSpread, DeltaAfterALinkReseedMatchesFullRuns) {
-  // Class ids are valid only within one link.  path(24), k = 2: the full
-  // run links the honest residue-0 chunk p0 as class 0 (node 0) and memoizes
-  // classes {0, 1}.  A delta flips every residue-0 chunk to q (the root now
-  // rejects); deltas then give node 22 novel chunks until the link table
-  // re-seeds, which renumbers q as class 0 (node 0 again); a last delta puts
-  // q back at node 22, next to the root.  The root's ball now shows classes
-  // {0, 1} — the memo's numbers for other chunks — and its root (node 23)
-  // still holds the full run's memo, so a re-sweep that read it would
-  // accept.  It must reject, as a from-scratch run does.
+  // Class ids are valid only within one link epoch.  path(24), k = 2: the
+  // full run links the honest residue-0 chunk p0 as class 0 (node 0) and
+  // memoizes classes {0, 1}.  A delta flips every residue-0 chunk to q (the
+  // root now rejects); deltas then give node 22 novel chunks until the link
+  // table re-seeds, which renumbers q as class 0 (node 0 again); a last delta
+  // puts q back at node 22, next to the root.  The root's ball now shows
+  // classes {0, 1} — the full run's memo numbers for other chunks — and the
+  // root (node 23) held that memo until the re-seed.  Re-sweeps read the
+  // memo, so the re-seed must memoize its new epoch: a re-sweep that read
+  // the full run's memo would accept.  It must reject, as a from-scratch run
+  // does.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);
