@@ -47,8 +47,10 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -644,6 +646,14 @@ void emit_overload(std::ostream& out, const OverloadResult& r,
   PLS_ASSERT(json.finished());
 }
 
+/// A gate value at fixed precision, so a failing gate shows by how much it
+/// missed its bound.
+std::string fixed3(double x) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(3) << x;
+  return out.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -738,8 +748,8 @@ int main(int argc, char** argv) {
 
   if (require_p99_ratio > 0.0) {
     if (result.p99_ratio > require_p99_ratio) {
-      std::cerr << "FAIL: tenant p99 ratio " << result.p99_ratio
-                << " > allowed " << require_p99_ratio << "\n";
+      std::cerr << "FAIL: tenant p99 ratio " << fixed3(result.p99_ratio)
+                << " > allowed " << fixed3(require_p99_ratio) << "\n";
       return 1;
     }
     std::cerr << "tenant p99 ratio " << result.p99_ratio << " <= allowed "
@@ -778,14 +788,14 @@ int main(int argc, char** argv) {
       bool ok = true;
       if (overload.goodput_ratio_at_max < require_goodput_ratio) {
         std::cerr << "FAIL: goodput ratio at " << at_max.rate_x
-                  << "x capacity is " << overload.goodput_ratio_at_max
-                  << " < required " << require_goodput_ratio << "\n";
+                  << "x capacity is " << fixed3(overload.goodput_ratio_at_max)
+                  << " < required " << fixed3(require_goodput_ratio) << "\n";
         ok = false;
       }
       if (at_max.accepted_p99_ms > 3.0 * ttl_ms) {
-        std::cerr << "FAIL: accepted p99 " << at_max.accepted_p99_ms
+        std::cerr << "FAIL: accepted p99 " << fixed3(at_max.accepted_p99_ms)
                   << " ms at " << at_max.rate_x << "x capacity exceeds 3x ttl "
-                  << ttl_ms << " ms\n";
+                  << fixed3(3.0 * ttl_ms) << " ms\n";
         ok = false;
       }
       if (!ok) return 1;

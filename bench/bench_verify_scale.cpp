@@ -7,11 +7,14 @@
 //    center) against BatchVerifier::run_one (staged pipeline: geometry
 //    atlas + parse-once cache + optional thread pool) at n = 4096, t in
 //    {1, 2, 4, 8}.  Emits the time–size tradeoff curve as JSON.  Each
-//    session is a fresh verifier, so its geometry is cold: at t = 8 the
-//    --threads-slot session over the 1-slot one measures how well parallel
-//    slots build distinct atlas blocks (--require-cold-session-speedup).
-//    The t = 8 pair is timed three times, alternating which side runs
-//    first, and the gate reads the median ratio.
+//    session is a fresh verifier, so its geometry is cold.  An honest
+//    marking takes the clean path and builds no geometry, so at t = 8 a
+//    labeling of empty certificates, whose every center is dirty, is timed
+//    as well: its --threads-slot session over the 1-slot one measures how
+//    well parallel slots build distinct atlas blocks
+//    (--require-cold-session-speedup).  That pair is timed three times,
+//    alternating which side runs first, and the gate reads the median
+//    ratio.
 //
 // 2. Multi-labeling batch (the adversary's workload): L labelings derived
 //    from the honest marking by hill-climb-style point mutations, all
@@ -139,9 +142,10 @@ struct Row {
   std::size_t max_cert_bits = 0;
   double avg_cert_bits = 0.0;
   double baseline_ms = 0.0;     ///< pre-pipeline engine (re-parse per ball)
-  double session_seq_ms = 0.0;  ///< run_one, threads = 1 (median)
-  double session_par_ms = 0.0;  ///< run_one, threads = T (median)
-  /// session_seq_ms / session_par_ms of each timed cold pair, in run order.
+  double session_seq_ms = 0.0;  ///< run_one, threads = 1, honest marking
+  double session_par_ms = 0.0;  ///< run_one, threads = T, honest marking
+  /// seq/par ratio of each timed cold pair, in run order: the row's one
+  /// honest pair, or at t = 8 the gated pairs on an all-dirty labeling.
   std::vector<double> cold_speedups;
   unsigned threads = 1;
   bool verdicts_identical = false;
@@ -212,10 +216,10 @@ Row measure(const core::Scheme& scheme, const local::Configuration& cfg,
       [&] { return radius::run_verifier_t_baseline(scheme, cfg, lab, t); },
       baseline);
   // A fresh verifier per run, so every run builds its geometry cold.
-  const auto run_one = [&](unsigned slots) {
+  const auto run_one = [&](const core::Labeling& l, unsigned slots) {
     radius::BatchOptions options;
     options.threads = slots;
-    return radius::BatchVerifier(scheme, cfg, t, options).run_one(lab);
+    return radius::BatchVerifier(scheme, cfg, t, options).run_one(l);
   };
   // Micro-assert for the staged pipeline: the run_one path serves geometry
   // through the atlas and interns chunk payloads into dense ids after the
@@ -223,35 +227,56 @@ Row measure(const core::Scheme& scheme, const local::Configuration& cfg,
   // rebuilds balls and re-parses raw BitStrings everywhere — any divergence
   // between the two shows up right here.
   row.verdicts_identical = true;
+  // Times `pairs` seq/par pairs of cold sessions on `l`, alternating which
+  // side runs first; returns each pair's ratio, in run order.
+  std::vector<double> seq_ms, par_ms;
+  const auto time_pairs = [&](const core::Labeling& l,
+                              const core::Verdict& expected, unsigned pairs) {
+    std::vector<double> ratios;
+    seq_ms.clear();
+    par_ms.clear();
+    for (unsigned pair = 0; pair < pairs; ++pair) {
+      core::Verdict seq, par;
+      const auto time_seq = [&] {
+        seq_ms.push_back(time_ms([&] { return run_one(l, 1); }, seq));
+      };
+      const auto time_par = [&] {
+        par_ms.push_back(time_ms([&] { return run_one(l, threads); }, par));
+      };
+      if (pair % 2 == 0) {
+        time_seq();
+        time_par();
+      } else {
+        time_par();
+        time_seq();
+      }
+      ratios.push_back(seq_ms.back() / par_ms.back());
+      row.verdicts_identical = row.verdicts_identical &&
+                               same_verdict(expected, seq) &&
+                               same_verdict(expected, par);
+    }
+    return ratios;
+  };
+  row.cold_speedups = time_pairs(lab, baseline, 1);
+  row.session_seq_ms = median(seq_ms);
+  row.session_par_ms = median(par_ms);
   if (t == 8) {
+    // The gated pairs time a labeling of empty, hence malformed,
+    // certificates: every center is dirty, looks its atlas block up and
+    // binds its ball, so each session builds all of its geometry cold.  An
+    // honest full takes the clean path and builds none, so its sessions no
+    // longer measure parallel block builds.
+    core::Labeling dirty;
+    dirty.certs.assign(cfg.n(), local::Certificate{});
+    const core::Verdict dirty_baseline =
+        radius::run_verifier_t_baseline(scheme, cfg, dirty, t);
     const auto until = std::chrono::steady_clock::now() + kGatedWarmup;
     while (std::chrono::steady_clock::now() < until)
       row.verdicts_identical = row.verdicts_identical &&
-                               same_verdict(baseline, run_one(threads));
+                               same_verdict(dirty_baseline,
+                                            run_one(dirty, threads));
+    row.cold_speedups = time_pairs(dirty, dirty_baseline, kGatedColdPairs);
   }
-  std::vector<double> seq_ms, par_ms;
-  for (unsigned pair = 0; pair < (t == 8 ? kGatedColdPairs : 1); ++pair) {
-    core::Verdict seq, par;
-    const auto time_seq = [&] {
-      seq_ms.push_back(time_ms([&] { return run_one(1); }, seq));
-    };
-    const auto time_par = [&] {
-      par_ms.push_back(time_ms([&] { return run_one(threads); }, par));
-    };
-    if (pair % 2 == 0) {
-      time_seq();
-      time_par();
-    } else {
-      time_par();
-      time_seq();
-    }
-    row.cold_speedups.push_back(seq_ms.back() / par_ms.back());
-    row.verdicts_identical = row.verdicts_identical &&
-                             same_verdict(baseline, seq) &&
-                             same_verdict(baseline, par);
-  }
-  row.session_seq_ms = median(seq_ms);
-  row.session_par_ms = median(par_ms);
   PLS_ASSERT(row.verdicts_identical);
   PLS_ASSERT(baseline.all_accept());  // honest marking on a legal instance
   return row;

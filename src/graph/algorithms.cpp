@@ -40,7 +40,8 @@ BfsResult bfs_impl(const Graph& g, NodeIndex root,
   r.parent.assign(g.n(), kInvalidNode);
   VisitEpochSet scratch;
   std::vector<NodeIndex> frontier;
-  layered_bfs(g, root, BfsResult::kUnreachable, scratch, frontier,
+  layered_bfs(g, std::span<const NodeIndex>(&root, 1),
+              BfsResult::kUnreachable, scratch, frontier,
               DistParentVisitor{&r, edge_mask});
   return r;
 }

@@ -7,7 +7,8 @@
 // geometry atlas makes ball geometry a cached, shared artifact, so there must
 // be exactly one definition of "the layered BFS order from a root" — this
 // header is it.  Both callers drive `layered_bfs` below; what differs is only
-// the visitor they plug in.
+// the visitor they plug in.  So does stage 2's clean set (radius/batch.hpp):
+// the same driver, started from a set of roots.
 //
 // VisitEpochSet is the O(1)-reset membership structure: each node carries the
 // epoch of its last visit plus a payload slot (its discovery index).  Bumping
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -57,14 +59,17 @@ class VisitEpochSet {
   std::uint32_t epoch_ = 0;
 };
 
-/// The single layered-BFS driver.  Expands from `root` up to hop distance
-/// `max_depth`, assigning each reached node a dense discovery slot (root = 0,
-/// then layer by layer, within a layer in the scanning nodes' adjacency
-/// order — the order every ball view and BFS tree in the codebase exposes).
+/// The single layered-BFS driver.  Expands from `roots` up to hop distance
+/// `max_depth`, assigning each reached node a dense discovery slot (the
+/// roots first, in span order, at distance 0; then layer by layer, within a
+/// layer in the scanning nodes' adjacency order — the order every ball view
+/// and BFS tree in the codebase exposes).  One root is a ball or a BFS tree;
+/// several roots are a multi-source BFS, whose distances are each node's hop
+/// distance to the nearest root.  A repeated root is discovered once.
 ///
 /// The visitor observes the traversal through five hooks:
 ///   * discover(v, slot, dist, parent, entry_edge) — once per reached node,
-///     in slot order; the root has parent = kInvalidNode and
+///     in slot order; a root has parent = kInvalidNode and
 ///     entry_edge = kInvalidEdge.
 ///   * row(u, u_slot, u_dist) — u's edge scan starts (slot order again).
 ///   * edge_in(u_slot, v_slot, v_dist) — a scanned edge whose far end is in
@@ -76,18 +81,23 @@ class VisitEpochSet {
 ///
 /// `scratch` supplies the visited marks and discovery slots; `frontier` is
 /// the reusable discovery-order queue (cleared here, left holding the
-/// traversal order on return).
+/// traversal order on return).  O(reached nodes + their edges), however
+/// many roots there are.
 template <typename Visitor>
-void layered_bfs(const Graph& g, NodeIndex root, std::uint32_t max_depth,
-                 VisitEpochSet& scratch, std::vector<NodeIndex>& frontier,
-                 Visitor&& visitor) {
-  PLS_REQUIRE(root < g.n());
+void layered_bfs(const Graph& g, std::span<const NodeIndex> roots,
+                 std::uint32_t max_depth, VisitEpochSet& scratch,
+                 std::vector<NodeIndex>& frontier, Visitor&& visitor) {
   scratch.reset(g.n());
   frontier.clear();
 
-  scratch.visit(root, 0);
-  frontier.push_back(root);
-  visitor.discover(root, 0, 0, kInvalidNode, kInvalidEdge);
+  for (const NodeIndex root : roots) {
+    PLS_REQUIRE(root < g.n());
+    if (scratch.visited(root)) continue;
+    const auto slot = static_cast<std::uint32_t>(frontier.size());
+    scratch.visit(root, slot);
+    frontier.push_back(root);
+    visitor.discover(root, slot, 0, kInvalidNode, kInvalidEdge);
+  }
 
   std::size_t layer_begin = 0;
   for (std::uint32_t dist = 0; dist <= max_depth; ++dist) {
@@ -115,5 +125,17 @@ void layered_bfs(const Graph& g, NodeIndex root, std::uint32_t max_depth,
     layer_begin = layer_end;
   }
 }
+
+/// The visitor of a plain reachability pass: it observes nothing, and the
+/// `frontier` layered_bfs leaves behind — every node within `max_depth` of
+/// a root — is the whole result.
+struct ReachVisitor {
+  void discover(NodeIndex, std::uint32_t, std::uint32_t, NodeIndex,
+                EdgeIndex) {}
+  void row(NodeIndex, std::uint32_t, std::uint32_t) {}
+  void edge_in(std::uint32_t, std::uint32_t, std::uint32_t) {}
+  void edge_beyond(NodeIndex, EdgeIndex) {}
+  bool accept_edge(EdgeIndex) const { return true; }
+};
 
 }  // namespace pls::graph

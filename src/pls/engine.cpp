@@ -9,23 +9,12 @@ namespace detail {
 bool verify_one_round_at(const Scheme& scheme, const local::Configuration& cfg,
                          const Labeling& labeling, graph::NodeIndex v,
                          std::vector<local::NeighborView>& scratch) {
-  const graph::Graph& g = cfg.graph();
-  const local::Visibility mode = scheme.visibility();
-  scratch.clear();
-  for (const graph::AdjEntry& a : g.adjacency(v)) {
-    local::NeighborView nv;
-    nv.cert = &labeling.certs[a.to];
-    nv.edge_weight = g.weight(a.edge);
-    if (mode == local::Visibility::kExtended) {
-      nv.state = &cfg.state(a.to);
-      nv.id = g.id(a.to);
-      nv.id_visible = true;
-    }
-    scratch.push_back(nv);
-  }
-  const local::VerifierContext ctx(g.id(v), cfg.state(v), labeling.certs[v],
-                                   scratch, mode, g.n());
-  return scheme.verify(ctx);
+  return verify_one_round_with(
+      scheme, cfg, v,
+      [&labeling](graph::NodeIndex u) -> const local::Certificate& {
+        return labeling.certs[u];
+      },
+      scratch);
 }
 
 std::size_t node_payload_bits(const Scheme& scheme,

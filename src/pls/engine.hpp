@@ -91,6 +91,36 @@ std::size_t verification_round_bits(const Scheme& scheme,
 
 namespace detail {
 
+/// The one builder of a 1-round view: node v's neighbors in its adjacency
+/// order, each with the edge weight to v (plus state and id under Extended
+/// visibility), carrying the certificate `cert_of(u)` names for node u —
+/// then the scheme's decoder on that view.  verify_one_round_at reads the
+/// labeling's certificates; the fragment spread's clean path
+/// (radius/fragment_spread.hpp) reads its memoized base certificates.
+template <typename CertOf>
+bool verify_one_round_with(const Scheme& scheme,
+                           const local::Configuration& cfg, graph::NodeIndex v,
+                           const CertOf& cert_of,
+                           std::vector<local::NeighborView>& scratch) {
+  const graph::Graph& g = cfg.graph();
+  const local::Visibility mode = scheme.visibility();
+  scratch.clear();
+  for (const graph::AdjEntry& a : g.adjacency(v)) {
+    local::NeighborView nv;
+    nv.cert = &cert_of(a.to);
+    nv.edge_weight = g.weight(a.edge);
+    if (mode == local::Visibility::kExtended) {
+      nv.state = &cfg.state(a.to);
+      nv.id = g.id(a.to);
+      nv.id_visible = true;
+    }
+    scratch.push_back(nv);
+  }
+  const local::VerifierContext ctx(g.id(v), cfg.state(v), cert_of(v), scratch,
+                                   mode, g.n());
+  return scheme.verify(ctx);
+}
+
 /// One node's single-round verdict.  `scratch` is caller-owned so sweeps
 /// reuse one allocation; the t-round engine calls this for plain (1-round)
 /// schemes, which is what makes run_verifier_t(_, _, _, 1) bit-for-bit equal

@@ -96,7 +96,8 @@ void GeometryStore::build_center(const graph::Graph& g,
 
   GeometryBuildVisitor visitor{
       this, &g, meta.member_begin, meta.adj_begin, {}, false, true};
-  graph::layered_bfs(g, center, t, scratch, frontier, visitor);
+  graph::layered_bfs(g, std::span<const graph::NodeIndex>(&center, 1), t,
+                     scratch, frontier, visitor);
   visitor.finish();
   meta.whole_component = visitor.whole;
 

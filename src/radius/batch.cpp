@@ -1,5 +1,6 @@
 #include "radius/batch.hpp"
 
+#include "graph/bfs_core.hpp"
 #include "obs/trace.hpp"
 #include "pls/engine.hpp"
 #include "util/assert.hpp"
@@ -40,6 +41,8 @@ BatchVerifier::BatchVerifier(const core::Scheme& scheme,
     metrics_.sweep_chunks = &m.counter("verify.sweep_chunks");
     metrics_.sweep_steals = &m.counter("verify.sweep_steals");
     metrics_.worker_busy = &m.histogram("verify.worker_busy_ns");
+    metrics_.witnesses = &m.counter("verify.witnesses");
+    metrics_.clean_centers = &m.counter("verify.clean_centers");
   }
 }
 
@@ -67,10 +70,34 @@ void BatchVerifier::parse_link(const core::Labeling& labeling) {
   // table persists in the verifier, so ANY full run leaves one a later
   // run_delta can relink against.
   link_.link(parsed_);
+  const std::optional<std::vector<graph::NodeIndex>> witnesses = memoize();
+  if (!witnesses.has_value()) {
+    clean_.assign(n, 0);  // no clean path: every center runs verify_ball
+    return;
+  }
+  // The clean set: every center farther than the scheme's radius from all
+  // witnesses, by one multi-source BFS from them.
+  PLS_TRACE_SPAN("parse.witness", witnesses->size());
+  clean_.assign(n, 1);
+  std::size_t clean = n;
+  if (!witnesses->empty()) {
+    graph::layered_bfs(cfg_.graph(), *witnesses, ball_scheme_->radius(),
+                       clean_scratch_, clean_frontier_, graph::ReachVisitor{});
+    for (const graph::NodeIndex v : clean_frontier_) clean_[v] = 0;
+    clean -= clean_frontier_.size();
+  }
+  if (metrics_.witnesses != nullptr) {
+    metrics_.witnesses->add(witnesses->size());
+    metrics_.clean_centers->add(clean);
+  }
+}
+
+std::optional<std::vector<graph::NodeIndex>> BatchVerifier::memoize() {
   // Memo phase: the scheme's per-labeling facts, valid for this link epoch
   // (until the next full link or re-seed, which memoizes again).
-  PLS_TRACE_SPAN("parse.memo", n);
-  ball_scheme_->memoize(parsed_);
+  PLS_TRACE_SPAN("parse.memo", cfg_.n());
+  PLS_FAILPOINT("radius.memo");
+  return ball_scheme_->memoize(cfg_.graph(), parsed_);
 }
 
 util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
@@ -111,6 +138,10 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
     std::shared_ptr<const GeometryBlock> block;
     for (std::size_t i = begin; i < end; ++i) {
       const graph::NodeIndex v = center_of(i);
+      if (clean_[v]) {
+        accept[v] = ball_scheme_->verify_memoized(cfg_, v, parsed_);
+        continue;
+      }
       if (block == nullptr || !block->covers(v))
         block = atlas_->block(g, radius, v);
       slot.view.bind(block->ball(v, radius), cfg_, labeling, mode);
@@ -237,11 +268,9 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
     link_.relink(parsed_, delta.touched);
     ++delta_stats_.links_incremental;
     delta_stats_.link_reseeds = link_.reseeds();
-    if (link_.reseeds() != reseeds) {
-      // The re-seed opened a new link epoch: memoize it, as a full run does.
-      PLS_TRACE_SPAN("parse.memo", n);
-      ball_scheme_->memoize(parsed_);
-    }
+    // A re-seed opens a new link epoch: memoize it, as a full run does.
+    // Its witnesses go unused, since a delta re-sweeps only dirty centers.
+    if (link_.reseeds() != reseeds) (void)memoize();
   }
 
   // Stage 3, dirty-center sweep: only centers whose decoding radius reaches
@@ -257,6 +286,10 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
     dirty = dirty_index_.collect(*atlas_, cfg_.graph(), dirty_radius,
                                  delta.touched);
   }
+  // Every dirty center's ball holds a touched node, whose fresh parse
+  // carries no memo: it leaves the clean set and re-sweeps on verify_ball.
+  if (ball_scheme_ != nullptr)
+    for (const graph::NodeIndex v : dirty) clean_[v] = 0;
   delta_stats_.centers_reswept += dirty.size();
   delta_stats_.verdicts_carried += n - dirty.size();
   {

@@ -15,17 +15,28 @@
 //                  memo pass (BallScheme::memoize) records per-labeling
 //                  facts every center would otherwise re-derive — for the
 //                  fragment spread, each region's prefix and its members'
-//                  base certificates.  Link and memo run on the calling
-//                  thread, each a pass over the n parses.  A memo lives
-//                  for one link epoch: every sweep reads it, and run_delta
+//                  base certificates — and reports the labeling's
+//                  witnesses (fragment_spread.hpp).  One multi-source BFS
+//                  from the witnesses, cut off at the scheme's radius,
+//                  then marks every center it does not reach *clean*.
+//                  Link, memo and clean set run on the calling thread:
+//                  link and clean set in O(n + m), the fragment spread's
+//                  memo and witnesses in O(t (n + m)).  A memo lives for
+//                  one link epoch: every sweep reads it, and run_delta
 //                  memoizes again whenever its relink re-seeds the table.
-//   3. SWEEP     — per-center verify_ball over geometry bound to the
-//                  labeling, fanned out over util::ThreadPool's chunked
-//                  work-stealing split (skewed ball sizes rebalance across
-//                  slots).  A full sweep's claim unit is one atlas block
-//                  (AtlasOptions::block_centers centers, one lookup each),
-//                  so concurrent slots build distinct cold blocks in
-//                  parallel and none waits on another's build.
+//                  The clean set is a full sweep's.
+//   3. SWEEP     — per-center verification fanned out over
+//                  util::ThreadPool's chunked work-stealing split (skewed
+//                  ball sizes rebalance across slots).  A clean center runs
+//                  BallScheme::verify_memoized: the base decoder on the
+//                  memoized certificates of its closed neighbourhood, with
+//                  no geometry.  Every other center looks its atlas block
+//                  up lazily, binds its ball and runs verify_ball, the
+//                  oracle.  A full sweep's claim unit is one atlas block
+//                  (AtlasOptions::block_centers centers, at most one lookup
+//                  each), so concurrent slots build distinct cold blocks in
+//                  parallel and none waits on another's build.  An honest
+//                  full run is all clean and builds no geometry.
 //
 // BatchVerifier is bound to one (scheme, configuration, t) and verifies any
 // number of labelings against it, one run_one call each: parse/link, then one
@@ -52,8 +63,10 @@
 // fresh ones; (c) resolves the dirty-center set through the reverse-ball
 // index (DirtyIndex, delta.hpp — ball symmetry served by the geometry atlas)
 // and sweeps only those over the pool, splicing carried-forward verdicts for
-// the clean centers.  Verdicts are bit-identical to a from-scratch run at
-// every thread count; DeltaStats is the observable proof that an empty
+// the other centers.  Each dirty center leaves the clean set first (its ball
+// holds a touched node, whose fresh parse has no memo), so a delta re-sweep
+// always runs verify_ball.  Verdicts are bit-identical to a from-scratch run
+// at every thread count; DeltaStats is the observable proof that an empty
 // delta does no stage work at all.  pls::core::attack feeds its hill-climb
 // steps through this path.
 //
@@ -67,6 +80,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -171,16 +185,24 @@ class BatchVerifier {
 
   /// Stage 2 into `parsed_`: parses every certificate over the pool (the
   /// cancel token polled at every chunk claim), then links and memoizes the
-  /// parses on the calling thread.
+  /// parses on the calling thread.  `clean_` becomes every center farther
+  /// than the scheme's radius from all witnesses — one multi-source BFS —
+  /// or no center, when the scheme has no clean path.
   void parse_link(const core::Labeling& labeling);
+  /// The memo pass that opens a link epoch (after a full link or a
+  /// re-seeding relink): the scheme memoizes `parsed_` and reports its
+  /// witnesses.
+  std::optional<std::vector<graph::NodeIndex>> memoize();
   /// The one stage-3 per-center verify body, shared by the full sweep and
   /// the dirty re-sweep: slot i of the returned range job verifies center
   /// centers[i] (or center i itself when `centers` is empty — the full
-  /// sweep) and writes that center's `accept_` byte.  A chunk looks a block
-  /// up again only where its centers leave the one it holds; since sweep()
-  /// cuts a ball scheme's full sweep into one atlas block per chunk, that
-  /// is one lookup per chunk there.  The captured references must outlive
-  /// the job's execution, and `accept_` must already have its final size.
+  /// sweep) and writes that center's `accept_` byte.  A clean center
+  /// (`clean_`) runs verify_memoized and looks nothing up.  Any other center
+  /// looks its block up lazily, again only where it leaves the block the
+  /// chunk holds; since sweep() cuts a ball scheme's full sweep into one
+  /// atlas block per chunk, that is at most one lookup per chunk there.
+  /// The captured references must outlive the job's execution, and
+  /// `accept_` must already have its final size.
   util::ThreadPool::RangeFn sweep_fn(const core::Labeling& labeling,
                                      std::span<const graph::NodeIndex> centers);
   /// Runs the stage-3 sweep over the pool and blocks until it completes:
@@ -216,6 +238,12 @@ class BatchVerifier {
   // mutates in place.
   std::vector<std::unique_ptr<ParsedCert>> parsed_;  ///< stage 2, per node
   std::vector<std::uint8_t> accept_;
+  /// Per center (ball schemes): 1 = clean, verified by verify_memoized.
+  /// Set by every full run's parse_link; run_delta clears its dirty
+  /// centers.  The BFS scratch keeps its capacity across runs.
+  std::vector<std::uint8_t> clean_;
+  graph::VisitEpochSet clean_scratch_;
+  std::vector<graph::NodeIndex> clean_frontier_;
   bool resident_valid_ = false;  ///< a resident labeling exists for deltas
 
   // Stage-2 link phase: the interning table every full run resets and every
@@ -243,6 +271,8 @@ class BatchVerifier {
     obs::Counter* sweep_chunks = nullptr;     ///< verify.sweep_chunks
     obs::Counter* sweep_steals = nullptr;     ///< verify.sweep_steals
     obs::Histogram* worker_busy = nullptr;    ///< verify.worker_busy_ns
+    obs::Counter* witnesses = nullptr;        ///< verify.witnesses
+    obs::Counter* clean_centers = nullptr;    ///< verify.clean_centers
   };
   StageMetrics metrics_;
 };

@@ -11,6 +11,15 @@ bool BallScheme::verify(const local::VerifierContext&) const {
       __FILE__, __LINE__);
 }
 
+bool BallScheme::verify_memoized(
+    const local::Configuration&, graph::NodeIndex,
+    std::span<const std::unique_ptr<ParsedCert>>) const {
+  util::contract_failure(
+      "precondition",
+      "verify_memoized runs only where memoize reported witnesses",
+      __FILE__, __LINE__);
+}
+
 std::vector<SchemeAttack> BallScheme::adversarial_labelings(
     const local::Configuration&, util::Rng&) const {
   return {};

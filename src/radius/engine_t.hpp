@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -66,9 +67,32 @@ class BallScheme : public core::Scheme {
   /// replace touched parses with fresh, unmemoized ones and keep the rest,
   /// so verify_ball may read a memo only where it provably equals what its
   /// own ball would give; a memo never changes a verdict.  Runs on the
-  /// verifier's one caller thread.  Default: nothing to memoize.
-  virtual void memoize(
-      std::span<const std::unique_ptr<ParsedCert>> /*parsed*/) const {}
+  /// verifier's one caller thread.
+  ///
+  /// It also reports the labeling's *witnesses* W: the nodes whose presence
+  /// in a ball can make verify_ball do anything but run its base decoder on
+  /// memoized certificates.  The contract a scheme signs by returning W:
+  /// for every center v with no node of W within distance radius() of v,
+  /// verify_ball(v) == verify_memoized(v),
+  /// as long as no parse in v's ball is replaced.  The verifier then runs
+  /// verify_memoized at every such *clean* center of a full sweep and
+  /// verify_ball, the oracle, at every other one; a delta re-sweeps its
+  /// dirty centers with verify_ball.  std::nullopt (the default) means the
+  /// scheme has no clean path: every center runs verify_ball.
+  virtual std::optional<std::vector<graph::NodeIndex>> memoize(
+      const graph::Graph& /*g*/,
+      std::span<const std::unique_ptr<ParsedCert>> /*parsed*/) const {
+    return std::nullopt;
+  }
+
+  /// The clean-path decoder of center v (see memoize): the verdict
+  /// verify_ball would give v, computed from the memoized parses alone — no
+  /// ball, no geometry.  Called only for centers memoize's witnesses leave
+  /// clean, from the parallel sweep, so it must be thread-safe.  Default:
+  /// unreachable, since the default memoize reports no clean path.
+  virtual bool verify_memoized(
+      const local::Configuration& cfg, graph::NodeIndex v,
+      std::span<const std::unique_ptr<ParsedCert>> parsed) const;
 
   /// Scheme-aware adversarial labelings for the attack suite: labelings
   /// that target the scheme's own structural invariants, beyond what the

@@ -5,6 +5,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "pls/engine.hpp"
 #include "radius/splice.hpp"
 #include "radius/spread_wire.hpp"
 #include "util/assert.hpp"
@@ -274,8 +275,10 @@ std::unique_ptr<ParsedCert> FragmentSpreadScheme::parse_cert(
   return std::make_unique<FragmentParsed>(std::move(*wire));
 }
 
-void FragmentSpreadScheme::memoize(
+std::optional<std::vector<graph::NodeIndex>> FragmentSpreadScheme::memoize(
+    const graph::Graph& g,
     std::span<const std::unique_ptr<ParsedCert>> parsed) const {
+  PLS_REQUIRE(parsed.size() == g.n());
   // The header's votes, each a Boyer-Moore majority vote (one pass, O(1)
   // state; it finds the majority whenever one exists): first each group's
   // k, then, among the parses carrying it, the link class at each residue
@@ -375,6 +378,89 @@ void FragmentSpreadScheme::memoize(
         p->memo->bases.data() + at[v],
         p->memo->prefix.bit_size() + p->wire.suffix.bit_size());
   }
+
+  // The witnesses (the header's (a)-(f)).  (a)-(d) are per node; the
+  // binding is the predicate verify_ball's `binds` applies, at the node's
+  // own id.  The passes after this one read each memoized node's k and
+  // residue from two byte arrays (k <= 32), not from its parse.
+  const std::size_t n = parsed.size();
+  std::vector<std::uint8_t> witness(n, 1);
+  std::vector<std::uint8_t> k_of(n, 0);  ///< 0: no memo, (a) or (b)
+  std::vector<std::uint8_t> residue(n, 0);
+  for (graph::NodeIndex v = 0; v < n; ++v) {
+    const auto* p = static_cast<const FragmentParsed*>(parsed[v].get());
+    if (p == nullptr || p->memo == nullptr) continue;  // (a), (b)
+    const FragmentWire& w = p->wire;
+    const graph::RawId id = g.id(v);
+    k_of[v] = static_cast<std::uint8_t>(w.k);
+    residue[v] = static_cast<std::uint8_t>(w.residue);
+    witness[v] = p->link_class != p->memo->classes[w.residue] ||      // (c)
+                 !(!w.named || w.region < id ||
+                   (w.region == id && w.residue == 0));               // (d)
+  }
+  // (e): memoized endpoints of an edge inside one group carry its k.
+  for (const graph::Edge& e : g.edges()) {
+    const unsigned k = k_of[e.u];
+    if (k == 0 || k_of[e.v] == 0 || group_of[e.u] != group_of[e.v]) continue;
+    const unsigned diff = (residue[e.u] + k - residue[e.v]) % k;
+    if (diff != 0 && diff != 1 && diff != k - 1) {
+      witness[e.u] = 1;
+      witness[e.v] = 1;
+    }
+  }
+
+  // (f), along paths inside a group: synchronous rounds of OR over the
+  // group's edges, from the members (a)-(e) left standing at their own
+  // residue, until every such member holds all k residues or t-1 rounds
+  // ran.  An in-group path is a graph path, so a residue it reaches within
+  // t-1 rounds lies within graph distance t-1.  O(t (n + m)) however the
+  // labeling is grouped.
+  const auto covering = [&](graph::NodeIndex v) {
+    return !witness[v] && k_of[v] >= 2;  // a k = 1 member covers itself
+  };
+  const auto all_of = [&](graph::NodeIndex v) {
+    return static_cast<std::uint32_t>((std::uint64_t{1} << k_of[v]) - 1);
+  };
+  std::vector<std::uint32_t> covered(n, 0);  ///< per node: residue bits
+  for (graph::NodeIndex v = 0; v < n; ++v)
+    if (covering(v)) covered[v] = 1u << residue[v];
+  std::vector<graph::Edge> inside;  ///< the edges inside one group
+  for (const graph::Edge& e : g.edges())
+    if (group_of[e.u] != kUnassigned && group_of[e.u] == group_of[e.v])
+      inside.push_back(e);
+  const auto any_short = [&] {
+    for (graph::NodeIndex v = 0; v < n; ++v)
+      if (covering(v) && covered[v] != all_of(v)) return true;
+    return false;
+  };
+  std::vector<std::uint32_t> next;
+  for (unsigned round = 1; round < t_ && any_short(); ++round) {
+    next = covered;
+    for (const graph::Edge& e : inside) {
+      next[e.u] |= covered[e.v];
+      next[e.v] |= covered[e.u];
+    }
+    covered.swap(next);
+  }
+  std::vector<graph::NodeIndex> witnesses;
+  for (graph::NodeIndex v = 0; v < n; ++v) {
+    if (covering(v)) witness[v] = covered[v] != all_of(v);
+    if (witness[v]) witnesses.push_back(v);
+  }
+  return witnesses;
+}
+
+bool FragmentSpreadScheme::verify_memoized(
+    const local::Configuration& cfg, graph::NodeIndex v,
+    std::span<const std::unique_ptr<ParsedCert>> parsed) const {
+  static thread_local std::vector<local::NeighborView> views;
+  const auto base_of = [parsed](graph::NodeIndex u)
+      -> const local::Certificate& {
+    const auto* p = static_cast<const FragmentParsed*>(parsed[u].get());
+    PLS_ASSERT(p != nullptr && p->base.has_value());
+    return *p->base;
+  };
+  return core::detail::verify_one_round_with(base_, cfg, v, base_of, views);
 }
 
 std::vector<SchemeAttack> FragmentSpreadScheme::adversarial_labelings(

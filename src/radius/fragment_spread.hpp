@@ -85,6 +85,72 @@
 //   * every resident memo comes from the epoch's one memoize() call, so
 //     parses with equal region ids share one memo.
 // The cache-less reference engine keeps the local path.
+//
+// The clean path.  Every check verify_ball runs is a predicate on one ball
+// member, on a pair of adjacent members, or on the coverage of a group the
+// ball requires; so one pass over the labeling can list the nodes that can
+// make any ball's check fail, and a ball holding none of them passes every
+// check.  memoize() lists these *witnesses* in the loops that group and
+// vote.  A node v is a witness when
+//   (a) its parse is malformed;
+//   (b) it carries no memo: its k is not its group's voted k, or its group
+//       got no memo;
+//   (c) its link class is not the memo's class at its residue;
+//   (d) it fails the region-id binding against its own id;
+//   (e) it is an endpoint of a graph edge inside its region group whose
+//       residues differ by more than one mod k;
+//   (f) it is not covered: some residue j < k of its group has no member
+//       that is a witness of none of (a)-(e) within t-1 hops along a path
+//       of group members.
+// Listing more nodes than a ball's checks need only makes more centers
+// run verify_ball, the oracle.  So (f) asks for a path inside the group,
+// not any graph path: t-1 rounds over the group's edges find it in
+// O(t (n + m)), where one BFS per (group, residue) would cost
+// O(n |B_{t-1}|) on a labeling of many small scattered groups.
+// The verifier runs verify_ball at every center within distance t of a
+// witness and verify_memoized — the base decoder on the memoized base
+// certificates of the center's closed neighbourhood N[v], read in v's
+// adjacency order — at every other, *clean*, center.
+//
+// Exactness.  Let v be clean, so its ball B holds no witness.  Then
+// verify_ball(v) runs as follows, and reaches the base decoder with the
+// bits verify_memoized hands it:
+//   * no member is malformed (a), so no early reject on a parse;
+//   * B groups its members by the same key memoize() groups the labeling,
+//     so each ball group is part of one labeling group G, and every member
+//     of it carries G's voted k (b): k agreement holds;
+//   * the center binds against its own id (d).  Under Extended visibility
+//     verify_ball also binds every id-visible member against that member's
+//     id — the same predicate (d) checked at every node against its own id,
+//     so (d) is a superset of it;
+//   * every member carries the memo's class at its residue (c), so two
+//     members of one group at one residue carry equal classes: chunk-class
+//     agreement holds;
+//   * every intra-ball edge is a graph edge, so (e), checked on every graph
+//     edge inside a group, is a superset of the ball's adjacency check;
+//   * a required group is the group of some u in N[v]; u is not a witness,
+//     so it is covered (f): each residue j < k of its group has a member w
+//     joined to u by a path of at most t-1 edges, hence dist(u, w) <= t-1,
+//     dist(v, w) <= t and w is in B.  The
+//     coverage check passes, and the representative verify_ball picks at
+//     each residue is a member of B, so it carries the memo's class c_j;
+//   * hence verify_ball takes every required group's prefix from its memo,
+//     and each 1-hop member's base certificate is its memoized one;
+//   * the t = 1 bridge makes ball layer 1 the 1-round view of v — the same
+//     members, in v's adjacency order, with the same edge weights (and, under
+//     Extended visibility, the same states and ids) — so the base decoder
+//     reads the same bits on both paths, and the verdicts agree.
+// Honest markings have no witnesses when the graph is connected: one
+// region, one k, one class per residue and the landmark id bind every
+// member, in-region BFS distances change by at most one across an edge, and
+// the landmark walk above covers every node at t-1 inside its region (it
+// walks at most max(k-1, 2k-3) <= t-1 hops).  On a disconnected graph the
+// unnamed regions of all components share one group, so the components the
+// vote leaves out are witnesses: their centers stay exact, on verify_ball.
+// The witnesses describe one link epoch: a delta's fresh parses carry no
+// memo, so the verifier re-sweeps every dirty center of a delta with
+// verify_ball; a re-seed's memo pass lists them again, and the verifier
+// leaves them unread.
 #pragma once
 
 #include <cstdint>
@@ -153,8 +219,16 @@ class FragmentSpreadScheme final : public BallScheme {
       const local::Certificate& cert) const override;
 
   /// The stage-2 memo described above: fills FragmentParsed::memo and
-  /// ::base.  `parsed` must be linked.
-  void memoize(
+  /// ::base, and returns the witnesses (a)-(f) in increasing node order.
+  /// `parsed` must be linked and hold one entry per node of `g`.
+  std::optional<std::vector<graph::NodeIndex>> memoize(
+      const graph::Graph& g,
+      std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
+
+  /// The clean path: the base decoder at v over the memoized base
+  /// certificates of N[v], built by the 1-round engine's view builder.
+  bool verify_memoized(
+      const local::Configuration& cfg, graph::NodeIndex v,
       std::span<const std::unique_ptr<ParsedCert>> parsed) const override;
 
   /// The splice suite (splice.hpp): two instances' markings stitched

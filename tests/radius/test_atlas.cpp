@@ -282,7 +282,9 @@ TEST(GeometryAtlas, KeyedByGraphEpochAcrossGraphs) {
 }
 
 // One atlas shared by two verifiers over the same configuration: the second
-// verifier's sweep is served entirely from cache.
+// verifier's sweep is served entirely from cache.  The labeling carries one
+// garbage certificate, so the centers near it are dirty and look their
+// geometry up (an honest full takes the clean path and builds none).
 TEST(GeometryAtlas, SharedAcrossVerifiers) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -290,18 +292,19 @@ TEST(GeometryAtlas, SharedAcrossVerifiers) {
   util::Rng rng(7006);
   auto g = share(graph::random_connected(26, 14, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
-  const core::Labeling honest = spread.mark(cfg);
+  core::Labeling tampered = spread.mark(cfg);
+  tampered.certs[5] = local::random_state(3, rng);  // malformed
 
   auto atlas = std::make_shared<GeometryAtlas>();
   BatchOptions options;
   options.threads = 1;
   options.atlas = atlas;
   BatchVerifier first(spread, cfg, 4, options);
-  const core::Verdict v1 = first.run_one(honest);
+  const core::Verdict v1 = first.run_one(tampered);
   const std::uint64_t misses_after_first = atlas->stats().misses;
 
   BatchVerifier second(spread, cfg, 4, options);
-  const core::Verdict v2 = second.run_one(honest);
+  const core::Verdict v2 = second.run_one(tampered);
   EXPECT_EQ(atlas->stats().misses, misses_after_first);
   EXPECT_GT(atlas->stats().hits, 0u);
   EXPECT_EQ(v1.accept(), v2.accept());

@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hpp"
 #include "radius/fragment_spread.hpp"
+#include "schemes/mst.hpp"
 #include "schemes/registry.hpp"
 #include "schemes/spanning_tree.hpp"
 #include "testing/helpers.hpp"
@@ -392,7 +393,9 @@ TEST(BatchVerifier, ParallelParseIsNotCountedAsASweep) {
 // size that leaves a ragged tail block (7 does not divide 50) and one
 // larger than the graph.  A cold run therefore builds every block and hits
 // none (no slot ever waits on another's build of the same block); a warm
-// rerun hits every block once.
+// rerun hits every block once.  Both labelings make every center dirty, so
+// every center looks its block up, and both verdicts mix accepts with
+// rejects, so a sweep that bound the wrong balls would not match them.
 TEST(BatchVerifier, ColdFullSweepLooksUpEachBlockOnce) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -400,12 +403,14 @@ TEST(BatchVerifier, ColdFullSweepLooksUpEachBlockOnce) {
   util::Rng rng(50910);
   auto g = share(graph::random_connected(50, 30, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
-  const Labeling honest = spread.mark(cfg);
-  Labeling tampered = honest;
-  tampered.certs[17] = local::random_state(40, rng);
-  const Verdict honest_oracle = run_verifier_t_baseline(spread, cfg, honest, 2);
-  const Verdict tampered_oracle =
-      run_verifier_t_baseline(spread, cfg, tampered, 2);
+  const Labeling first = pls::testing::beaconed_residues(spread, cfg, rng);
+  Labeling second = first;
+  second.certs[17] = local::random_state(40, rng);
+  const Verdict first_oracle = run_verifier_t_baseline(spread, cfg, first, 2);
+  const Verdict second_oracle = run_verifier_t_baseline(spread, cfg, second, 2);
+  EXPECT_TRUE(pls::testing::mixed(first_oracle));
+  EXPECT_TRUE(pls::testing::mixed(second_oracle));
+  EXPECT_NE(first_oracle.accept(), second_oracle.accept());
 
   const std::size_t n = cfg.n();
   for (const unsigned threads : {1u, 2u, 4u}) {
@@ -420,13 +425,13 @@ TEST(BatchVerifier, ColdFullSweepLooksUpEachBlockOnce) {
       const std::string label = "threads " + std::to_string(threads) +
                                 " block " + std::to_string(block);
 
-      EXPECT_EQ(verifier.run_one(honest).accept(), honest_oracle.accept())
+      EXPECT_EQ(verifier.run_one(first).accept(), first_oracle.accept())
           << label;
       const AtlasStats cold = verifier.atlas().stats();
       EXPECT_EQ(cold.misses, blocks) << label;
       EXPECT_EQ(cold.hits, 0u) << label;
 
-      EXPECT_EQ(verifier.run_one(tampered).accept(), tampered_oracle.accept())
+      EXPECT_EQ(verifier.run_one(second).accept(), second_oracle.accept())
           << label;
       const AtlasStats warm = verifier.atlas().stats().since(cold);
       EXPECT_EQ(warm.hits, blocks) << label;
@@ -438,6 +443,8 @@ TEST(BatchVerifier, ColdFullSweepLooksUpEachBlockOnce) {
 // The convoy gauge without a trace: a single verifier's cold 4-slot full
 // sweep builds distinct blocks on every slot, so its lookups spend no time
 // blocked on another slot's build while the builds themselves took time.
+// Every center of the labeling is dirty, so the sweep looks every block up;
+// its verdict mixes accepts with rejects.
 TEST(BatchVerifier, ColdFullSweepNeverWaitsOnAnotherSlotsBuild) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -445,18 +452,60 @@ TEST(BatchVerifier, ColdFullSweepNeverWaitsOnAnotherSlotsBuild) {
   util::Rng rng(50911);
   auto g = share(graph::random_connected(96, 60, rng));
   const local::Configuration cfg = language.sample_legal(g, rng);
+  const Labeling lab = pls::testing::beaconed_residues(spread, cfg, rng);
+  const Verdict oracle = run_verifier_t_baseline(spread, cfg, lab, 4);
+  EXPECT_TRUE(pls::testing::mixed(oracle));
 
   BatchOptions options;
   options.threads = 4;
   options.atlas = std::make_shared<GeometryAtlas>(
       AtlasOptions{.block_centers = 4});  // 24 blocks for 4 slots
   BatchVerifier verifier(spread, cfg, 4, options);
-  EXPECT_TRUE(verifier.run_one(spread.mark(cfg)).all_accept());
+  EXPECT_EQ(verifier.run_one(lab).accept(), oracle.accept());
 
   const AtlasStats stats = verifier.atlas().stats();
   EXPECT_EQ(stats.misses, 24u);
   EXPECT_EQ(stats.wait_ns, 0u);
   EXPECT_GT(stats.build_ns, 0u);
+}
+
+// An honest labeling has no witnesses, so a full run verifies every center
+// on the clean path: the base decoder over memoized certificates, with no
+// atlas lookup and no ball bound.  The verdict is still the reference
+// engine's.
+TEST(BatchVerifier, HonestFullRunTouchesNoGeometry) {
+  const schemes::StpLanguage stp_language;
+  const schemes::StpScheme stp(stp_language);
+  const schemes::MstLanguage mst_language;
+  const schemes::MstScheme mst(mst_language);
+  util::Rng rng(50912);
+  const auto check = [](const core::Scheme& base,
+                        const local::Configuration& cfg, unsigned t) {
+    const FragmentSpreadScheme spread(base, t);
+    const Labeling honest = spread.mark(cfg);
+    const Verdict oracle = run_verifier_t_baseline(spread, cfg, honest, t);
+    for (const unsigned threads :
+         {1u, 2u, util::ThreadPool::hardware_threads()}) {
+      SCOPED_TRACE(::testing::Message()
+                   << spread.name() << " threads " << threads);
+      obs::MetricsRegistry registry;
+      BatchOptions options = pls::testing::split_sweep_options(threads);
+      options.metrics = &registry;
+      BatchVerifier verifier(spread, cfg, t, options);
+      EXPECT_EQ(verifier.run_one(honest).accept(), oracle.accept());
+      const AtlasStats atlas = verifier.atlas().stats();
+      EXPECT_EQ(atlas.hits + atlas.misses, 0u);
+      const obs::MetricsSnapshot snap = registry.snapshot();
+      EXPECT_EQ(snap.counters.at("verify.clean_centers"), cfg.n());
+      EXPECT_EQ(snap.counters.at("verify.witnesses"), 0u);
+    }
+  };
+  check(stp, stp_language.sample_legal(share(graph::grid(10, 10)), rng), 4);
+  check(stp, stp_language.sample_legal(share(graph::grid(10, 10)), rng), 8);
+  check(mst,
+        mst_language.sample_legal(
+            share(graph::reweight_random(graph::grid(8, 8), rng)), rng),
+        4);
 }
 
 // verify.e2e_ns times the whole full run: stage 2 and the sweep window are

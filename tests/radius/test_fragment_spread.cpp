@@ -21,7 +21,9 @@ namespace pls::radius {
 namespace {
 
 using pls::testing::expect_complete_t;
+using pls::testing::path_rooted_at_end;
 using pls::testing::share;
+using pls::testing::stage_two;
 
 std::vector<detail::FragmentWire> parse_all(const core::Labeling& lab) {
   std::vector<detail::FragmentWire> wires;
@@ -441,33 +443,10 @@ TEST(FragmentSpread, ReassembleRejectsAChunkOneBitTooLong) {
 
 // --- The stage-2 memo (FragmentSpreadScheme::memoize) ----------------------
 
-/// Stage 2 by hand, as BatchVerifier runs it: parse, link, memoize.
-std::vector<std::unique_ptr<ParsedCert>> memoized_parses(
-    const FragmentSpreadScheme& spread, const core::Labeling& lab) {
-  std::vector<std::unique_ptr<ParsedCert>> parsed;
-  for (const local::Certificate& c : lab.certs)
-    parsed.push_back(spread.parse_cert(c));
-  detail::LinkTable link;
-  link.link(parsed);
-  spread.memoize(parsed);
-  return parsed;
-}
-
 const std::optional<local::Certificate>& memo_of(
     const std::vector<std::unique_ptr<ParsedCert>>& parsed,
     graph::NodeIndex v) {
   return static_cast<const FragmentParsed&>(*parsed[v]).base;
-}
-
-/// A spanning tree of path(n) rooted at its last node: node i points at
-/// node i+1.
-local::Configuration path_rooted_at_end(std::size_t n) {
-  auto g = share(graph::path(n));
-  std::vector<local::State> states;
-  for (graph::NodeIndex v = 0; v + 1 < n; ++v)
-    states.push_back(schemes::encode_pointer(g->id(v + 1)));
-  states.push_back(schemes::encode_pointer(std::nullopt));
-  return local::Configuration(g, std::move(states));
 }
 
 /// `lab` with the residue-`residue` chunk of every node in [begin, end)
@@ -500,7 +479,7 @@ TEST(FragmentSpread, MemoHoldsEveryHonestBaseCertificate) {
                  << base.name() << " t " << t << " n " << cfg.n());
     const FragmentSpreadScheme spread(base, t);
     const core::Labeling base_lab = base.mark(cfg);
-    const auto parsed = memoized_parses(spread, spread.mark(cfg));
+    const auto parsed = stage_two(spread, cfg, spread.mark(cfg)).parsed;
     for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
       const std::optional<local::Certificate>& memo = memo_of(parsed, v);
       ASSERT_TRUE(memo.has_value()) << "node " << v;
@@ -538,7 +517,7 @@ TEST(FragmentSpread, MemoIsReadOnlyWhereTheBallsClassesMatch) {
   ASSERT_EQ(touched.size(), 4u);
 
   const core::Labeling base_lab = base.mark(cfg);
-  const auto parsed = memoized_parses(spread, split);
+  const auto parsed = stage_two(spread, cfg, split).parsed;
   for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
     const std::optional<local::Certificate>& memo = memo_of(parsed, v);
     ASSERT_TRUE(memo.has_value()) << "node " << v;
@@ -579,7 +558,7 @@ TEST(FragmentSpread, MemoWaitsForTheBallsCoverageCheck) {
     wire->chunk = residue0->chunk;
     flat.certs[v] = detail::encode_fragment_wire(*wire);
   }
-  EXPECT_TRUE(memo_of(memoized_parses(spread, flat), 0).has_value());
+  EXPECT_TRUE(memo_of(stage_two(spread, cfg, flat).parsed, 0).has_value());
 
   const core::Verdict oracle = run_verifier_t_baseline(spread, cfg, flat, 4);
   EXPECT_FALSE(oracle.accept()[0]);

@@ -110,12 +110,16 @@ TEST_F(Chaos, ColdBlockSweepFaultRetriesExact) {
   // drops its resident state, while the blocks the other claims built stay
   // admitted.  The retry on the same verifier (and so the same pool) is
   // verdict-exact and builds only what the faulted sweep never admitted.
+  // Every center of the labeling is dirty, so the sweep looks every block
+  // up (an honest full takes the clean path and builds no geometry), and
+  // its verdict mixes accepts with rejects.
   const radius::FragmentSpreadScheme spread(scheme, 2);
   auto grid = share(graph::grid(8, 8));
   const local::Configuration grid_cfg = language.sample_legal(grid, rng);
-  const Labeling lab = spread.mark(grid_cfg);
+  const Labeling lab = pls::testing::beaconed_residues(spread, grid_cfg, rng);
   const core::Verdict oracle =
       radius::run_verifier_t_baseline(spread, grid_cfg, lab, 2);
+  EXPECT_TRUE(pls::testing::mixed(oracle));
   constexpr std::uint32_t kBlock = 4;
   const std::uint64_t blocks = (grid_cfg.n() + kBlock - 1) / kBlock;
 
@@ -159,9 +163,11 @@ TEST_F(Chaos, ColdBlockSweepFaultRetriesExact) {
 TEST_F(Chaos, InjectedFaultFailsTheRequestNotTheServer) {
   // A t = 2 ball scheme: only ball schemes consult the atlas, so this is
   // the tenant whose sweep the injected build fault can reach (a plain
-  // 1-round scheme never builds geometry).
+  // 1-round scheme never builds geometry).  Only dirty centers look
+  // geometry up, so the faulted full makes every center dirty.
   const radius::FragmentSpreadScheme spread(scheme, 2);
   const Labeling spread_honest = spread.mark(cfg);
+  const Labeling dirty = pls::testing::beaconed_residues(spread, cfg, rng);
   obs::MetricsRegistry metrics;
   ServerOptions options;
   options.threads = 1;
@@ -176,8 +182,7 @@ TEST_F(Chaos, InjectedFaultFailsTheRequestNotTheServer) {
                                  .probability = 1.0,
                                  .seed = 3,
                                  .max_fires = 1});
-  server.submit(frame_of(encode_full(id, epoch, 2, spread_honest)),
-                Server::now_ns());
+  server.submit(frame_of(encode_full(id, epoch, 2, dirty)), Server::now_ns());
   const std::optional<Server::Response> faulted = server.serve_next();
   ASSERT_TRUE(faulted.has_value());
   EXPECT_FALSE(faulted->wire_ok);
@@ -215,15 +220,16 @@ TEST_F(Chaos, InjectedFaultFailsTheRequestNotTheServer) {
 }
 
 /// One bad_alloc armed at `site`, during a served full frame (when the site
-/// is on the full path) and then during a served delta.  Each faulted
-/// request must come back kFaulted and count exactly one serve.faults; the
-/// base dies with it, releasing its frame, so the next delta is cancelled by
-/// name; and the next full frame serves a verdict bit-identical to a
-/// fault-free oracle at the same thread count.  Checked at threads
+/// is on the full path) and then during a served delta (when the site is on
+/// the delta path).  Each faulted request must come back kFaulted and count
+/// exactly one serve.faults; the base dies with it, releasing its frame, so
+/// the next delta is cancelled by name; and the next full frame serves a
+/// verdict bit-identical to run_verifier_t_baseline.  Checked at threads
 /// {1, 2, hw}.
 void expect_fault_contained(const char* site, const core::Scheme& served,
                             unsigned t, const local::Configuration& cfg,
-                            util::Rng& rng, bool full_hits_site) {
+                            util::Rng& rng, bool full_hits_site,
+                            bool delta_hits_site = true) {
   const Labeling honest = served.mark(cfg);
   // The recovery full carries a tampered certificate, so the oracle
   // comparison covers rejecting verdicts too.
@@ -234,14 +240,12 @@ void expect_fault_contained(const char* site, const core::Scheme& served,
   const std::vector<graph::NodeIndex> touched = {3};
   const std::uint64_t epoch = cfg.graph().epoch();
   const auto n = static_cast<std::uint32_t>(cfg.n());
+  const std::vector<bool> expected =
+      radius::run_verifier_t_baseline(served, cfg, tampered, t).accept();
 
   for (const unsigned threads :
        {1u, 2u, util::ThreadPool::hardware_threads()}) {
     SCOPED_TRACE(::testing::Message() << site << " threads " << threads);
-    radius::BatchOptions oracle_options;
-    oracle_options.threads = threads;
-    radius::BatchVerifier oracle(served, cfg, t, oracle_options);
-    const std::vector<bool> expected = oracle.run_one(tampered).accept();
 
     obs::MetricsRegistry metrics;
     ServerOptions options;
@@ -299,6 +303,7 @@ void expect_fault_contained(const char* site, const core::Scheme& served,
 
     // During a served delta, behind a resident full whose frame is released
     // with the lost base.
+    if (!delta_hits_site) continue;
     ASSERT_TRUE(serve(encode_full(id, epoch, t, honest)).wire_ok);
     const auto base_frame = last_frame;
     EXPECT_FALSE(base_frame.expired());
@@ -319,6 +324,13 @@ TEST_F(Chaos, ParseFaultFailsTheRequestAndLosesOnlyTheBase) {
 TEST_F(Chaos, LinkFaultFailsTheRequestAndLosesOnlyTheBase) {
   const radius::FragmentSpreadScheme spread(scheme, 2);
   expect_fault_contained("radius.link", spread, 2, cfg, rng, true);
+}
+
+// The memo pass (memo, witnesses, clean set) opens a link epoch: every full
+// run reaches it, a delta only when its relink re-seeds the link table.
+TEST_F(Chaos, MemoFaultFailsTheRequestAndLosesOnlyTheBase) {
+  const radius::FragmentSpreadScheme spread(scheme, 2);
+  expect_fault_contained("radius.memo", spread, 2, cfg, rng, true, false);
 }
 
 // The server's per-delta certificate copy runs for every scheme; fulls never
@@ -534,6 +546,7 @@ TEST_F(Chaos, OneTenantsFaultAndCancellationLeaveTheSharedPoolUsable) {
   auto big = share(graph::grid(16, 16));
   const local::Configuration a_cfg = language.sample_legal(big, rng);
   const Labeling a_honest = spread.mark(a_cfg);
+  const Labeling a_dirty = pls::testing::beaconed_residues(spread, a_cfg, rng);
   const std::uint64_t a_epoch = a_cfg.graph().epoch();
   const Labeling b_honest = spread.mark(cfg);
   Labeling b_tampered = b_honest;
@@ -569,13 +582,14 @@ TEST_F(Chaos, OneTenantsFaultAndCancellationLeaveTheSharedPoolUsable) {
     };
     expect_b_exact(b_honest);
 
-    // A's first full builds its geometry; one build faults.
+    // A's first full builds its geometry (every center of it is dirty);
+    // one build faults.
     failpoint::arm("radius.atlas.build",
                    failpoint::Plan{.action = failpoint::Action::kError,
                                    .probability = 1.0,
                                    .seed = 3,
                                    .max_fires = 1});
-    const Server::Response faulted = serve(encode_full(a, a_epoch, 2, a_honest));
+    const Server::Response faulted = serve(encode_full(a, a_epoch, 2, a_dirty));
     EXPECT_EQ(failpoint::fires("radius.atlas.build"), 1u);
     failpoint::disarm("radius.atlas.build");
     EXPECT_EQ(faulted.rejection.kind, RejectKind::kFaulted);
