@@ -46,6 +46,7 @@
 //                         exceeds R
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -153,7 +154,11 @@ struct RunResult {
   double closed_loop_per_sec = 0.0;
   double window_s = 0.0;
   std::vector<TenantResult> tenants;
-  double p99_ratio = 0.0;  ///< max p99 / min p99
+  double p99_ratio = 0.0;  ///< max p99 / min p99, over bucket edges
+  /// The tenants' best and worst p99 bucket edges, in integer ns: the
+  /// p99-ratio gate compares these, not the rounded quotient above.
+  std::uint64_t best_p99_edge_ns = 0;
+  std::uint64_t worst_p99_edge_ns = 0;
   radius::AtlasStats atlas;
   bool verdicts_identical = false;
 };
@@ -250,7 +255,12 @@ RunResult run_open_loop(const std::vector<TenantPlan>& plans,
 
   // Per-tenant latency: the server's own serve.latency_ns.<name> histograms.
   const obs::MetricsSnapshot snap = registry.snapshot();
-  double best_p99 = 0.0, worst_p99 = 0.0;
+  // A histogram quantile is its bucket's inclusive upper bound, one below
+  // the bucket's edge.  Edge ratios are exact (3 * 2^22 over 2^22 is 3),
+  // while the bounds' ratio overshoots by 2 / (2^22 - 1) — a p99 ratio
+  // "3.000 > 3.000" — so the ratio and its gate read the edges.
+  std::uint64_t& best_p99 = result.best_p99_edge_ns;
+  std::uint64_t& worst_p99 = result.worst_p99_edge_ns;
   for (const TenantPlan& p : plans) {
     const obs::HistogramSnapshot& h =
         snap.histograms.at("serve.latency_ns." + p.name);
@@ -260,16 +270,20 @@ RunResult run_open_loop(const std::vector<TenantPlan>& plans,
     tr.t = p.t;
     tr.requests = h.count;
     tr.p50_ms = static_cast<double>(h.quantile(0.5)) / 1e6;
-    tr.p99_ms = static_cast<double>(h.quantile(0.99)) / 1e6;
+    const std::uint64_t p99_ns = h.quantile(0.99);
+    tr.p99_ms = static_cast<double>(p99_ns) / 1e6;
     tr.mean_ms = h.count == 0 ? 0.0
                               : static_cast<double>(h.sum) /
                                     (1e6 * static_cast<double>(h.count));
     PLS_REQUIRE(tr.requests == p.frames.size());
-    best_p99 = best_p99 == 0.0 ? tr.p99_ms : std::min(best_p99, tr.p99_ms);
-    worst_p99 = std::max(worst_p99, tr.p99_ms);
+    const std::uint64_t edge = p99_ns + 1;
+    best_p99 = best_p99 == 0 ? edge : std::min(best_p99, edge);
+    worst_p99 = std::max(worst_p99, edge);
     result.tenants.push_back(std::move(tr));
   }
-  result.p99_ratio = best_p99 > 0.0 ? worst_p99 / best_p99 : 0.0;
+  result.p99_ratio = best_p99 > 0 ? static_cast<double>(worst_p99) /
+                                        static_cast<double>(best_p99)
+                                  : 0.0;
 
   // Verdict identity: replay every tenant's stream through a fresh
   // in-memory BatchVerifier (own default atlas, same thread count) and
@@ -747,9 +761,17 @@ int main(int argc, char** argv) {
   }
 
   if (require_p99_ratio > 0.0) {
-    if (result.p99_ratio > require_p99_ratio) {
+    // worst > R * best on the integer edges, not worst / best > R: the
+    // product of R and an integer below 2^53 is exact, so a ratio that
+    // lands on the bound passes instead of failing by the quotient's
+    // rounding.
+    if (static_cast<double>(result.worst_p99_edge_ns) >
+        require_p99_ratio * static_cast<double>(result.best_p99_edge_ns)) {
       std::cerr << "FAIL: tenant p99 ratio " << fixed3(result.p99_ratio)
-                << " > allowed " << fixed3(require_p99_ratio) << "\n";
+                << " > allowed " << fixed3(require_p99_ratio)
+                << " (p99 bucket edges " << result.worst_p99_edge_ns
+                << " ns > " << fixed3(require_p99_ratio) << " x "
+                << result.best_p99_edge_ns << " ns)\n";
       return 1;
     }
     std::cerr << "tenant p99 ratio " << result.p99_ratio << " <= allowed "

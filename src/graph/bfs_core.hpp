@@ -7,8 +7,9 @@
 // geometry atlas makes ball geometry a cached, shared artifact, so there must
 // be exactly one definition of "the layered BFS order from a root" — this
 // header is it.  Both callers drive `layered_bfs` below; what differs is only
-// the visitor they plug in.  So does stage 2's clean set (radius/batch.hpp):
-// the same driver, started from a set of roots.
+// the visitor they plug in.  So do stage 2's clean set and the delta path's
+// dirty set (radius/batch.hpp): the same layered_bfs, started from a set of
+// roots.
 //
 // VisitEpochSet is the O(1)-reset membership structure: each node carries the
 // epoch of its last visit plus a payload slot (its discovery index).  Bumping

@@ -1,5 +1,7 @@
 #include "radius/batch.hpp"
 
+#include <algorithm>
+
 #include "graph/bfs_core.hpp"
 #include "obs/trace.hpp"
 #include "pls/engine.hpp"
@@ -70,7 +72,13 @@ void BatchVerifier::parse_link(const core::Labeling& labeling) {
   // table persists in the verifier, so ANY full run leaves one a later
   // run_delta can relink against.
   link_.link(parsed_);
-  const std::optional<std::vector<graph::NodeIndex>> witnesses = memoize();
+  // Memo phase: the scheme's per-labeling facts and witnesses, read only by
+  // this run's sweep.
+  const std::optional<std::vector<graph::NodeIndex>> witnesses = [&] {
+    PLS_TRACE_SPAN("parse.memo", n);
+    PLS_FAILPOINT("radius.memo");
+    return ball_scheme_->memoize(cfg_.graph(), parsed_);
+  }();
   if (!witnesses.has_value()) {
     clean_.assign(n, 0);  // no clean path: every center runs verify_ball
     return;
@@ -82,22 +90,14 @@ void BatchVerifier::parse_link(const core::Labeling& labeling) {
   std::size_t clean = n;
   if (!witnesses->empty()) {
     graph::layered_bfs(cfg_.graph(), *witnesses, ball_scheme_->radius(),
-                       clean_scratch_, clean_frontier_, graph::ReachVisitor{});
-    for (const graph::NodeIndex v : clean_frontier_) clean_[v] = 0;
-    clean -= clean_frontier_.size();
+                       reach_seen_, reached_, graph::ReachVisitor{});
+    for (const graph::NodeIndex v : reached_) clean_[v] = 0;
+    clean -= reached_.size();
   }
   if (metrics_.witnesses != nullptr) {
     metrics_.witnesses->add(witnesses->size());
     metrics_.clean_centers->add(clean);
   }
-}
-
-std::optional<std::vector<graph::NodeIndex>> BatchVerifier::memoize() {
-  // Memo phase: the scheme's per-labeling facts, valid for this link epoch
-  // (until the next full link or re-seed, which memoizes again).
-  PLS_TRACE_SPAN("parse.memo", cfg_.n());
-  PLS_FAILPOINT("radius.memo");
-  return ball_scheme_->memoize(cfg_.graph(), parsed_);
 }
 
 util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
@@ -264,28 +264,29 @@ core::Verdict BatchVerifier::run_delta(const core::Labeling& next,
       parsed_[v] = ball_scheme_->parse_cert(next.certs[v]);
     }
     delta_stats_.certs_reparsed += delta.touched.size();
-    const std::uint64_t reseeds = link_.reseeds();
     link_.relink(parsed_, delta.touched);
     ++delta_stats_.links_incremental;
     delta_stats_.link_reseeds = link_.reseeds();
-    // A re-seed opens a new link epoch: memoize it, as a full run does.
-    // Its witnesses go unused, since a delta re-sweeps only dirty centers.
-    if (link_.reseeds() != reseeds) (void)memoize();
   }
 
   // Stage 3, dirty-center sweep: only centers whose decoding radius reaches
   // a touched node can change verdict; everyone else's is spliced from the
-  // resident bytes untouched.  Plain 1-round decoders read layer 1 only, so
-  // their dirty radius is 1 whatever t the verifier is bound to.
+  // resident bytes untouched.  Hop distance is symmetric, so the dirty
+  // centers are the nodes within that radius of a touched node: one
+  // multi-source BFS, like the clean set's.  Plain 1-round decoders read
+  // layer 1 only, so their dirty radius is 1 whatever t the verifier is
+  // bound to.  Sorted, so each contiguous sweep chunk walks its atlas blocks
+  // in index order.
   const unsigned dirty_radius =
       ball_scheme_ != nullptr ? ball_scheme_->radius() : 1u;
-  std::span<const graph::NodeIndex> dirty;
   {
     PLS_TRACE_SPAN("delta.collect", delta.touched.size());
     obs::ScopedTimer collect_timer(metrics_.delta_collect);
-    dirty = dirty_index_.collect(*atlas_, cfg_.graph(), dirty_radius,
-                                 delta.touched);
+    graph::layered_bfs(cfg_.graph(), delta.touched, dirty_radius, reach_seen_,
+                       reached_, graph::ReachVisitor{});
+    std::sort(reached_.begin(), reached_.end());
   }
+  const std::span<const graph::NodeIndex> dirty = reached_;
   // Every dirty center's ball holds a touched node, whose fresh parse
   // carries no memo: it leaves the clean set and re-sweeps on verify_ball.
   if (ball_scheme_ != nullptr)

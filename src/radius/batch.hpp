@@ -21,10 +21,8 @@
 //                  then marks every center it does not reach *clean*.
 //                  Link, memo and clean set run on the calling thread:
 //                  link and clean set in O(n + m), the fragment spread's
-//                  memo and witnesses in O(t (n + m)).  A memo lives for
-//                  one link epoch: every sweep reads it, and run_delta
-//                  memoizes again whenever its relink re-seeds the table.
-//                  The clean set is a full sweep's.
+//                  memo and witnesses in O(t (n + m)).  Memo and clean set
+//                  are the full run's own: only its sweep reads them.
 //   3. SWEEP     — per-center verification fanned out over
 //                  util::ThreadPool's chunked work-stealing split (skewed
 //                  ball sizes rebalance across slots).  A clean center runs
@@ -60,13 +58,14 @@
 // the resident parse cache, carrying every clean entry forward across the
 // labeling boundary; (b) re-links them incrementally through the verifier's
 // LinkTable — stable class ids keep carried-forward parses comparable with
-// fresh ones; (c) resolves the dirty-center set through the reverse-ball
-// index (DirtyIndex, delta.hpp — ball symmetry served by the geometry atlas)
-// and sweeps only those over the pool, splicing carried-forward verdicts for
-// the other centers.  Each dirty center leaves the clean set first (its ball
-// holds a touched node, whose fresh parse has no memo), so a delta re-sweep
-// always runs verify_ball.  Verdicts are bit-identical to a from-scratch run
-// at every thread count; DeltaStats is the observable proof that an empty
+// fresh ones; (c) resolves the dirty-center set — every center within the
+// decoding radius of a touched node, by one multi-source BFS from the
+// touched nodes (hop distance is symmetric) — and sweeps only those over the
+// pool, splicing carried-forward verdicts for the other centers.  Each dirty
+// center leaves the clean set first (its ball holds a touched node, whose
+// fresh parse has no memo), so a delta re-sweep always runs verify_ball and
+// reads no memo.  Verdicts are bit-identical to a from-scratch run at every
+// thread count; DeltaStats is the observable proof that an empty
 // delta does no stage work at all.  pls::core::attack feeds its hill-climb
 // steps through this path.
 //
@@ -80,7 +79,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -189,10 +187,6 @@ class BatchVerifier {
   /// than the scheme's radius from all witnesses — one multi-source BFS —
   /// or no center, when the scheme has no clean path.
   void parse_link(const core::Labeling& labeling);
-  /// The memo pass that opens a link epoch (after a full link or a
-  /// re-seeding relink): the scheme memoizes `parsed_` and reports its
-  /// witnesses.
-  std::optional<std::vector<graph::NodeIndex>> memoize();
   /// The one stage-3 per-center verify body, shared by the full sweep and
   /// the dirty re-sweep: slot i of the returned range job verifies center
   /// centers[i] (or center i itself when `centers` is empty — the full
@@ -240,17 +234,18 @@ class BatchVerifier {
   std::vector<std::uint8_t> accept_;
   /// Per center (ball schemes): 1 = clean, verified by verify_memoized.
   /// Set by every full run's parse_link; run_delta clears its dirty
-  /// centers.  The BFS scratch keeps its capacity across runs.
+  /// centers.
   std::vector<std::uint8_t> clean_;
-  graph::VisitEpochSet clean_scratch_;
-  std::vector<graph::NodeIndex> clean_frontier_;
+  /// The multi-source BFS behind both the clean set and a delta's dirty
+  /// set: its visited marks and the nodes it reached.  Both keep their
+  /// capacity across runs.
+  graph::VisitEpochSet reach_seen_;
+  std::vector<graph::NodeIndex> reached_;
   bool resident_valid_ = false;  ///< a resident labeling exists for deltas
 
   // Stage-2 link phase: the interning table every full run resets and every
-  // delta relinks against (parse_link.hpp).  Delta-path machinery: the
-  // reverse-ball index.
+  // delta relinks against (parse_link.hpp).
   detail::LinkTable link_;
-  DirtyIndex dirty_index_;
   DeltaStats delta_stats_;
 
   // Cooperative cancellation token (see set_cancel); caller-thread-only

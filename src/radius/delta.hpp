@@ -11,27 +11,14 @@
 // that cashes it in.  BatchVerifier::run_delta re-parses only the mutated
 // certificates, re-links them with stable interned class ids, re-sweeps only
 // the *dirty* centers, and splices the carried-forward verdicts of every
-// clean center.
-//
-// DirtyIndex is the reverse-ball index of that pipeline: which centers'
-// radius-r balls contain a given node?  Hop distance is symmetric, so the
-// answer is exactly the node's own forward ball — the same layer-partitioned
-// geometry the GeometryAtlas already caches per (graph epoch, radius, block).
-// The index therefore derives the dirty set by reading ball membership from
-// the atlas (each touched node is itself a dirty center of its own block, so
-// a lookup never builds geometry the sweep won't want), deduplicating with
-// an epoch-stamped visited set, and handing back the centers sorted — so
-// each contiguous chunk the work-stealing sweep claims walks its atlas
-// blocks in order.  At r = 1 the ball is the closed neighborhood and the
-// graph's adjacency answers directly, with no geometry at all (the plain
-// 1-round schemes' path).
+// other center.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "radius/atlas.hpp"
+#include "graph/graph.hpp"
+#include "pls/certificate.hpp"
 
 namespace pls::radius {
 
@@ -63,25 +50,6 @@ struct DeltaStats {
                                        ///< (intern-table epoch resets)
   std::uint64_t centers_reswept = 0;   ///< stage-3 verify calls by delta runs
   std::uint64_t verdicts_carried = 0;  ///< clean centers spliced, not swept
-};
-
-/// Reverse-ball index over one graph: resolves a mutation set to the sorted,
-/// deduplicated list of dirty centers (centers whose radius-r ball contains
-/// a touched node).  Holds only epoch-stamped scratch; the geometry itself
-/// stays in the atlas, shared with the sweep.
-class DirtyIndex {
- public:
-  /// Dirty centers of `touched` at radius r >= 1.  The returned span aliases
-  /// index-internal storage: valid until the next collect() call.
-  std::span<const graph::NodeIndex> collect(
-      GeometryAtlas& atlas, const graph::Graph& g, unsigned r,
-      std::span<const graph::NodeIndex> touched);
-
- private:
-  void add(graph::NodeIndex center);
-
-  graph::VisitEpochSet seen_;  ///< dedupe marks, O(1) reset per collect
-  std::vector<graph::NodeIndex> dirty_;
 };
 
 }  // namespace pls::radius

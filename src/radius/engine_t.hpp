@@ -60,14 +60,13 @@ class BallScheme : public core::Scheme {
   virtual std::unique_ptr<ParsedCert> parse_cert(
       const local::Certificate& cert) const = 0;
 
-  /// Stage 2's memo pass, run once per link epoch (parse_link.hpp) right
-  /// after the full link or re-seed that opens it: records in the linked
-  /// parses (`parsed`, null = malformed) facts that every center would
-  /// otherwise re-derive from its own ball.  Later deltas in the epoch
-  /// replace touched parses with fresh, unmemoized ones and keep the rest,
-  /// so verify_ball may read a memo only where it provably equals what its
-  /// own ball would give; a memo never changes a verdict.  Runs on the
-  /// verifier's one caller thread.
+  /// Stage 2's memo pass, run once per full run right after its link:
+  /// records in the linked parses (`parsed`, null = malformed) facts that
+  /// every center would otherwise re-derive from its own ball, for
+  /// verify_memoized to read in that run's sweep.  verify_ball never reads
+  /// them: it stays a function of its ball's certificates, the oracle
+  /// verify_memoized is checked against.  Runs on the verifier's one caller
+  /// thread.
   ///
   /// It also reports the labeling's *witnesses* W: the nodes whose presence
   /// in a ball can make verify_ball do anything but run its base decoder on

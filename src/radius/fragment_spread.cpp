@@ -249,12 +249,8 @@ struct VerifyScratch {
   std::vector<std::uint32_t> rep_of;        ///< per slot: member index
   std::vector<std::uint8_t> required;       ///< per group
   std::vector<const util::BitString*> chunk_of;
-  std::vector<const FragmentParsed*> hop1_parse;  ///< per 1-hop member
-  std::vector<const RegionMemo*> memo_of;   ///< per group
-  std::vector<util::BitString> reassembled; ///< per group (no memo only)
-  std::vector<const util::BitString*> prefix_of;  ///< per group
-  std::vector<local::Certificate> rebuilt;
-  std::vector<const local::Certificate*> certs;    ///< per 1-hop member
+  std::vector<util::BitString> prefix_of;   ///< per group (required only)
+  std::vector<local::Certificate> rebuilt;  ///< per 1-hop member
   std::vector<local::NeighborView> views;
 };
 
@@ -288,8 +284,9 @@ std::optional<std::vector<graph::NodeIndex>> FragmentSpreadScheme::memoize(
     std::size_t k_lead = 0;
     std::vector<const FragmentParsed*> rep;  ///< per residue
     std::vector<std::size_t> lead;           ///< per residue
-    std::shared_ptr<RegionMemo> memo;
+    std::optional<util::BitString> prefix;   ///< the reps' chunks, stitched
     util::BitWriter bases;
+    std::shared_ptr<const RegionMemo> memo;
   };
   std::vector<Vote> votes;
   RegionGroups groups;
@@ -333,18 +330,13 @@ std::optional<std::vector<graph::NodeIndex>> FragmentSpreadScheme::memoize(
   // chunks reassemble.
   std::vector<const util::BitString*> chunks;
   for (Vote& vote : votes) {
-    auto memo = std::make_shared<RegionMemo>();
     chunks.clear();
     for (const FragmentParsed* rep : vote.rep) {
       if (rep == nullptr) break;
-      memo->classes.push_back(rep->link_class);
       chunks.push_back(&rep->wire.chunk);
     }
-    if (chunks.size() != vote.k) continue;
-    auto prefix = detail::reassemble_chunks(chunks);
-    if (!prefix) continue;
-    memo->prefix = std::move(*prefix);
-    vote.memo = std::move(memo);
+    if (chunks.size() == vote.k)
+      vote.prefix = detail::reassemble_chunks(chunks);
   }
 
   // Each member's base certificate, once, written byte-aligned into its
@@ -355,13 +347,13 @@ std::optional<std::vector<graph::NodeIndex>> FragmentSpreadScheme::memoize(
     if (group_of[v] == kUnassigned) return nullptr;
     const Vote& vote = votes[group_of[v]];
     auto* p = static_cast<FragmentParsed*>(parsed[v].get());
-    return vote.memo != nullptr && p->wire.k == vote.k ? p : nullptr;
+    return vote.prefix.has_value() && p->wire.k == vote.k ? p : nullptr;
   };
   for (std::size_t v = 0; v < parsed.size(); ++v) {
     const FragmentParsed* p = member(v);
     if (p == nullptr) continue;
     Vote& vote = votes[group_of[v]];
-    const util::BitString& prefix = vote.memo->prefix;
+    const util::BitString& prefix = *vote.prefix;
     at[v] = vote.bases.bit_size() / 8;
     vote.bases.write_bits(prefix.data(), prefix.bit_size());
     vote.bases.write_bits(p->wire.suffix.data(), p->wire.suffix.bit_size());
@@ -369,14 +361,17 @@ std::optional<std::vector<graph::NodeIndex>> FragmentSpreadScheme::memoize(
                                  (8 - vote.bases.bit_size() % 8) % 8));
   }
   for (Vote& vote : votes)
-    if (vote.memo != nullptr) vote.memo->bases = vote.bases.take_bytes();
+    if (vote.prefix.has_value())
+      vote.memo = std::make_shared<const RegionMemo>(
+          RegionMemo{vote.bases.take_bytes()});
   for (std::size_t v = 0; v < parsed.size(); ++v) {
     FragmentParsed* p = member(v);
     if (p == nullptr) continue;
-    p->memo = votes[group_of[v]].memo;
+    const Vote& vote = votes[group_of[v]];
+    p->memo = vote.memo;
     p->base = util::BitString::aliasing(
         p->memo->bases.data() + at[v],
-        p->memo->prefix.bit_size() + p->wire.suffix.bit_size());
+        vote.prefix->bit_size() + p->wire.suffix.bit_size());
   }
 
   // The witnesses (the header's (a)-(f)).  (a)-(d) are per node; the
@@ -394,7 +389,8 @@ std::optional<std::vector<graph::NodeIndex>> FragmentSpreadScheme::memoize(
     const graph::RawId id = g.id(v);
     k_of[v] = static_cast<std::uint8_t>(w.k);
     residue[v] = static_cast<std::uint8_t>(w.residue);
-    witness[v] = p->link_class != p->memo->classes[w.residue] ||      // (c)
+    const std::uint32_t voted = votes[group_of[v]].rep[w.residue]->link_class;
+    witness[v] = p->link_class != voted ||                            // (c)
                  !(!w.named || w.region < id ||
                    (w.region == id && w.residue == 0));               // (d)
   }
@@ -595,14 +591,11 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
   const std::size_t hop1 = 1 + layer1.size();
 
   // Certificates of the ball, parsed at most once per node; the cache path
-  // carries the interned chunk-class ids and the 1-hop members' stage-2
-  // memos.
+  // carries the interned chunk-class ids.
   std::vector<const FragmentWire*>& parsed = scratch.parsed;
   std::vector<std::uint32_t>& chunk_class = scratch.chunk_class;
-  std::vector<const FragmentParsed*>& hop1_parse = scratch.hop1_parse;
   parsed.assign(members.size(), nullptr);
   chunk_class.assign(members.size(), ParsedCert::kUnlinked);
-  hop1_parse.assign(hop1, nullptr);
   if (ctx.has_parse_cache()) {
     for (std::size_t i = 0; i < members.size(); ++i) {
       const auto* p =
@@ -610,7 +603,6 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       if (p == nullptr) return false;  // malformed certificate in the ball
       parsed[i] = &p->wire;
       chunk_class[i] = p->link_class;
-      if (i < hop1) hop1_parse[i] = p;
     }
   } else {
     std::vector<FragmentWire>& local_parses = scratch.local_parses;
@@ -695,76 +687,45 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
       if (diff != 0 && diff != 1 && diff != k - 1) return false;
     }
 
-  // Check the coverage of every *required* region — the center's own and
-  // each 1-hop neighbor's (guaranteed for honest labelings, see the header)
-  // — then take its prefix from the stage-2 memo when the representatives
-  // carry exactly the memo's classes (the header's exactness argument), or
-  // reassemble it.  Other regions grazed by the outer ball get the
-  // consistency checks above but need not be coverable.
+  // Reassemble the prefix of every *required* region — the center's own and
+  // each 1-hop neighbor's (their coverage is guaranteed for honest
+  // labelings, see the header).  Other regions grazed by the outer ball get
+  // the consistency checks above but need not be coverable.
   std::vector<std::uint8_t>& required = scratch.required;
-  std::vector<const RegionMemo*>& memo_of = scratch.memo_of;
   required.assign(group_k.size(), 0);
-  memo_of.assign(group_k.size(), nullptr);
-  for (std::size_t i = 0; i < hop1; ++i) {
-    required[group_of[i]] = 1;
-    if (hop1_parse[i] != nullptr && hop1_parse[i]->memo != nullptr)
-      memo_of[group_of[i]] = hop1_parse[i]->memo.get();
-  }
+  for (std::size_t i = 0; i < hop1; ++i) required[group_of[i]] = 1;
 
-  std::vector<util::BitString>& reassembled = scratch.reassembled;
-  std::vector<const util::BitString*>& prefix_of = scratch.prefix_of;
-  reassembled.assign(group_k.size(), util::BitString());
-  prefix_of.assign(group_k.size(), nullptr);
+  std::vector<util::BitString>& prefix_of = scratch.prefix_of;
+  prefix_of.assign(group_k.size(), util::BitString());
   std::vector<const util::BitString*>& chunk_of = scratch.chunk_of;
   for (std::size_t gi = 0; gi < group_k.size(); ++gi) {
     if (!required[gi]) continue;
     const std::uint64_t k = group_k[gi];
-    // A memo is the group's only if a member carrying it has the group's k
-    // (memoize() hands it to no other parse), so it holds k classes.
-    const RegionMemo*& memo = memo_of[gi];
     chunk_of.assign(k, nullptr);
     for (std::uint64_t j = 0; j < k; ++j) {
       const std::uint32_t rep = rep_of[group_offset[gi] + j];
       if (rep == kNoMember) return false;  // a chunk class is missing
       chunk_of[j] = &parsed[rep]->chunk;
-      if (memo != nullptr && memo->classes[j] != chunk_class[rep])
-        memo = nullptr;
-    }
-    if (memo != nullptr) {
-      prefix_of[gi] = &memo->prefix;
-      continue;
     }
     auto prefix = detail::reassemble_chunks(chunk_of);
     if (!prefix) return false;  // chunk lengths must interleave consistently
-    reassembled[gi] = std::move(*prefix);
-    prefix_of[gi] = &reassembled[gi];
+    prefix_of[gi] = std::move(*prefix);
   }
 
-  // The base certificates of the 1-hop neighborhood, center first: the
-  // memoized one where the member's group took the memo's prefix, else
-  // rebuilt from its *own* region's prefix.  Then the base decoder.
+  // Rebuild the base certificates of the 1-hop neighborhood, center first,
+  // each from its *own* region's prefix, and run the base decoder.
   std::vector<local::Certificate>& rebuilt = scratch.rebuilt;
-  std::vector<const local::Certificate*>& certs = scratch.certs;
   rebuilt.clear();
-  rebuilt.reserve(hop1);  // no reallocation: certs points into it
-  certs.assign(hop1, nullptr);
-  for (std::size_t i = 0; i < hop1; ++i) {
-    const RegionMemo* memo = memo_of[group_of[i]];
-    if (memo != nullptr && hop1_parse[i]->memo.get() == memo) {
-      certs[i] = &*hop1_parse[i]->base;
-      continue;
-    }
+  for (std::size_t i = 0; i < hop1; ++i)
     rebuilt.push_back(
-        base_certificate(*prefix_of[group_of[i]], parsed[i]->suffix));
-    certs[i] = &rebuilt.back();
-  }
+        base_certificate(prefix_of[group_of[i]], parsed[i]->suffix));
 
   std::vector<local::NeighborView>& views = scratch.views;
   views.clear();
   views.reserve(layer1.size());
   for (std::size_t i = 0; i < layer1.size(); ++i) {
     local::NeighborView nv;
-    nv.cert = certs[1 + i];
+    nv.cert = &rebuilt[1 + i];
     nv.edge_weight = layer1[i].edge_weight;
     if (ctx.mode() == local::Visibility::kExtended) {
       nv.state = layer1[i].state;
@@ -773,7 +734,7 @@ bool FragmentSpreadScheme::verify_ball(const RadiusContext& ctx) const {
     }
     views.push_back(nv);
   }
-  const local::VerifierContext base_ctx(ctx.id(), ctx.state(), *certs[0],
+  const local::VerifierContext base_ctx(ctx.id(), ctx.state(), rebuilt[0],
                                         views, ctx.mode(),
                                         ctx.network_size());
   return base_.verify(base_ctx);

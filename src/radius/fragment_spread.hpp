@@ -55,36 +55,17 @@
 // certificate are per-labeling facts, yet the per-center decoder above
 // repeats them at every center: the prefix once per center that requires the
 // region, each node's base certificate deg+1 times.  memoize() computes them
-// once per link epoch (parse_link.hpp): after every full link and after
-// every re-seed of a delta's relink.  It groups the whole labeling's
+// once per full run, right after its link.  It groups the whole labeling's
 // parses as verify_ball groups a ball (by region id, all unnamed parses in
 // one group) and, per group G, votes: the chunk count k most of G's parses
 // carry, then at each residue j < k the link class c_j most of G's k-parses
-// carry.  When every residue has a class and c_0..c_{k-1} reassemble, G
-// gets a RegionMemo (the classes and the prefix X_G they spell), and each of
-// its k-parses gets it and its base certificate X_G ++ suffix.  A stray or
-// forged parse loses the vote without costing the rest of its group the
-// memo.
-//
-// Exactness.  verify_ball reads a memo only for a group g its ball requires,
-// only after the ball has passed every check it runs without the memo — k
-// agreement, id binding, chunk-class agreement, residue adjacency and g's
-// coverage check ("a chunk class is missing") — and only when g's
-// representative at every residue j carries the memo's class c_j.  Equal
-// link classes mean bit-identical chunks, so the ball's own reassembly would
-// stitch exactly the chunks the memo stitched into X_G, and each 1-hop
-// member's rebuilt certificate would be X_G ++ its suffix, its memo.  The
-// base decoder therefore reads the same bits either way, and the verdict is
-// unchanged; the vote decides only how often a memo applies.  Balls that
-// fail a check reject before any memo is read.  The delta re-sweep reads the
-// same memo under the same argument:
-//   * within an epoch the link table is append-only, so a resident memo's
-//     c_j still names the chunk bits it named when memoize() ran;
-//   * a touched node gets a fresh parse that carries no memo, so its base
-//     certificate is rebuilt from its own suffix;
-//   * every resident memo comes from the epoch's one memoize() call, so
-//     parses with equal region ids share one memo.
-// The cache-less reference engine keeps the local path.
+// carry.  When every residue has a class and c_0..c_{k-1} reassemble into
+// the prefix X_G, each of G's k-parses gets its base certificate
+// X_G ++ suffix, stored in G's RegionMemo.  A stray or forged parse loses
+// the vote without costing the rest of its group the memo.  verify_ball
+// never reads the memo: it is a function of its ball's certificates alone,
+// the oracle the clean path below is checked against.  The cache-less
+// reference engine runs the same code without a parse cache.
 //
 // The clean path.  Every check verify_ball runs is a predicate on one ball
 // member, on a pair of adjacent members, or on the coverage of a group the
@@ -95,7 +76,7 @@
 //   (a) its parse is malformed;
 //   (b) it carries no memo: its k is not its group's voted k, or its group
 //       got no memo;
-//   (c) its link class is not the memo's class at its residue;
+//   (c) its link class is not its group's voted class c_j at its residue j;
 //   (d) it fails the region-id binding against its own id;
 //   (e) it is an endpoint of a graph edge inside its region group whose
 //       residues differ by more than one mod k;
@@ -123,7 +104,7 @@
 //     verify_ball also binds every id-visible member against that member's
 //     id — the same predicate (d) checked at every node against its own id,
 //     so (d) is a superset of it;
-//   * every member carries the memo's class at its residue (c), so two
+//   * every member carries the voted class at its residue (c), so two
 //     members of one group at one residue carry equal classes: chunk-class
 //     agreement holds;
 //   * every intra-ball edge is a graph edge, so (e), checked on every graph
@@ -133,9 +114,10 @@
 //     joined to u by a path of at most t-1 edges, hence dist(u, w) <= t-1,
 //     dist(v, w) <= t and w is in B.  The
 //     coverage check passes, and the representative verify_ball picks at
-//     each residue is a member of B, so it carries the memo's class c_j;
-//   * hence verify_ball takes every required group's prefix from its memo,
-//     and each 1-hop member's base certificate is its memoized one;
+//     each residue is a member of B, so it carries the voted class c_j;
+//   * hence verify_ball's representatives carry the memo's classes, so its
+//     own reassembly stitches bit-identical chunks into X_G, and its rebuilt
+//     certificates are the memoized ones;
 //   * the t = 1 bridge makes ball layer 1 the 1-round view of v — the same
 //     members, in v's adjacency order, with the same edge weights (and, under
 //     Extended visibility, the same states and ids) — so the base decoder
@@ -147,10 +129,9 @@
 // walks at most max(k-1, 2k-3) <= t-1 hops).  On a disconnected graph the
 // unnamed regions of all components share one group, so the components the
 // vote leaves out are witnesses: their centers stay exact, on verify_ball.
-// The witnesses describe one link epoch: a delta's fresh parses carry no
-// memo, so the verifier re-sweeps every dirty center of a delta with
-// verify_ball; a re-seed's memo pass lists them again, and the verifier
-// leaves them unread.
+// The memo and the witnesses describe the labeling of one full run, and
+// only that run's sweep reads them: a delta re-sweeps each of its dirty
+// centers with verify_ball and takes it out of the clean set first.
 #pragma once
 
 #include <cstdint>
@@ -164,14 +145,10 @@
 
 namespace pls::radius {
 
-/// The stage-2 memo of one region group: the link class it reassembled at
-/// each residue, the prefix those chunks spell, and the storage of its
-/// members' base certificates.
+/// The stage-2 memo of one region group: each member's base certificate,
+/// the group's reassembled prefix ++ the member's suffix, byte-aligned one
+/// after another; FragmentParsed::base aliases its member's bytes.
 struct RegionMemo {
-  std::vector<std::uint32_t> classes;  ///< per residue
-  util::BitString prefix;
-  /// Each member's prefix ++ suffix, byte-aligned one after another;
-  /// FragmentParsed::base aliases its member's bytes.
   std::vector<std::uint8_t> bases;
 };
 
@@ -184,9 +161,10 @@ struct FragmentParsed final : ParsedCert {
   }
   detail::FragmentWire wire;
   /// The stage-2 memo (FragmentSpreadScheme::memoize): this parse's
-  /// group's memo and this node's base certificate, memo->prefix ++ its
-  /// suffix (aliasing memo->bases, which the memo pointer keeps alive);
+  /// group's memo and this node's base certificate, the group's prefix ++
+  /// its suffix (aliasing memo->bases, which the memo pointer keeps alive);
   /// both empty when its group has none or this parse lost the k vote.
+  /// Read only by verify_memoized.
   std::shared_ptr<const RegionMemo> memo;
   std::optional<local::Certificate> base;
 };

@@ -27,8 +27,7 @@
 // A full link is the stability contract's epoch boundary anyway: it resets
 // the table and re-interns every resident parse in one pass, so no
 // comparison ever mixes ids from both sides of the reset.  The span from one
-// full link or re-seed to the next is a *link epoch*; BatchVerifier runs the
-// scheme's memo pass (BallScheme::memoize) at the start of each.
+// full link or re-seed to the next is a *link epoch*.
 //
 // Thread contract: LinkTable carries no capability of its own.  It is
 // serialized by its owning BatchVerifier's single-caller contract and mutated

@@ -1,10 +1,10 @@
 // The delta path's own contract tests (the differential fuzz in
 // test_fuzz_differential.cpp replays whole mutation trails through it;
-// these pin the mechanism): the reverse-ball index equals brute-force
-// distance, an empty mutation set does literally no stage work, stable
-// interning survives a mutate-back and a full link's epoch reset, parses
-// without a link key relink exactly, and run_delta is bit-identical to a
-// from-scratch run at every thread count.
+// these pin the mechanism): the dirty set equals brute-force distance, an
+// empty mutation set does literally no stage work, stable interning survives
+// a mutate-back and a full link's epoch reset, parses without a link key
+// relink exactly, and run_delta is bit-identical to a from-scratch run at
+// every thread count.
 #include "radius/delta.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/bfs_core.hpp"
 #include "radius/batch.hpp"
 #include "radius/fragment_spread.hpp"
 #include "radius/parse_link.hpp"
@@ -72,26 +73,43 @@ TEST(LabelingDelta, DiffFindsExactlyTheMutatedNodes) {
   EXPECT_THROW(LabelingDelta::diff(prev, shorter), std::logic_error);
 }
 
-TEST(DirtyIndex, MatchesBruteForceDistance) {
+// run_delta's dirty set is the sorted multi-source BFS from the touched
+// nodes, cut off at the decoding radius; per-source BFS over the whole graph
+// must find the same centers, and a delta must re-sweep exactly that many.
+TEST(LabelingDelta, DirtySetMatchesBruteForceDistance) {
   util::Rng rng(61002);
   const std::vector<std::shared_ptr<const graph::Graph>> graphs = {
       share(graph::path(17)), share(graph::cycle(12)), share(graph::star(9)),
       share(graph::grid(4, 6)), share(graph::random_connected(40, 25, rng))};
-  GeometryAtlas atlas;
-  DirtyIndex index;
+  const schemes::StpLanguage language;
+  const schemes::StpScheme base(language);
+  graph::VisitEpochSet seen;
+  std::vector<graph::NodeIndex> dirty;
   for (const auto& g : graphs) {
+    const local::Configuration cfg = language.sample_legal(g, rng);
     for (const unsigned r : {1u, 2u, 4u}) {
+      const FragmentSpreadScheme spread(base, r);
+      const Labeling honest = spread.mark(cfg);
+      BatchVerifier verifier(spread, cfg, r);
+      verifier.run_one(honest);
       for (int trial = 0; trial < 4; ++trial) {
-        std::vector<graph::NodeIndex> touched;
+        LabelingDelta delta;
         const std::size_t k = 1 + rng.below(3);
         for (std::size_t i = 0; i < k; ++i)
-          touched.push_back(
+          delta.touched.push_back(
               static_cast<graph::NodeIndex>(rng.below(g->n())));
         // Duplicates are allowed and must not duplicate dirty centers.
-        touched.push_back(touched.front());
-        const auto got = index.collect(atlas, *g, r, touched);
-        EXPECT_EQ(std::vector<graph::NodeIndex>(got.begin(), got.end()),
-                  brute_dirty(*g, r, touched))
+        delta.touched.push_back(delta.touched.front());
+        graph::layered_bfs(*g, delta.touched, r, seen, dirty,
+                           graph::ReachVisitor{});
+        std::sort(dirty.begin(), dirty.end());
+        const std::vector<graph::NodeIndex> expected =
+            brute_dirty(*g, r, delta.touched);
+        EXPECT_EQ(dirty, expected) << g->describe() << " r=" << r;
+        const std::uint64_t before = verifier.delta_stats().centers_reswept;
+        EXPECT_TRUE(verifier.run_delta(honest, delta).all_accept());
+        EXPECT_EQ(verifier.delta_stats().centers_reswept - before,
+                  expected.size())
             << g->describe() << " r=" << r;
       }
     }
@@ -149,7 +167,7 @@ TEST(BatchVerifierDelta, EmptyDeltaDoesNoWorkAndSplicesTheVerdict) {
 }
 
 /// run_delta over `stream` at threads {1, 2, hw}, every step against the
-/// reference engine, which never reads a stage-2 memo.  Returns the fewest
+/// cache-less reference engine.  Returns the fewest
 /// link re-seeds any of the three verifiers made.
 std::uint64_t expect_delta_matches_baseline(
     const core::Scheme& scheme, const local::Configuration& cfg, unsigned t,
@@ -389,7 +407,7 @@ TEST(BatchVerifierDelta, KeylessParsesRelinkExactly) {
 // exactly (the fuzz harness covers this registry-wide; this is the directed
 // version).  stp's spread is one unnamed group; the weighted MST's regions
 // are named Borůvka fragments, and its stream re-seeds the link table, so
-// its re-sweeps read memos from a full run's epoch and from a re-seed's.
+// its re-sweeps mix parses linked before and after a re-seed.
 TEST(BatchVerifierDelta, FragmentSpreadDeltasMatchFullRuns) {
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -434,7 +452,7 @@ TEST(BatchVerifierDelta, FragmentSpreadDeltasMatchFullRuns) {
   // (same length where the chunk is long enough, so the ball still
   // reassembles), another region's id, or their honest certificate back.
   // The novel chunks outnumber the re-seed bound; the stream ends honest,
-  // so the last re-sweeps accept through memos.
+  // so the last re-sweeps accept.
   std::vector<graph::NodeIndex> hot;
   for (int i = 0; i < 3; ++i)
     hot.push_back(static_cast<graph::NodeIndex>(rng.below(n)));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "radius/batch.hpp"
@@ -499,14 +500,92 @@ TEST(FragmentSpread, MemoHoldsEveryHonestBaseCertificate) {
   }
 }
 
-TEST(FragmentSpread, MemoIsReadOnlyWhereTheBallsClassesMatch) {
+// verify_ball is a function of the certificates in its ball: with every
+// group's memo swapped for one whose bases spell another prefix (each
+// base's first bit flipped) and every link class kept, it still gives each
+// center the reference engine's verdict.  verify_memoized, the memo's one
+// reader, sees the forgery somewhere, so a verify_ball that read it would
+// too.
+TEST(FragmentSpread, VerifyBallReadsNoMemo) {
+  const auto check = [](const core::Scheme& base,
+                        const local::Configuration& cfg, unsigned t) {
+    SCOPED_TRACE(::testing::Message()
+                 << base.name() << " t " << t << " n " << cfg.n());
+    const FragmentSpreadScheme spread(base, t);
+    const core::Labeling lab = spread.mark(cfg);
+    const auto parsed = stage_two(spread, cfg, lab).parsed;
+
+    // One forged memo per group, its bases byte-aligned as memoize lays
+    // them out.
+    std::map<const RegionMemo*, std::vector<graph::NodeIndex>> members;
+    for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
+      const auto& p = static_cast<const FragmentParsed&>(*parsed[v]);
+      if (p.memo != nullptr) members[p.memo.get()].push_back(v);
+    }
+    for (const auto& [memo, nodes] : members) {
+      util::BitWriter bases;
+      std::vector<std::size_t> at;
+      for (const graph::NodeIndex v : nodes) {
+        const auto& p = static_cast<const FragmentParsed&>(*parsed[v]);
+        EXPECT_GT(p.base->bit_size(), p.wire.suffix.bit_size());
+        at.push_back(bases.bit_size() / 8);
+        bases.write_bits(p.base->data(), p.base->bit_size());
+        bases.write_uint(0, static_cast<unsigned>(
+                                (8 - bases.bit_size() % 8) % 8));
+      }
+      std::vector<std::uint8_t> arena = bases.take_bytes();
+      for (const std::size_t byte : at) arena[byte] ^= 1u;  // a prefix bit
+      auto forged =
+          std::make_shared<const RegionMemo>(RegionMemo{std::move(arena)});
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        auto& p = static_cast<FragmentParsed&>(*parsed[nodes[i]]);
+        const std::size_t bits = p.base->bit_size();
+        p.base.reset();
+        p.memo = forged;
+        p.base = util::BitString::aliasing(forged->bases.data() + at[i], bits);
+      }
+    }
+
+    const core::Verdict oracle = run_verifier_t_baseline(spread, cfg, lab, t);
+    BallBuilder builder;
+    bool forgery_seen = false;
+    for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
+      const BallView& ball =
+          builder.build(cfg, lab, v, t, spread.visibility());
+      const RadiusContext ctx(ball, cfg.graph().id(v), cfg.state(v),
+                              lab.certs[v], spread.visibility(), cfg.n(),
+                              parsed);
+      EXPECT_EQ(spread.verify_ball(ctx), oracle.accept()[v]) << "node " << v;
+      forgery_seen |=
+          spread.verify_memoized(cfg, v, parsed) != oracle.accept()[v];
+    }
+    return forgery_seen;
+  };
+  const schemes::StpLanguage stp_language;
+  const schemes::StpScheme stp(stp_language);
+  const schemes::MstLanguage mst_language;
+  const schemes::MstScheme mst(mst_language);
+  for (const unsigned t : {2u, 4u, 8u}) {
+    util::Rng rng(353);
+    bool stp_seen = false;
+    for (auto& g : pls::testing::unweighted_family(359))
+      stp_seen |= check(stp, stp_language.sample_legal(g, rng), t);
+    EXPECT_TRUE(stp_seen) << "t " << t;
+    bool mst_seen = false;
+    for (auto& g : pls::testing::weighted_family(367))
+      mst_seen |= check(mst, mst_language.sample_legal(g, rng), t);
+    EXPECT_TRUE(mst_seen) << "t " << t;
+  }
+}
+
+TEST(FragmentSpread, MemoTakesTheMajorityClassWhileBallsKeepTheirOwn) {
   // One region (path(24) is connected, so stp leaves it unnamed), k = 2.
   // Four of the twelve residue-0 chunks, at nodes 16..22, carry a second
   // class: the vote memoizes the honest class, and every node — flipped
   // ones too — gets the honest base certificate.  The root's ball (node
-  // 23) holds only the second class at residue 0, so it must ignore the
-  // memo, reassemble a prefix naming another root and reject, while the
-  // lower half's balls see only the memo's classes.
+  // 23) holds only the second class at residue 0, so its own reassembly
+  // spells a prefix naming another root and it must reject, while the
+  // lower half's balls hold only the honest classes and accept.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);
@@ -540,8 +619,8 @@ TEST(FragmentSpread, MemoWaitsForTheBallsCoverageCheck) {
   // k = 3 on path(24).  Nodes 0..20 claim residue 0 with the honest
   // residue-0 chunk; nodes 21..23 keep their honest residues 0, 1, 2.  Every
   // residue carries one class, so the group is memoized, yet a ball without
-  // residues 1 and 2 must still reject: the memo is read only after
-  // coverage.
+  // residues 1 and 2 must still reject: its uncovered members are
+  // witnesses, so the memo never stands in for its coverage check.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 4);
@@ -575,9 +654,9 @@ TEST(FragmentSpread, MemoWaitsForTheBallsCoverageCheck) {
 TEST(FragmentSpread, DeltaRecolouringAResidueMatchesFullRuns) {
   // A full run memoizes the honest region; a delta then gives the upper
   // half's residue-0 chunks a second class, and a second delta flips the
-  // lower half too (one class again, another prefix).  Each re-sweep reads
-  // the resident memo, which describes the honest labeling, not these: it
-  // must use it only where a ball's classes match it, and equal a
+  // lower half too (one class again, another prefix).  The resident memo
+  // still describes the honest labeling, not these; each re-sweep runs
+  // verify_ball, which reassembles from its own ball, and must equal a
   // from-scratch run.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
@@ -623,11 +702,10 @@ TEST(FragmentSpread, DeltaAfterALinkReseedMatchesFullRuns) {
   // root now rejects); deltas then give node 22 novel chunks until the link
   // table re-seeds, which renumbers q as class 0 (node 0 again); a last delta
   // puts q back at node 22, next to the root.  The root's ball now shows
-  // classes {0, 1} — the full run's memo numbers for other chunks — and the
-  // root (node 23) held that memo until the re-seed.  Re-sweeps read the
-  // memo, so the re-seed must memoize its new epoch: a re-sweep that read
-  // the full run's memo would accept.  It must reject, as a from-scratch run
-  // does.
+  // classes {0, 1} — the full run's memo numbers for other chunks — while
+  // the root (node 23) still holds the full run's memo, whose base spells
+  // the honest prefix.  A re-sweep that trusted that memo by class number
+  // would accept; it must reject, as a from-scratch run does.
   const schemes::StpLanguage language;
   const schemes::StpScheme base(language);
   const FragmentSpreadScheme spread(base, 2);

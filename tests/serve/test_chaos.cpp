@@ -326,8 +326,8 @@ TEST_F(Chaos, LinkFaultFailsTheRequestAndLosesOnlyTheBase) {
   expect_fault_contained("radius.link", spread, 2, cfg, rng, true);
 }
 
-// The memo pass (memo, witnesses, clean set) opens a link epoch: every full
-// run reaches it, a delta only when its relink re-seeds the link table.
+// The memo pass (memo, witnesses, clean set) is part of every full run's
+// stage 2; a delta never reaches it, re-seed or not.
 TEST_F(Chaos, MemoFaultFailsTheRequestAndLosesOnlyTheBase) {
   const radius::FragmentSpreadScheme spread(scheme, 2);
   expect_fault_contained("radius.memo", spread, 2, cfg, rng, true, false);
