@@ -156,9 +156,9 @@ class CliArgs {
 };
 
 /// Zipf(s) rank sampler: P(rank r) proportional to 1/(r+1)^s over
-/// [0, n).  The skewed-popularity generator behind the admission and
-/// multi-tenant benches — rank 0 is the hottest item; compose with a random
-/// permutation so popularity is not correlated with index order.  The CDF is
+/// [0, n).  The skewed-popularity generator behind bench_verify_scale's
+/// budget-pressure scenario — rank 0 is the hottest item; compose with a
+/// random permutation so popularity is not correlated with index order.  The CDF is
 /// precomputed once (O(n) setup), each sample is one uniform draw plus a
 /// binary search, so the stream is deterministic given the caller's Rng.
 class ZipfSampler {

@@ -3,9 +3,8 @@
 // Three tenants with deliberately different shapes — a flat spanning-tree
 // verifier (stp t=1) on a large random instance, a deep spread (stp t=8) and
 // a weighted MST fragment spread (mst t=4) on bounded-growth grids — share
-// ONE serve::Server: one GeometryAtlas (256 MB by default, the budget the
-// by-radius gauges attribute), one BatchVerifier per tenant, deficit
-// round-robin over the per-tenant queues.
+// ONE serve::Server: one GeometryAtlas (256 MB by default), one
+// BatchVerifier per tenant, deficit round-robin over the per-tenant queues.
 //
 // The workload is OPEN LOOP: every tenant's requests arrive on a fixed
 // schedule (one seeding full labeling, then single-certificate deltas at the
@@ -358,23 +357,8 @@ void emit(std::ostream& out, const RunResult& r,
   json.kv("misses", r.atlas.misses);
   json.kv("hit_rate", r.atlas.hit_rate());
   json.kv("evictions", r.atlas.evictions);
-  json.kv("sketch_rejects", r.atlas.sketch_rejects);
   json.kv("bytes_in_use", r.atlas.bytes_in_use);
   json.kv("peak_bytes", r.atlas.peak_bytes);
-  json.key("by_radius");
-  json.begin_object();
-  for (const auto& [t, rb] : r.atlas.by_radius) {
-    // Built with += rather than operator+(const char*, string&&), which
-    // trips GCC 12's -Wrestrict false positive when inlined here.
-    std::string rkey = "r";
-    rkey += std::to_string(t);
-    json.key(rkey);
-    json.begin_object();
-    json.kv("bytes_in_use", rb.bytes_in_use);
-    json.kv("peak_bytes", rb.peak_bytes);
-    json.end_object();
-  }
-  json.end_object();
   json.end_object();
   json.end_object();
   PLS_ASSERT(json.finished());

@@ -187,8 +187,6 @@ void absorb(MetricsRegistry& registry, const radius::AtlasStats& stats) {
   registry.set_gauge("atlas.misses", static_cast<double>(stats.misses));
   registry.set_gauge("atlas.evictions", static_cast<double>(stats.evictions));
   registry.set_gauge("atlas.bypassed", static_cast<double>(stats.bypassed));
-  registry.set_gauge("atlas.sketch_rejects",
-                     static_cast<double>(stats.sketch_rejects));
   registry.set_gauge("atlas.bytes_in_use",
                      static_cast<double>(stats.bytes_in_use));
   registry.set_gauge("atlas.peak_bytes",
@@ -196,15 +194,6 @@ void absorb(MetricsRegistry& registry, const radius::AtlasStats& stats) {
   registry.set_gauge("atlas.hit_rate", stats.hit_rate());
   registry.set_gauge("atlas.build_ns", static_cast<double>(stats.build_ns));
   registry.set_gauge("atlas.wait_ns", static_cast<double>(stats.wait_ns));
-  // Residency attribution per built radius: which tenants' geometry holds
-  // the shared budget (std::map, so export order is stable).
-  for (const auto& [t, rb] : stats.by_radius) {
-    const std::string suffix = ".r" + std::to_string(t);
-    registry.set_gauge("atlas.bytes_in_use" + suffix,
-                       static_cast<double>(rb.bytes_in_use));
-    registry.set_gauge("atlas.peak_bytes" + suffix,
-                       static_cast<double>(rb.peak_bytes));
-  }
 }
 
 void absorb(MetricsRegistry& registry, const radius::DeltaStats& stats) {

@@ -17,14 +17,11 @@
 //   of a run of balls (member nodes, BFS layers, entry-edge weights, the
 //   ball-internal adjacency CSR, the whole-component flag), built once per
 //   (graph, t, center) by the shared layered-BFS core (graph/bfs_core.hpp)
-//   and immutable afterwards.  Adjacency rows are *layer-partitioned*: the
-//   entries of a layer-r member's row that point at layers <= r come first,
-//   the layer-(r+1) entries after (GeometryView::row_mid).  That makes a
-//   radius-t store serve every radius t' < t zero-copy — the t'-ball's
-//   members are a prefix of the t-ball's, full rows stay full, and the
-//   boundary layer's rows are cut at the partition point.  GeometryStore is
-//   what the memory-budgeted GeometryAtlas (radius/atlas.hpp) caches and
-//   shares across verifiers, thread-pool slots, and t values.
+//   and immutable afterwards.  A member's adjacency row lists its ball
+//   neighbours in the graph's adjacency order.  GeometryStore is what the
+//   memory-budgeted GeometryAtlas (radius/atlas.hpp) caches and shares
+//   across verifiers and thread-pool slots; a store serves exactly the
+//   radius it was built at.
 //
 //   Stage 3 — BINDING.  BallView is the per-(labeling, center) object the
 //   decoders read: BallView::bind points an immutable GeometryView at one
@@ -61,26 +58,20 @@ struct GeomMember {
   graph::Weight edge_weight = 1;
 };
 
-/// A zero-copy window onto one center's geometry at a serving radius
-/// <= the built radius.  Plain spans into GeometryStore (or BallBuilder)
-/// storage; valid for as long as that storage is.
+/// A zero-copy window onto one center's geometry.  Plain spans into
+/// GeometryStore (or BallBuilder) storage; valid for as long as that
+/// storage is.
 struct GeometryView {
   std::span<const GeomMember> members;        ///< BFS order, center first
   std::span<const std::uint32_t> layers;      ///< radius+2 offsets
   std::span<const std::uint32_t> row_begin;   ///< per member, +1 sentinel
-  std::span<const std::uint32_t> row_mid;     ///< per member: <=r | r+1 split
   std::span<const std::uint32_t> adj;         ///< member-local slot ids
   unsigned radius = 0;
   bool whole_component = false;
 
-  /// Ball-internal neighbors of members[i] (indices into members).  A
-  /// boundary-layer row is cut at the partition point: its layer-(r+1)
-  /// entries exist only past the serving radius.
+  /// Ball-internal neighbors of members[i] (indices into members).
   std::span<const std::uint32_t> neighbors_of(std::uint32_t i) const {
-    const std::uint32_t begin = row_begin[i];
-    const std::uint32_t end =
-        members[i].dist == radius ? row_mid[i] : row_begin[i + 1];
-    return adj.subspan(begin, end - begin);
+    return adj.subspan(row_begin[i], row_begin[i + 1] - row_begin[i]);
   }
 };
 
@@ -103,9 +94,8 @@ class GeometryStore {
   std::size_t center_count() const noexcept { return centers_.size(); }
   unsigned radius() const noexcept { return t_; }
 
-  /// The i-th built center's geometry at serving radius t' in [1, radius()].
-  /// Serving below the built radius is the prefix view described above.
-  GeometryView view(std::size_t i, unsigned serve_t) const;
+  /// The i-th built center's geometry.
+  GeometryView view(std::size_t i) const;
 
   /// Resident bytes (the atlas's budget accounting unit).
   std::size_t bytes() const noexcept;
@@ -119,7 +109,7 @@ class GeometryStore {
   struct CenterMeta {
     std::uint32_t member_begin = 0;  // into members_
     std::uint32_t layer_begin = 0;   // into layers_ (t+2 entries)
-    std::uint32_t row_begin = 0;     // into row_begin_/row_mid_ (count+1)
+    std::uint32_t row_begin = 0;     // into row_begin_ (count+1)
     std::uint32_t adj_begin = 0;     // into adj_
     bool whole_component = true;
   };
@@ -127,7 +117,6 @@ class GeometryStore {
   std::vector<GeomMember> members_;
   std::vector<std::uint32_t> layers_;
   std::vector<std::uint32_t> row_begin_;
-  std::vector<std::uint32_t> row_mid_;
   std::vector<std::uint32_t> adj_;
   std::vector<CenterMeta> centers_;
   unsigned t_ = 0;
@@ -170,10 +159,7 @@ class BallView {
   std::span<const std::uint32_t> neighbors_of(std::uint32_t member_index) const {
     PLS_REQUIRE(member_index < members_.size());
     const std::uint32_t begin = row_begin_[member_index];
-    const std::uint32_t end = members_[member_index].dist == radius_
-                                  ? row_mid_[member_index]
-                                  : row_begin_[member_index + 1];
-    return adj_.subspan(begin, end - begin);
+    return adj_.subspan(begin, row_begin_[member_index + 1] - begin);
   }
 
   /// True when the ball is the center's entire connected component, i.e.
@@ -192,7 +178,6 @@ class BallView {
   std::vector<BallMember> members_;
   std::span<const std::uint32_t> layers_;
   std::span<const std::uint32_t> row_begin_;
-  std::span<const std::uint32_t> row_mid_;
   std::span<const std::uint32_t> adj_;
   unsigned radius_ = 0;
   bool whole_component_ = false;

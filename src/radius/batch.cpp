@@ -144,7 +144,7 @@ util::ThreadPool::RangeFn BatchVerifier::sweep_fn(
       }
       if (block == nullptr || !block->covers(v))
         block = atlas_->block(g, radius, v);
-      slot.view.bind(block->ball(v, radius), cfg_, labeling, mode);
+      slot.view.bind(block->ball(v), cfg_, labeling, mode);
       const RadiusContext ctx(slot.view, g.id(v), cfg_.state(v),
                               labeling.certs[v], mode, cfg_.n(), parsed_);
       accept[v] = ball_scheme_->verify_ball(ctx);

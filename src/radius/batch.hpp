@@ -5,7 +5,7 @@
 //
 //   1. GEOMETRY  — labeling-independent ball CSRs, owned by GeometryAtlas
 //                  (atlas.hpp): built once per (graph, t, center), shared
-//                  across verifiers, thread slots, and t values.
+//                  across verifiers and thread slots.
 //   2. PARSE/LINK — labeling-dependent, center-independent: each node's
 //                  certificate parsed exactly once per labeling
 //                  (BallScheme::parse_cert, fanned out over the pool), then

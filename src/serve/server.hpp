@@ -3,11 +3,11 @@
 // A tenant is one pinned (scheme, configuration, t) — the unit the rest of
 // the pipeline already verifies against.  The Server owns ONE GeometryAtlas
 // shared by every tenant (many (scheme, cfg, t) configurations genuinely
-// contend for one geometry budget; AtlasStats::by_radius attributes the
-// pressure), ONE util::ThreadPool every tenant's sweeps run on (the
-// dispatcher runs one sweep at a time, so T tenants cost threads - 1
-// workers, not T times that), and one BatchVerifier per tenant, built at
-// add_tenant so a tenant the verifier refuses is refused at registration.
+// contend for one geometry budget), ONE util::ThreadPool every tenant's
+// sweeps run on (the dispatcher runs one sweep at a time, so T tenants cost
+// threads - 1 workers, not T times that), and one BatchVerifier per tenant,
+// built at add_tenant so a tenant the verifier refuses is refused at
+// registration.
 //
 // Scheduling is deficit round-robin over per-tenant FIFO queues: each
 // tenant's turn adds `quantum` cost units to its deficit, and it serves

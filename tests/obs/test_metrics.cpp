@@ -155,31 +155,22 @@ TEST(ScopedTimer, NullHistogramRecordsNothing) {
   EXPECT_EQ(h.snapshot().count, 1u);
 }
 
-TEST(Absorb, AtlasStatsExportPerRadiusResidencyGauges) {
+TEST(Absorb, AtlasStatsExportBuildWaitAndByteGauges) {
   radius::AtlasStats stats;
   stats.hits = 5;
   stats.misses = 3;
-  stats.sketch_rejects = 2;
   stats.build_ns = 7000;
   stats.wait_ns = 900;
   stats.bytes_in_use = 300;
   stats.peak_bytes = 400;
-  stats.by_radius[2] = {100, 150};
-  stats.by_radius[8] = {200, 250};
 
   MetricsRegistry registry;
   absorb(registry, stats);
   const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.gauges.at("atlas.sketch_rejects"), 2.0);
   EXPECT_EQ(snap.gauges.at("atlas.build_ns"), 7000.0);
   EXPECT_EQ(snap.gauges.at("atlas.wait_ns"), 900.0);
   EXPECT_EQ(snap.gauges.at("atlas.bytes_in_use"), 300.0);
-  // The per-radius attribution rides the same export door with a stable
-  // ".r<t>" suffix per built radius.
-  EXPECT_EQ(snap.gauges.at("atlas.bytes_in_use.r2"), 100.0);
-  EXPECT_EQ(snap.gauges.at("atlas.peak_bytes.r2"), 150.0);
-  EXPECT_EQ(snap.gauges.at("atlas.bytes_in_use.r8"), 200.0);
-  EXPECT_EQ(snap.gauges.at("atlas.peak_bytes.r8"), 250.0);
+  EXPECT_EQ(snap.gauges.at("atlas.peak_bytes"), 400.0);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <list>
+#include <map>
 #include <thread>
-
-#include "radius/sketch.hpp"
+#include <tuple>
 
 #include "graph/generators.hpp"
 #include "radius/batch.hpp"
@@ -70,7 +72,7 @@ void expect_atlas_matches_builder(GeometryAtlas& atlas,
   BallView bound;
   for (graph::NodeIndex v = 0; v < cfg.n(); ++v) {
     const auto block = atlas.block(cfg.graph(), t, v);
-    bound.bind(block->ball(v, t), cfg, lab, mode);
+    bound.bind(block->ball(v), cfg, lab, mode);
     expect_same_ball(bound, builder.build(cfg, lab, v, t, mode));
   }
 }
@@ -91,68 +93,50 @@ TEST(GeometryAtlas, MatchesBuilderOnRandomGraphs) {
   }
 }
 
-// The prefix property: a block built at radius t serves every t' < t with
-// geometry equal to a direct radius-t' build (members are a prefix, boundary
-// rows are cut at the layer partition, whole_component is re-derived).
-TEST(GeometryAtlas, LargerRadiusServesSmallerByPrefix) {
+// Blocks are keyed by exact radius: after a t = 8 warm-up, a t = 2 lookup
+// over the same centers misses and builds its own block, both stay resident
+// and charged, and each serves geometry equal to a BallBuilder build at its
+// own radius.
+TEST(GeometryAtlas, ExactRadiusBlocksAreIndependent) {
   util::Rng rng(7002);
   auto g = share(graph::random_connected(40, 28, rng));
   const auto cfg = trivial_config(g);
   const auto lab = numbered_labeling(g->n());
 
   GeometryAtlas atlas;
-  // Warm the atlas at t = 8; all smaller radii must be served without a
-  // single additional build.
-  for (graph::NodeIndex v = 0; v < g->n(); ++v) atlas.block(*g, 8, v);
-  const std::uint64_t misses_after_warmup = atlas.stats().misses;
-
-  BallBuilder builder;
-  BallView bound;
-  for (const unsigned t : {1u, 2u, 3u, 5u, 8u}) {
-    for (graph::NodeIndex v = 0; v < g->n(); ++v) {
-      const auto block = atlas.block(*g, t, v);
-      EXPECT_GE(block->radius(), t);
-      bound.bind(block->ball(v, t), cfg, lab, local::Visibility::kExtended);
-      expect_same_ball(bound,
-                       builder.build(cfg, lab, v, t,
-                                     local::Visibility::kExtended));
-    }
-  }
-  EXPECT_EQ(atlas.stats().misses, misses_after_warmup);
-  EXPECT_GT(atlas.stats().hits, 0u);
-}
-
-// Ascending radii must not leave redundant prefixes resident: admitting a
-// radius-8 block retires the radius-2 block over the same centers (a strict
-// prefix of it), and later radius-2 lookups hit the radius-8 block.
-TEST(GeometryAtlas, AscendingRadiusRetiresPrefixBlocks) {
-  util::Rng rng(7012);
-  auto g = share(graph::random_connected(40, 28, rng));
-
-  GeometryAtlas atlas;
-  for (graph::NodeIndex v = 0; v < g->n(); ++v) atlas.block(*g, 2, v);
-  const AtlasStats after_t2 = atlas.stats();
-  const std::size_t t2_bytes = after_t2.bytes_in_use;
-  ASSERT_GT(t2_bytes, 0u);
-
   for (graph::NodeIndex v = 0; v < g->n(); ++v) atlas.block(*g, 8, v);
   const AtlasStats after_t8 = atlas.stats();
-  // Every t=2 block was superseded by its t=8 cover...
-  EXPECT_EQ(after_t8.evictions, after_t2.misses);
-  // ...so residency equals the t=8 geometry alone, not the sum of both.
-  GeometryAtlas only_t8;
-  for (graph::NodeIndex v = 0; v < g->n(); ++v) only_t8.block(*g, 8, v);
-  EXPECT_EQ(after_t8.bytes_in_use, only_t8.stats().bytes_in_use);
+  ASSERT_GT(after_t8.bytes_in_use, 0u);
 
-  // And t=2 is now served by the t=8 blocks: hits only, no new builds.
-  const std::uint64_t misses_before = after_t8.misses;
-  for (graph::NodeIndex v = 0; v < g->n(); ++v) atlas.block(*g, 2, v);
-  EXPECT_EQ(atlas.stats().misses, misses_before);
+  const auto t2_block = atlas.block(*g, 2, 0);
+  EXPECT_EQ(t2_block->radius(), 2u);
+  EXPECT_EQ(atlas.stats().misses, after_t8.misses + 1);
+  EXPECT_EQ(atlas.stats().hits, after_t8.hits);
+  for (graph::NodeIndex v = 1; v < g->n(); ++v) atlas.block(*g, 2, v);
+
+  // Both radii are resident and charged: the total is the sum of two
+  // single-radius atlases, and nothing was evicted.
+  GeometryAtlas only_t2;
+  for (graph::NodeIndex v = 0; v < g->n(); ++v) only_t2.block(*g, 2, v);
+  const AtlasStats both = atlas.stats();
+  EXPECT_EQ(both.misses, 2 * after_t8.misses);
+  EXPECT_EQ(both.evictions, 0u);
+  EXPECT_EQ(both.bytes_in_use,
+            after_t8.bytes_in_use + only_t2.stats().bytes_in_use);
+
+  // Each radius is served by its own blocks, equal to the builder oracle,
+  // with no further builds.
+  for (const unsigned t : {8u, 2u}) {
+    expect_atlas_matches_builder(atlas, cfg, lab, t,
+                                 local::Visibility::kExtended);
+    EXPECT_EQ(atlas.block(*g, t, 0)->radius(), t);
+  }
+  EXPECT_EQ(atlas.stats().misses, both.misses);
 }
 
 TEST(GeometryAtlas, DisconnectedGraphAndPendantNodes) {
   // Two components (a path and a triangle) exercise whole_component and
-  // empty trailing layers through the prefix view.
+  // empty trailing layers.
   graph::Graph::Builder b;
   for (graph::RawId id = 0; id < 8; ++id) b.add_node(100 + id);
   b.add_edge(0, 1);
@@ -173,15 +157,13 @@ TEST(GeometryAtlas, DisconnectedGraphAndPendantNodes) {
   }
   // Triangle members see the whole component from t = 2 on.
   const auto block = atlas.block(*g, 2, 5);
-  EXPECT_TRUE(block->ball(5, 2).whole_component);
-  EXPECT_FALSE(atlas.block(*g, 2, 0)->ball(0, 2).whole_component);
+  EXPECT_TRUE(block->ball(5).whole_component);
+  EXPECT_FALSE(atlas.block(*g, 2, 0)->ball(0).whole_component);
 }
 
 TEST(GeometryAtlas, RespectsByteBudgetAndEvictsLru) {
   // A cyclic scan six blocks wide through a budget of three and a half:
-  // each block is looked up once per center, so once the sketch ages the
-  // stale residents (every 64 lookups here) the block being swept outscores
-  // them and displaces LRU victims.
+  // every newly built block displaces LRU victims.
   util::Rng rng(7003);
   auto g = share(graph::random_connected(96, 60, rng));
 
@@ -211,34 +193,6 @@ TEST(GeometryAtlas, RespectsByteBudgetAndEvictsLru) {
   EXPECT_GT(stats.misses, 6u);
   // Admission happens before accounting, so the budget also bounds the peak.
   EXPECT_LE(stats.peak_bytes, options.byte_budget);
-}
-
-// TinyLFU admission is scan-resistant: a cyclic sweep whose working set
-// exceeds the budget keeps a stable resident subset (partial hit rate)
-// instead of LRU-churning to zero hits.
-TEST(GeometryAtlas, ScanLargerThanBudgetStillHits) {
-  util::Rng rng(7013);
-  auto g = share(graph::random_connected(96, 60, rng));
-
-  AtlasOptions probe_options;
-  probe_options.block_centers = 16;
-  GeometryAtlas probe(probe_options);
-  const std::size_t block_bytes = probe.block(*g, 4, 0)->bytes();
-
-  AtlasOptions options;
-  options.block_centers = 16;
-  options.byte_budget = 3 * block_bytes + block_bytes / 2;
-  GeometryAtlas atlas(options);
-  for (int sweep = 0; sweep < 4; ++sweep)
-    for (graph::NodeIndex v = 0; v < g->n(); ++v) {
-      atlas.block(*g, 4, v);
-      EXPECT_LE(atlas.stats().bytes_in_use, options.byte_budget);
-    }
-  const AtlasStats stats = atlas.stats();
-  // Roughly half the blocks fit, so from sweep 2 on the resident subset
-  // keeps hitting; some blocks bypass the cache by design.
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.bypassed, 0u);
 }
 
 TEST(GeometryAtlas, ZeroBudgetCachesNothingButStaysCorrect) {
@@ -329,8 +283,8 @@ TEST(GeometryAtlas, ConcurrentLookupsAreConsistent) {
           const unsigned t = 1 + static_cast<unsigned>((w + round) % 3);
           const auto block = atlas.block(*g, t, v);
           EXPECT_TRUE(block->covers(v));
-          EXPECT_GE(block->radius(), t);
-          EXPECT_GT(block->ball(v, t).members.size(), 0u);
+          EXPECT_EQ(block->radius(), t);
+          EXPECT_GT(block->ball(v).members.size(), 0u);
         }
     });
   }
@@ -379,173 +333,115 @@ TEST(GeometryAtlas, SnapshotDiffReportsOnePhaseOverAWarmAtlas) {
   EXPECT_EQ(atlas.stats().misses, warm.misses);
 }
 
-TEST(FrequencySketch, CountMinSaturatesAtFifteen) {
-  FrequencySketch sketch(64);
-  constexpr std::uint64_t kNoAging = 1u << 20;
-  EXPECT_EQ(sketch.estimate(42), 0u);
-  for (int i = 0; i < 7; ++i) sketch.record(42, kNoAging);
-  // Count-min never under-counts (collisions can only over-count).
-  EXPECT_GE(sketch.estimate(42), 7u);
-  for (int i = 0; i < 40; ++i) sketch.record(42, kNoAging);
-  EXPECT_EQ(sketch.estimate(42), 15u);  // saturated, no wrap past 0xF
-  EXPECT_EQ(sketch.halvings(), 0u);
-}
+/// The reference policy: a plain LRU over (epoch, t, block) keys, each
+/// charged its block's bytes(), admitting whatever fits in the budget at
+/// all and bypassing the rest.  Counters mirror AtlasStats.
+class ReferenceLru {
+ public:
+  using Key = std::tuple<std::uint64_t, unsigned, std::uint32_t>;
 
-TEST(FrequencySketch, PeriodicHalvingDecaysEveryCounter) {
-  FrequencySketch sketch(1u << 10);
-  constexpr std::uint64_t kPeriod = 64;
-  for (int i = 0; i < 12; ++i) sketch.record(7, kPeriod);
-  EXPECT_GE(sketch.estimate(7), 12u);
-  // Unrelated traffic trips the sample period; the halving caps every
-  // counter in the table at 15/2 = 7, so the hot key decays too.
-  std::uint64_t key = 1000;
-  while (sketch.halvings() == 0) sketch.record(key++, kPeriod);
-  EXPECT_EQ(key, 1000u + kPeriod - 12);  // exactly one period of records
-  EXPECT_LE(sketch.estimate(7), 7u);
-}
+  explicit ReferenceLru(std::size_t budget) : budget_(budget) {}
 
-// TinyLFU admission: in the LRU-churn scenario — a budget holding exactly
-// one block, hot lookups interleaved with a cold rotation — pure LRU would
-// evict the hot block moments before every reuse (3 hits: the 2 warmup
-// revisits and round 0's hot lookup, before the first cold arrival starts
-// the churn), while the frequency sketch vetoes each cold contender
-// (estimate ~1) against the hot resident and keeps hitting.  The zipf-stream
-// hit rate is the bench's job; this pins the admission mechanism itself,
-// deterministically.
-TEST(GeometryAtlas, TinyLfuKeepsTheHotBlockWhereLruChurns) {
-  util::Rng rng(7014);
-  auto g = share(graph::random_connected(96, 60, rng));
-
-  // One lookup per block visit (as a sweep holding its pinned block would
-  // issue).  Budget = the largest block: any single block fits, no two fit
-  // together (asserted), so residency is exactly one block at all times.
-  AtlasOptions probe_options;
-  probe_options.block_centers = 16;
-  GeometryAtlas probe(probe_options);
-  std::vector<std::size_t> sizes;
-  for (graph::NodeIndex first = 0; first < g->n(); first += 16)
-    sizes.push_back(probe.block(*g, 4, first)->bytes());
-  std::sort(sizes.begin(), sizes.end());
-  ASSERT_GT(sizes.front() + sizes[1], sizes.back())
-      << "budget must hold one block but never two";
-
-  AtlasOptions base;
-  base.block_centers = 16;
-  base.byte_budget = sizes.back();
-  const auto run_stream = [&](GeometryAtlas& atlas) {
-    for (int i = 0; i < 3; ++i) atlas.block(*g, 4, 0);  // seed hot frequency
-    for (int round = 0; round < 10; ++round) {
-      atlas.block(*g, 4, 0);  // hot: always block 0
-      const auto cold = static_cast<graph::NodeIndex>(16 * (1 + round % 5));
-      atlas.block(*g, 4, cold);
+  void lookup(const Key& key, std::size_t bytes) {
+    if (const auto it = where_.find(key); it != where_.end()) {
+      ++stats.hits;
+      order_.splice(order_.begin(), order_, it->second);
+      return;
     }
-  };
-
-  GeometryAtlas tiny_atlas(base);
-  run_stream(tiny_atlas);
-  const AtlasStats tiny_stats = tiny_atlas.stats();
-
-  // Every cold contender lost to the hot resident's frequency...
-  EXPECT_EQ(tiny_stats.sketch_rejects, 10u);
-  EXPECT_EQ(tiny_stats.bypassed, 10u);
-  EXPECT_EQ(tiny_stats.evictions, 0u);
-  // ...so the hot block hit on every revisit.
-  EXPECT_EQ(tiny_stats.hits, 12u);  // 2 warmup revisits + 10 rounds
-  EXPECT_LE(tiny_stats.bytes_in_use, base.byte_budget);
-  EXPECT_LE(tiny_stats.peak_bytes, base.byte_budget);
-
-  // And it is still resident now: one more hot lookup, zero builds.
-  const AtlasStats before_final = tiny_atlas.stats();
-  tiny_atlas.block(*g, 4, 0);
-  const AtlasStats final_phase = tiny_atlas.stats().since(before_final);
-  EXPECT_EQ(final_phase.misses, 0u);
-  EXPECT_EQ(final_phase.hits, 1u);
-}
-
-// Workload shift, the case the sketch's aging exists for: epoch A's blocks
-// fill the budget and saturate the sketch (estimate 15 each), then all
-// traffic moves to a new graph epoch B.  Without halving, no B contender
-// could ever beat a saturated resident (ties reject), so B would bypass
-// forever.  With the derived cadence — a halving every max(64, 10 x
-// resident entries) records — B's hot block must become resident within
-// one aging period of the shift.
-TEST(GeometryAtlas, TinyLfuAdmitsANewEpochWithinOneAgingPeriod) {
-  util::Rng rng(7016);
-  auto a = share(graph::random_connected(64, 40, rng));
-  auto b = share(graph::random_connected(64, 40, rng));
-
-  // Budget = exactly epoch A's four blocks: the cache is full after A, and
-  // any B block needs victims.
-  AtlasOptions options;
-  options.block_centers = 16;
-  options.byte_budget = 0;
-  {
-    GeometryAtlas probe(options);
-    for (graph::NodeIndex first = 0; first < a->n(); first += 16)
-      options.byte_budget += probe.block(*a, 2, first)->bytes();
+    ++stats.misses;
+    if (bytes > budget_) {
+      ++stats.bypassed;
+      return;
+    }
+    while (stats.bytes_in_use + bytes > budget_) {
+      const auto& [victim, victim_bytes] = order_.back();
+      stats.bytes_in_use -= victim_bytes;
+      where_.erase(victim);
+      order_.pop_back();
+      ++stats.evictions;
+    }
+    order_.emplace_front(key, bytes);
+    where_[key] = order_.begin();
+    stats.bytes_in_use += bytes;
+    stats.peak_bytes = std::max(stats.peak_bytes, stats.bytes_in_use);
   }
-  GeometryAtlas atlas(options);
-  // 15 rounds over A's blocks: 60 records, under one aging period, so every
-  // resident sits at the saturated estimate when the shift lands.
-  for (int round = 0; round < 15; ++round)
-    for (graph::NodeIndex first = 0; first < a->n(); first += 16)
-      atlas.block(*a, 2, first);
-  const AtlasStats after_a = atlas.stats();
-  ASSERT_EQ(after_a.misses, 4u);
-  ASSERT_EQ(after_a.bytes_in_use, options.byte_budget);
 
-  const std::uint64_t aging_period = std::max<std::uint64_t>(64, 10 * 4);
-  std::uint64_t lookups = 0;
-  while (atlas.stats().since(after_a).hits == 0 &&
-         lookups <= 4 * aging_period) {
-    atlas.block(*b, 2, 0);
-    ++lookups;
+  AtlasStats stats;
+
+ private:
+  std::size_t budget_;
+  std::list<std::pair<Key, std::size_t>> order_;  ///< front = most recent
+  std::map<Key, std::list<std::pair<Key, std::size_t>>::iterator> where_;
+};
+
+// The atlas's one policy, replayed against the reference LRU: seeded random
+// lookups (skewed toward low centers, so some blocks are hot) over two
+// graphs and radii {2, 4}, at budgets 0, below one block, about three
+// blocks, and unbounded.  Every counter must match after every lookup.
+TEST(GeometryAtlas, MatchesReferenceLruModel) {
+  util::Rng graph_rng(7017);
+  const std::vector<std::shared_ptr<const graph::Graph>> graphs = {
+      share(graph::random_connected(96, 60, graph_rng)),
+      share(graph::grid(8, 10))};
+  constexpr std::uint32_t kBlockCenters = 16;
+  const std::vector<unsigned> radii = {2, 4};
+
+  // Every key's block size, from blocks built outside any atlas.
+  std::map<ReferenceLru::Key, std::size_t> block_bytes;
+  for (const auto& g : graphs)
+    for (const unsigned t : radii)
+      for (graph::NodeIndex first = 0; first < g->n(); first += kBlockCenters) {
+        const auto end = static_cast<graph::NodeIndex>(
+            std::min<std::size_t>(first + kBlockCenters, g->n()));
+        block_bytes[{g->epoch(), t, first / kBlockCenters}] =
+            GeometryBlock(*g, first, end, t).bytes();
+      }
+  std::vector<std::size_t> sizes;
+  for (const auto& [key, bytes] : block_bytes) sizes.push_back(bytes);
+  std::sort(sizes.begin(), sizes.end());
+  const std::size_t median = sizes[sizes.size() / 2];
+
+  for (const std::size_t budget :
+       {std::size_t{0}, sizes.front() - 1, 3 * median,
+        std::numeric_limits<std::size_t>::max()}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "budget " << budget << " seed "
+                                        << seed);
+      AtlasOptions options;
+      options.block_centers = kBlockCenters;
+      options.byte_budget = budget;
+      GeometryAtlas atlas(options);
+      ReferenceLru model(budget);
+      util::Rng rng(seed);
+      for (int step = 0; step < 400; ++step) {
+        const auto& g = graphs[rng.below(graphs.size())];
+        const unsigned t = radii[rng.below(radii.size())];
+        const auto center =
+            static_cast<graph::NodeIndex>(rng.below(rng.below(g->n()) + 1));
+        const auto block = atlas.block(*g, t, center);
+        ASSERT_TRUE(block->covers(center));
+        ASSERT_EQ(block->radius(), t);
+        const ReferenceLru::Key key{g->epoch(), t, center / kBlockCenters};
+        model.lookup(key, block_bytes.at(key));
+
+        const AtlasStats got = atlas.stats();
+        ASSERT_EQ(got.hits, model.stats.hits) << "step " << step;
+        ASSERT_EQ(got.misses, model.stats.misses) << "step " << step;
+        ASSERT_EQ(got.evictions, model.stats.evictions) << "step " << step;
+        ASSERT_EQ(got.bypassed, model.stats.bypassed) << "step " << step;
+        ASSERT_EQ(got.bytes_in_use, model.stats.bytes_in_use)
+            << "step " << step;
+        ASSERT_EQ(got.peak_bytes, model.stats.peak_bytes) << "step " << step;
+      }
+      // The sequence must have exercised the budget it names.
+      if (budget == 3 * median) {
+        EXPECT_GT(model.stats.evictions, 0u);
+      }
+      if (budget == std::numeric_limits<std::size_t>::max()) {
+        EXPECT_GT(model.stats.hits, 0u);
+      }
+    }
   }
-  const AtlasStats shift = atlas.stats().since(after_a);
-  // The saturated residents vetoed B at first...
-  EXPECT_GT(shift.sketch_rejects, 0u);
-  // ...until aging let it in: admitted by lookup `aging_period`, hit on the
-  // lookup after.
-  EXPECT_EQ(shift.hits, 1u);
-  EXPECT_LE(lookups, aging_period + 1);
-  EXPECT_GT(shift.evictions, 0u);
-  EXPECT_LE(atlas.stats().bytes_in_use, options.byte_budget);
-}
-
-std::size_t by_radius_sum(const AtlasStats& stats) {
-  std::size_t sum = 0;
-  for (const auto& [t, rb] : stats.by_radius) sum += rb.bytes_in_use;
-  return sum;
-}
-
-// The per-radius residency gauges: attribution always sums to the global
-// bytes_in_use, and prefix retirement moves bytes between radii instead of
-// leaking them.
-TEST(GeometryAtlas, ByRadiusResidencySumsToTotalAndTracksRetirement) {
-  util::Rng rng(7015);
-  auto g1 = share(graph::random_connected(30, 18, rng));
-  auto g2 = share(graph::random_connected(26, 14, rng));
-
-  GeometryAtlas atlas;
-  for (graph::NodeIndex v = 0; v < g1->n(); ++v) atlas.block(*g1, 2, v);
-  for (graph::NodeIndex v = 0; v < g2->n(); ++v) atlas.block(*g2, 5, v);
-  const AtlasStats mixed = atlas.stats();
-  ASSERT_GT(mixed.by_radius.at(2).bytes_in_use, 0u);
-  ASSERT_GT(mixed.by_radius.at(5).bytes_in_use, 0u);
-  EXPECT_EQ(by_radius_sum(mixed), mixed.bytes_in_use);
-  for (const auto& [t, rb] : mixed.by_radius)
-    EXPECT_GE(rb.peak_bytes, rb.bytes_in_use) << "radius " << t;
-
-  // Ascending g1 to t = 8 retires its t = 2 prefixes: radius 2 drains to
-  // zero residency (its peak stays), radius 8 takes the bytes over, and the
-  // attribution still sums exactly.
-  for (graph::NodeIndex v = 0; v < g1->n(); ++v) atlas.block(*g1, 8, v);
-  const AtlasStats after = atlas.stats();
-  EXPECT_EQ(after.by_radius.at(2).bytes_in_use, 0u);
-  EXPECT_EQ(after.by_radius.at(2).peak_bytes,
-            mixed.by_radius.at(2).peak_bytes);
-  EXPECT_GT(after.by_radius.at(8).bytes_in_use, 0u);
-  EXPECT_EQ(by_radius_sum(after), after.bytes_in_use);
 }
 
 }  // namespace
